@@ -121,6 +121,9 @@ def load_code_file(path: str) -> LinearCode:
     if isinstance(claims, dict):
         known = claims.get("known_distance")
         lb = claims.get("claimed_distance_lb")
+        # bool is an int subclass; true must not read as a claimed d = 1
+        if isinstance(known, bool) or isinstance(lb, bool):
+            raise FileMalformed(f"{path}: a distance claim must be an integer, not a boolean")
         code.known_distance = known if isinstance(known, int) else None
         code.claimed_distance_lb = lb if isinstance(lb, int) else None
     return code
@@ -251,7 +254,11 @@ def cmd_verify(args) -> int:
     if args.max_enum is not None:
         cap = args.max_enum
     else:
-        cap = int(os.environ.get("QMDS_MAX_ENUM", DEFAULT_ENUM_CAP))
+        raw = os.environ.get("QMDS_MAX_ENUM", str(DEFAULT_ENUM_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise BadDimension(f"QMDS_MAX_ENUM must be an integer, got {raw!r}") from None
     report = run_checks(code, args.check, cap)
     sys.stdout.write(canonical_json(report.to_dict()))
     return 0 if report.overall == "pass" else VerificationFailure.exit_code
@@ -317,7 +324,9 @@ def _check_min_distance(code, orthogonality, cap) -> CheckResult:
         d = min_distance_exact(code, cap=cap)
     except EnumerationTooLarge as too_large:
         try:
-            ok = min_distance_at_least(code, floor)
+            # no nonzero word outweighs its length, so a claim past n + 1 is
+            # refuted outright; the floor oracle takes w - 1 <= n only
+            ok = floor <= code.n + 1 and min_distance_at_least(code, floor)
         except WorkBudgetExceeded as over:
             return CheckResult(
                 name="min-distance",

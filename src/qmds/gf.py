@@ -48,6 +48,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_tower(p: int, t: int) -> None:
+    """Reject a (p, t) outside the supported towers, cheapest checks first.
+
+    The size cap is applied before trial division, so an enormous p or t
+    (say from a code file) is refused at once instead of being factored.
+    p >= 2 gives p^(2t) >= 2^(2t), so the bound on t comes first and keeps
+    the power itself small.
+    """
+    if p < 2:
+        raise NonPrimeCharacteristic(f"p = {p} is not prime")
+    if t < 1:
+        raise FieldTooLarge(f"t = {t} must be positive")
+    if 2 * t >= SIZE_CAP.bit_length() or p ** (2 * t) > SIZE_CAP:
+        raise FieldTooLarge(f"p^(2t) = {p}^{2 * t} exceeds {SIZE_CAP}")
+    if not _is_prime(p):
+        raise NonPrimeCharacteristic(f"p = {p} is not prime")
+
+
 class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
@@ -57,12 +75,7 @@ class Field:
     """
 
     def __init__(self, p: int, t: int, modulus: list[int], _tables=None):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"p = {p} is not prime")
-        if t < 1:
-            raise FieldTooLarge(f"t = {t} must be positive")
-        if p ** (2 * t) > SIZE_CAP:
-            raise FieldTooLarge(f"p^(2t) = {p ** (2 * t)} exceeds {SIZE_CAP}")
+        _check_tower(p, t)
         self.p = p
         self.t = t
         self.q = p**t
@@ -256,12 +269,7 @@ def field_new(p: int, t: int = 1) -> Field:
     one whose residue class of x is primitive.  Cached: repeated calls hand
     back the same instance, so tables are built once per (p, t).
     """
-    if not _is_prime(p):
-        raise NonPrimeCharacteristic(f"p = {p} is not prime")
-    if t < 1:
-        raise FieldTooLarge(f"t = {t} must be positive")
-    if p ** (2 * t) > SIZE_CAP:
-        raise FieldTooLarge(f"p^(2t) = {p ** (2 * t)} exceeds {SIZE_CAP}")
+    _check_tower(p, t)
     deg = 2 * t
     for packed in range(p**deg):
         digits = []
@@ -281,6 +289,8 @@ def field_new(p: int, t: int = 1) -> Field:
 @lru_cache(maxsize=None)
 def field_for_q(q: int) -> Field:
     """GF(q^2) for a prime power q, factoring q as p^t."""
+    if q * q > SIZE_CAP:
+        raise FieldTooLarge(f"q^2 = {q}^2 exceeds {SIZE_CAP}")
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -26,7 +26,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .gf import Field, field_for_q
-from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank
+from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfield_nullvector
 
 # the multiplier-norm solver gives up after this many kernel samples
 SOLVER_RETRIES = 100
@@ -298,7 +298,7 @@ def _kernel_family_spec(field, m, k, row_exponent, point_exponent, multiplier_sh
         [field.exp(row_exponent(i, j)) for j in range(1, m)]
         for i in range(1, m - 1)
     ]
-    kernel = _subfield_kernel(Matrix(field, rows, cols=m - 1))
+    kernel = subfield_nullvector(Matrix(field, rows, cols=m - 1))
     exps = []
     for c in kernel:
         if c == 0:
@@ -311,12 +311,6 @@ def _kernel_family_spec(field, m, k, row_exponent, point_exponent, multiplier_sh
         field.exp(e + multiplier_shift * s) for s in range(q - 1) for e in exps
     )
     return GrsSpec(field=field, points=points, multipliers=mults, k=k)
-
-
-def _subfield_kernel(mtx: Matrix) -> list[int]:
-    from .linalg import subfield_nullvector
-
-    return subfield_nullvector(mtx)
 
 
 def valid_parameter_sets(family: str, q: int) -> list[ConstructionParams]:

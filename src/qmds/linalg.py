@@ -5,6 +5,10 @@ work happens in module functions via fraction-free Gaussian elimination
 (exact in a field, so plain elimination with pivots normalized to one).
 Pivot choice is deterministic: the first nonzero entry scanning down the
 column, so identical inputs give identical reduced forms and kernels.
+
+Each matrix is eliminated at most once: its reduced row echelon form is
+kept on the instance, and rank, kernel, containment and row equivalence
+are all read off that one result.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ class Matrix:
 
     Treat instances as immutable; operations always return fresh objects.
     Zero-row matrices are legal (kernels of injective maps, generators of
-    zero-dimensional codes) and carry an explicit column count.
+    zero-dimensional codes) and carry an explicit column count.  The
+    reduced row echelon form is computed from data on first use and kept
+    in _echelon; it is never serialized.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_echelon")
 
     def __init__(self, field: Field, data: list[list[int]], cols: int | None = None):
         self.field = field
+        self._echelon: tuple[list[list[int]], list[int]] | None = None
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
         if self.rows:
@@ -124,41 +131,64 @@ def mat_vec(m: Matrix, v: list[int]) -> list[int]:
     return out
 
 
-def _eliminate(m: Matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    f = m.field
-    add, mul, neg, inv = f.add, f.mul, f.neg, f.inv
-    rows = [list(r) for r in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
+def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Computed once per matrix and kept on it, so the result is shared:
+    callers read it and never mutate it.  The form is unique for the row
+    space, zero rows at the bottom included.
+    """
+    if m._echelon is None:
+        f = m.field
+        rows = [list(r) for r in m.data]
+        pivots: list[int] = []
+        r = 0
+        for c in range(m.cols):
+            if r == len(rows):
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            s = inv(piv)
-            rows[r] = [mul(s, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                fac = neg(rows[i][c])
-                rows[i] = [add(x, mul(fac, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+            if pivot_row is None:
+                continue
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            prow = rows[r]
+            piv = prow[c]
+            if piv != 1:
+                exp, log, order = f._exp, f._log, f.q2 - 1
+                s = order - log[piv]
+                prow[c:] = [exp[(s + log[y]) % order] if y else 0 for y in prow[c:]]
+            _clear_column(f, rows, prow, c)
+            pivots.append(c)
+            r += 1
+        m._echelon = (rows, pivots)
+    return m._echelon
+
+
+def _clear_column(f: Field, rows: list[list[int]], prow: list[int], c: int) -> None:
+    """Subtract from every row other than prow the multiple of prow that
+    zeroes its column c, in place.
+
+    prow is 1 at column c and zero left of it, so only its nonzero entries
+    from c on take part.  Products run on the exp/log tables and sums on
+    the add table; fields too large for an add table fall back to f.add.
+    """
+    exp, log, neg, addtab = f._exp, f._log, f._neg, f._add
+    order = f.q2 - 1
+    terms = [(j, log[y]) for j in range(c, len(prow)) if (y := prow[j])]
+    for row in rows:
+        x = row[c]
+        if x and row is not prow:
+            lx = log[neg[x]]
+            if addtab is not None:
+                for j, ly in terms:
+                    row[j] = addtab[row[j]][exp[(lx + ly) % order]]
+            else:
+                for j, ly in terms:
+                    row[j] = f.add(row[j], exp[(lx + ly) % order])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     rows, pivots = _eliminate(m)
-    return Matrix(m.field, rows, cols=m.cols), pivots
+    return Matrix(m.field, rows, cols=m.cols), list(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -193,24 +223,53 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def entrywise_frobenius(m: Matrix) -> Matrix:
-    frob = m.field.frobenius_q
-    return Matrix(m.field, [[frob(x) for x in row] for row in m.data], cols=m.cols)
+    """The matrix with every entry conjugated, x -> x^q.
+
+    Conjugation is a field automorphism: it keeps every zero where it is
+    and every unit pivot at 1, so applied to m's echelon form it yields,
+    step for step, the echelon form of the result.  When m has been
+    eliminated, that form is carried over and the result is never
+    eliminated itself.
+    """
+    f = m.field
+    out = Matrix(f, _conjugate_rows(f, m.data), cols=m.cols)
+    if m._echelon is not None:
+        rows, pivots = m._echelon
+        out._echelon = (_conjugate_rows(f, rows), pivots)
+    return out
+
+
+def _conjugate_rows(f: Field, rows: list[list[int]]) -> list[list[int]]:
+    exp, log, q, order = f._exp, f._log, f.q, f.q2 - 1
+    return [[exp[log[x] * q % order] if x else 0 for x in row] for row in rows]
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:
-    """Same row space; ranks of a, b and the stack must agree."""
+    """Same row space: the reduced row echelon form is unique for a row
+    space, so the pivots and nonzero echelon rows of a and b must agree."""
     if a.field is not b.field or a.cols != b.cols:
         raise DimensionMismatch("row equivalence needs matching shapes")
-    ra = rank(a)
-    rb = rank(b)
-    return ra == rb == rank(stack(a, b))
+    rows_a, piv_a = _eliminate(a)
+    rows_b, piv_b = _eliminate(b)
+    r = len(piv_a)
+    return piv_a == piv_b and rows_a[:r] == rows_b[:r]
 
 
 def row_space_contains(outer: Matrix, inner: Matrix) -> bool:
-    """Every row of inner lies in the row space of outer."""
+    """Every row of inner lies in the row space of outer.
+
+    Each row of inner is reduced against outer's echelon rows at their
+    pivot columns and lies in the row space exactly when nothing is left:
+    the certificate rank(stack(outer, inner)) == rank(outer), without
+    eliminating the stack.
+    """
     if outer.field is not inner.field or outer.cols != inner.cols:
         raise DimensionMismatch("containment needs matching shapes")
-    return rank(stack(outer, inner)) == rank(outer)
+    rows, pivots = _eliminate(outer)
+    rest = [list(v) for v in inner.data]
+    for prow, c in zip(rows, pivots):
+        _clear_column(outer.field, rest, prow, c)
+    return not any(any(v) for v in rest)
 
 
 def subfield_nullvector(m: Matrix) -> list[int]:
@@ -235,11 +294,6 @@ def subfield_nullvector(m: Matrix) -> list[int]:
     first = next(x for x in v if x)
     s = f.inv(first)
     v = [f.mul(s, x) for x in v]
-    if all(f.in_subfield(x) for x in v):
-        return v
-    # unreachable when the preconditions hold; scan scalings before giving up
-    for lam in range(1, f.q2):
-        w = [f.mul(lam, x) for x in v]
-        if all(f.in_subfield(x) for x in w):
-            return w
-    raise NoSubfieldSolution("kernel line has no GF(q) representative")
+    if not all(f.in_subfield(x) for x in v):
+        raise NoSubfieldSolution("kernel line has no GF(q) representative")
+    return v

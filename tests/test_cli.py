@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,12 @@ def test_malformed_files_exit_4(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
 
+    for claim in ("known_distance", "claimed_distance_lb"):
+        payload = json.loads(good.read_text())
+        payload["provenance"]["claims"][claim] = True  # bool, not the integer 1
+        bad.write_text(json.dumps(payload))
+        assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
+
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
 
 
@@ -186,6 +193,10 @@ def test_enum_cap_env_and_flag(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert json.loads(out)["checks"][0]["method"] == "exhaustive message enumeration"
+    monkeypatch.setenv("QMDS_MAX_ENUM", "abc")
+    rc, out, err = run_cli(["verify", "--in", str(path), "--check", "min-distance"], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["exit_code"] == 2  # exactly one JSON object, no traceback
 
 
 def test_table_family_sweeps(capsys):
@@ -228,3 +239,34 @@ def test_table1_csv(capsys):
         "mp7-v2,9,5,164,152,lower-bound,FULL",
         "mp7-v1,9,4,164,156,lower-bound,FULL",
     ]
+
+
+def test_huge_field_in_file_exits_4_at_once(tmp_path, capsys):
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    bad = tmp_path / "huge.json"
+    for field in ({"p": 1000000000000000009, "t": 1}, {"p": 3, "t": 10**18}):
+        payload = json.loads(good.read_text())
+        payload["field"].update(field)
+        bad.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+        # trial division of that p alone would run for minutes
+        assert time.perf_counter() - start < 5
+        assert rc == 4
+        detail = json.loads(err)
+        assert detail["error"] == "FileMalformed" and "exceeds" in detail["message"]
+
+
+@pytest.mark.parametrize("cap", ["10", "1000000"])
+def test_distance_claim_beyond_length_fails(tmp_path, capsys, cap):
+    # [8, 2] code; "10" forces the column-independence floor, "1000000" enumerates
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(path.read_text())
+    payload["provenance"]["claims"]["claimed_distance_lb"] = 50
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(
+        ["verify", "--in", str(path), "--check", "min-distance", "--max-enum", cap], capsys
+    )
+    assert rc == 3, err
+    check = json.loads(out)["checks"][0]
+    assert check["verdict"] == "fail"

@@ -271,6 +271,17 @@ def test_field_construction_errors():
         field_new(3, 9)
     with pytest.raises(errors.NonPrimeCharacteristic):
         field_for_q(12)
+    # the size cap comes before trial division and before any power of an
+    # untrusted exponent, so each of these is refused at once
+    huge_prime = 1000000000000000009
+    with pytest.raises(errors.FieldTooLarge):
+        field_new(huge_prime)
+    with pytest.raises(errors.FieldTooLarge):
+        Field(huge_prime, 1, [1, 0, 1])
+    with pytest.raises(errors.FieldTooLarge):
+        field_new(3, 10**18)
+    with pytest.raises(errors.FieldTooLarge):
+        field_for_q(huge_prime)
 
 
 def test_from_modulus_roundtrip_and_rejects_nonprimitive():
