@@ -14,25 +14,25 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from math import comb
 
 from .errors import (
     BadDimension,
     CongruenceViolated,
     EnumerationTooLarge,
+    FieldTooLarge,
     FileMalformed,
     QmdsError,
     VerificationFailure,
     WorkBudgetExceeded,
 )
-from .gf import Field, field_for_q
+from .gf import SIZE_CAP, Field, field_for_q
 from .grs import (
+    GRS_FAMILIES,
     ConstructionParams,
     LinearCode,
     construct_extended,
-    construct_family_A,
-    construct_family_B,
-    construct_family_C,
     construct_full_field,
     grs_generator,
     valid_parameter_sets,
@@ -51,20 +51,12 @@ from .verify import (
     VerificationReport,
     dual_containing_check,
     enumeration_classes,
-    is_mds,
     min_distance_at_least,
     min_distance_exact,
     self_orthogonal_check,
 )
 
 SCHEMA_VERSION = 1
-
-# family flag -> (constructor, m from the congruence)
-_GRS_FAMILIES = {
-    "grs-a": (construct_family_A, lambda q, a: (q - 1) // (2 * a)),
-    "grs-b": (construct_family_B, lambda q, a: (q + 1) // (2 * a)),
-    "grs-c": (construct_family_C, lambda q, a: (q + 1) // (2 * a + 1)),
-}
 
 
 def canonical_json(obj) -> str:
@@ -144,14 +136,13 @@ def cmd_construct(args) -> int:
 
 def _build(args) -> tuple[LinearCode, dict]:
     family, q = args.family, args.q
-    if family in _GRS_FAMILIES:
+    if family in GRS_FAMILIES:
         _require(args.a is not None, f"--a is required for {family}")
         _require(args.d is not None, f"--d is required for {family}")
-        floor_a = 0 if family == "grs-c" else 1
-        if args.a < floor_a:
-            raise CongruenceViolated(f"{family} needs a >= {floor_a}, got {args.a}")
-        ctor, derive_m = _GRS_FAMILIES[family]
-        m = derive_m(q, args.a)
+        ctor, _, divide, a_min, _, _ = GRS_FAMILIES[family]
+        if args.a < a_min:
+            raise CongruenceViolated(f"{family} needs a >= {a_min}, got {args.a}")
+        m, _ = divide(q, args.a)
         code = grs_generator(ctor(ConstructionParams(q=q, a=args.a, m=m, d=args.d)))
         return code, {
             "construction": family,
@@ -269,12 +260,17 @@ def run_checks(code: LinearCode, which: str, cap: int = DEFAULT_ENUM_CAP) -> Ver
     orthogonality = claimed.get("orthogonality") if isinstance(claimed, dict) else None
     report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
     names = ("gram", "dual-containing", "min-distance", "mds") if which == "all" else (which,)
+    # the distance and MDS checks share one run of each oracle; a refusal
+    # (EnumerationTooLarge, WorkBudgetExceeded) comes before any work and is
+    # not cached
+    exact = cache(lambda: min_distance_exact(code, cap=cap))
+    at_least = cache(lambda w: min_distance_at_least(code, w))
     for name in names:
-        report.checks.append(_CHECK_RUNNERS[name](code, orthogonality, cap))
+        report.checks.append(_CHECK_RUNNERS[name](code, orthogonality, cap, exact, at_least))
     return report
 
 
-def _check_gram(code, orthogonality, cap) -> CheckResult:
+def _check_gram(code, orthogonality, cap, exact, at_least) -> CheckResult:
     if orthogonality != "self-orthogonal":
         return CheckResult(
             name="gram",
@@ -292,7 +288,7 @@ def _check_gram(code, orthogonality, cap) -> CheckResult:
     )
 
 
-def _check_dual_containing(code, orthogonality, cap) -> CheckResult:
+def _check_dual_containing(code, orthogonality, cap, exact, at_least) -> CheckResult:
     if orthogonality != "dual-containing":
         return CheckResult(
             name="dual-containing",
@@ -310,7 +306,7 @@ def _check_dual_containing(code, orthogonality, cap) -> CheckResult:
     )
 
 
-def _check_min_distance(code, orthogonality, cap) -> CheckResult:
+def _check_min_distance(code, orthogonality, cap, exact, at_least) -> CheckResult:
     exact_claim = code.known_distance
     floor = exact_claim if exact_claim is not None else code.claimed_distance_lb
     if floor is None:
@@ -321,12 +317,12 @@ def _check_min_distance(code, orthogonality, cap) -> CheckResult:
             detail="file carries no distance claim",
         )
     try:
-        d = min_distance_exact(code, cap=cap)
+        d = exact()
     except EnumerationTooLarge as too_large:
         try:
             # no nonzero word outweighs its length, so a claim past n + 1 is
             # refuted outright; the floor oracle takes w - 1 <= n only
-            ok = floor <= code.n + 1 and min_distance_at_least(code, floor)
+            ok = floor <= code.n + 1 and at_least(floor)
         except WorkBudgetExceeded as over:
             return CheckResult(
                 name="min-distance",
@@ -356,7 +352,7 @@ def _check_min_distance(code, orthogonality, cap) -> CheckResult:
     )
 
 
-def _check_mds(code, orthogonality, cap) -> CheckResult:
+def _check_mds(code, orthogonality, cap, exact, at_least) -> CheckResult:
     w = code.n - code.k + 1
     floor = code.known_distance if code.known_distance is not None else code.claimed_distance_lb
     if floor != w:
@@ -368,7 +364,8 @@ def _check_mds(code, orthogonality, cap) -> CheckResult:
         )
     enumerable = code.k and code.field.q2**code.k <= cap
     try:
-        ok = is_mds(code, cap=cap)
+        # Singleton pins d from above, so the floor alone settles d = w
+        ok = exact() == w if enumerable else at_least(w)
     except WorkBudgetExceeded as over:
         return CheckResult(
             name="mds",
@@ -395,12 +392,6 @@ _CHECK_RUNNERS = {
 
 # -- table ------------------------------------------------------------------------
 
-_SWEEP_CONSTRUCTORS = {
-    "family-a": ("grs-a", construct_family_A),
-    "family-b": ("grs-b", construct_family_B),
-    "family-c": ("grs-c", construct_family_C),
-}
-
 _TABLE1_COLUMNS = ["family", "q", "d", "n", "k", "bound_type", "certification"]
 _SWEEP_COLUMNS = ["family", "q", "a", "m", "d", "n", "k", "bound_type", "certification"]
 
@@ -422,7 +413,8 @@ def cmd_table(args) -> int:
         ]
     else:
         columns = _SWEEP_COLUMNS
-        family, ctor = _SWEEP_CONSTRUCTORS[args.which]
+        family = args.which.replace("family-", "grs-")
+        ctor = GRS_FAMILIES[family][0]
         rows = []
         for q in _odd_prime_powers(args.q_max):
             for params in valid_parameter_sets(family, q):
@@ -450,6 +442,8 @@ def cmd_table(args) -> int:
 
 
 def _odd_prime_powers(q_max: int) -> list[int]:
+    if q_max * q_max > SIZE_CAP:
+        raise FieldTooLarge(f"--q-max {q_max}: q^2 = {q_max}^2 exceeds {SIZE_CAP}")
     out = []
     for q in range(3, q_max + 1, 2):
         try:

@@ -70,7 +70,7 @@ class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
     Instances are immutable and safe to share; build them with field_new()
-    (canonical modulus) or from_modulus() (explicit modulus, e.g. when
+    (canonical modulus) or Field(p, t, modulus) (explicit modulus, e.g. when
     loading a serialized code file).
     """
 
@@ -214,10 +214,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, t={self.t}, modulus={self.modulus})"
-
-    @classmethod
-    def from_modulus(cls, p: int, t: int, modulus: list[int]) -> "Field":
-        return cls(p, t, modulus)
 
 
 def _build_tables(p: int, t: int, modulus: list[int]):

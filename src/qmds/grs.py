@@ -96,8 +96,8 @@ class LinearCode:
 class ConstructionParams:
     """(q, a, m, d) for the parametric families.
 
-    Family-specific congruences between q, a and m are the constructor's
-    business; only shape sanity lives here.
+    Family-specific congruences between q, a and m live in GRS_FAMILIES;
+    only shape sanity lives here.
     """
 
     q: int
@@ -182,45 +182,25 @@ def construct_family_A(params: ConstructionParams) -> GrsSpec:
     """Self-orthogonal GRS spec of length (q^2 - 1)/a at q = 2am + 1.
 
     Points run through the powers of omega^a; multipliers repeat a block of
-    doubled powers.  The literal left-to-right pairing is checked against
-    the Gram oracle and, should it ever fail, the block-regrouped point
-    order is tried before giving up.
+    doubled powers.  The spec is checked against the Gram oracle.
     """
-    q, a, m, d = params.q, params.a, params.m, params.d
-    if a < 1 or q != 2 * a * m + 1:
-        raise CongruenceViolated(f"family A needs q = 2am + 1, got q={q}, a={a}, m={m}")
-    if not 2 <= d <= (a + 1) * m + 1:
-        raise DistanceOutOfRange(f"family A supports 2 <= d <= {(a + 1) * m + 1}, got d={d}")
-    field = field_for_q(q)
-    spec = _family_a_spec(field, a, d - 1)
-    if hermitian_gram(grs_generator(spec)).is_zero():
-        return spec
-    # defensive fallback; no (q, a, m, d) in the tested sweep reaches it
-    spec = _family_a_spec(field, a, d - 1, regrouped=True)
-    if hermitian_gram(grs_generator(spec)).is_zero():
-        return spec
-    raise NotSelfOrthogonal("family A spec failed its own Gram certificate")
+    _check_window("grs-a", params)
+    spec = _family_a_spec(field_for_q(params.q), params.a, params.d - 1)
+    if not hermitian_gram(grs_generator(spec)).is_zero():
+        raise NotSelfOrthogonal("family A spec failed its own Gram certificate")
+    return spec
 
 
-def _family_a_spec(field: Field, a: int, k: int, regrouped: bool = False) -> GrsSpec:
+def _family_a_spec(field: Field, a: int, k: int) -> GrsSpec:
     # no range policing; forced paths build beyond the certified window
     q = field.q
     n = (q * q - 1) // a
-    if regrouped:
-        points = []
-        for s in range((q + 1) // 2):
-            base = 2 * s * (q - 1)
-            for i in range((q - 1) // a):
-                points.append(field.exp(base + a * (2 * i + 1)))
-                points.append(field.exp(base + a * (2 * i + 2)))
-    else:
-        points = [field.exp(a * i) for i in range(1, n + 1)]
     block = []
     for e in [q - 1] + [a * s for s in range(1, (q - 1) // a)]:
         block += [field.exp(e), field.exp(e)]
     return GrsSpec(
         field=field,
-        points=tuple(points),
+        points=tuple(field.exp(a * i) for i in range(1, n + 1)),
         multipliers=tuple(block * ((q + 1) // 2)),
         k=k,
     )
@@ -233,13 +213,8 @@ def construct_family_B(params: ConstructionParams) -> GrsSpec:
     matrix of omega powers; points are the powers of omega^(2a) whose
     exponents avoid the multiples of q + 1.
     """
+    _check_window("grs-b", params)
     q, a, m, d = params.q, params.a, params.m, params.d
-    if a < 1 or q != 2 * a * m - 1:
-        raise CongruenceViolated(f"family B needs q = 2am - 1, got q={q}, a={a}, m={m}")
-    if m < 2:
-        raise BadDimension("family B is empty for m < 2")
-    if not 2 <= d <= (a + 1) * m - 2:
-        raise DistanceOutOfRange(f"family B supports 2 <= d <= {(a + 1) * m - 2}, got d={d}")
     field = field_for_q(q)
     spec = _kernel_family_spec(
         field,
@@ -262,14 +237,9 @@ def construct_family_C(params: ConstructionParams) -> GrsSpec:
     Same kernel-vector pipeline as family B with its own exponent pattern;
     a = 0 is allowed and gives the length q^2 - q family.
     """
+    _check_window("grs-c", params)
     q, a, m, d = params.q, params.a, params.m, params.d
     w = 2 * a + 1
-    if q != w * m - 1:
-        raise CongruenceViolated(f"family C needs q = (2a + 1)m - 1, got q={q}, a={a}, m={m}")
-    if m < 2:
-        raise BadDimension("family C is empty for m < 2")
-    if not 2 <= d <= (a + 1) * m - 1:
-        raise DistanceOutOfRange(f"family C supports 2 <= d <= {(a + 1) * m - 1}, got d={d}")
     field = field_for_q(q)
     spec = _kernel_family_spec(
         field,
@@ -313,47 +283,47 @@ def _kernel_family_spec(field, m, k, row_exponent, point_exponent, multiplier_sh
     return GrsSpec(field=field, points=points, multipliers=mults, k=k)
 
 
+# family -> (constructor, congruence, divmod(q - shift, step(a)), smallest a,
+#            smallest m, d_max(a, m)) for the congruence q = step(a) * m + shift
+GRS_FAMILIES = {
+    "grs-a": (construct_family_A, "2am + 1", lambda q, a: divmod(q - 1, 2 * a), 1, 1,
+              lambda a, m: (a + 1) * m + 1),
+    "grs-b": (construct_family_B, "2am - 1", lambda q, a: divmod(q + 1, 2 * a), 1, 2,
+              lambda a, m: (a + 1) * m - 2),
+    "grs-c": (construct_family_C, "(2a + 1)m - 1", lambda q, a: divmod(q + 1, 2 * a + 1), 0, 2,
+              lambda a, m: (a + 1) * m - 1),
+}
+
+
+def _check_window(family: str, params: ConstructionParams) -> None:
+    """Refuse (q, a, m, d) outside the family's congruence and distance window."""
+    _, congruence, divide, a_min, m_min, d_max = GRS_FAMILIES[family]
+    q, a, m, d = params.q, params.a, params.m, params.d
+    name = "family " + family[-1].upper()
+    if a < a_min or divide(q, a) != (m, 0):
+        raise CongruenceViolated(f"{name} needs q = {congruence}, got q={q}, a={a}, m={m}")
+    if m < m_min:
+        raise BadDimension(f"{name} is empty for m < {m_min}")
+    if not 2 <= d <= d_max(a, m):
+        raise DistanceOutOfRange(f"{name} supports 2 <= d <= {d_max(a, m)}, got d={d}")
+
+
 def valid_parameter_sets(family: str, q: int) -> list[ConstructionParams]:
     """Every (a, m, d) the named family accepts at this q, ordered by (a, d).
 
     family is one of "grs-a", "grs-b", "grs-c".  The congruence fixes m once
-    a divides the relevant half of q -+ 1, and d sweeps the certified window.
+    step(a) divides q - shift, and d sweeps the certified window.
     """
     if q < 3 or q % 2 == 0:
         raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
-    out = []
-    if family == "grs-a":
-        half = (q - 1) // 2
-        for a in range(1, half + 1):
-            if half % a:
-                continue
-            m = half // a
-            out.extend(
-                ConstructionParams(q=q, a=a, m=m, d=d) for d in range(2, (a + 1) * m + 2)
-            )
-    elif family == "grs-b":
-        half = (q + 1) // 2
-        for a in range(1, half + 1):
-            if half % a:
-                continue
-            m = half // a
-            if m < 2:
-                continue
-            out.extend(
-                ConstructionParams(q=q, a=a, m=m, d=d) for d in range(2, (a + 1) * m - 1)
-            )
-    elif family == "grs-c":
-        for w in range(1, q + 2, 2):
-            if (q + 1) % w:
-                continue
-            a, m = (w - 1) // 2, (q + 1) // w
-            if m < 2:
-                continue
-            out.extend(
-                ConstructionParams(q=q, a=a, m=m, d=d) for d in range(2, (a + 1) * m)
-            )
-    else:
+    if family not in GRS_FAMILIES:
         raise BadDimension(f"unknown family {family!r}")
+    _, _, divide, a_min, m_min, d_max = GRS_FAMILIES[family]
+    out = []
+    for a in range(a_min, q + 1):
+        m, rest = divide(q, a)
+        if rest == 0 and m >= m_min:
+            out.extend(ConstructionParams(q=q, a=a, m=m, d=d) for d in range(2, d_max(a, m) + 1))
     return out
 
 

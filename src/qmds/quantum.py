@@ -16,7 +16,7 @@ from .errors import (
     VerificationFailure,
 )
 from .grs import LinearCode
-from .mpc import mp6_ladder
+from .mpc import LADDER_VARIANTS, ladder_shape, mp6_ladder
 from .verify import dual_containing_check, self_orthogonal_check
 
 
@@ -103,21 +103,18 @@ def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
 
 # -- the paired-ladder quantum family ---------------------------------------------
 
-_MP7_OFFSET = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2, 6: 1}
-_MP7_LENGTH = {1: 2, 2: 2, 3: 0, 4: 0, 5: -2, 6: -2}
-
 
 def mp7_shape(q: int, d: int, variant: int) -> tuple[int, int]:
-    """Closed-form (n, k) of the variant's quantum code."""
-    n = 2 * q * q + _MP7_LENGTH[variant]
-    return n, 2 * q * q + _MP7_OFFSET[variant] - 3 * d
+    """Closed-form (n, k) of the variant's quantum code: [[n, 2k - n]] from
+    the classical [n, k] ladder code."""
+    n, k = ladder_shape(q, d, variant)
+    return n, 2 * k - n
 
 
 def mp7_in_range(q: int, d: int, variant: int) -> bool:
     """Whether (q, d) sits inside the variant's certified window."""
-    parity = 0 if variant in (1, 3, 5) else 1
-    dmax = q + 1 if variant in (1, 2) else q
-    return d % 2 == parity and 2 <= d <= dmax
+    _, parity, _, ceiling = LADDER_VARIANTS[variant]
+    return d % 2 == parity and 2 <= d <= q + ceiling
 
 
 def theorem_mp7(q: int, d: int, variant: int, force: bool = False) -> QuantumParams:
@@ -138,29 +135,43 @@ def ladder_quantum_record(classical: LinearCode, q: int, d: int, variant: int) -
     """Quantum record for an already-built ladder output; FULL when the
     ancestor carries its dual-containment certificate, FORMULA-ONLY when it
     was forced past the window."""
-    n_form, k_form = mp7_shape(q, d, variant)
     if classical.provenance.get("certified", False):
         params = hermitian_construction(classical, distance_lb=d)
         params.ancestor["certification"] = "FULL"
     else:
-        params = QuantumParams(
-            q=q,
-            n=n_form,
-            k=k_form,
-            d=d,
-            d_is_exact=False,
-            mds=2 * d == n_form - k_form + 2,
-            ancestor={
-                "certification": "FORMULA-ONLY",
-                "range_conflict": f"d={d} is beyond the certified ceiling for variant {variant}",
-                "construction_checks": classical.provenance.get("forced_checks", {}),
-            },
-        )
+        params = _formula_only(q, d, variant)
+        params.ancestor["construction_checks"] = classical.provenance.get("forced_checks", {})
     params.ancestor.update({"family": f"mp7-v{variant}", "q": q, "d": d, "variant": variant})
-    assert (params.n, params.k) == (n_form, k_form)
+    assert (params.n, params.k) == mp7_shape(q, d, variant)
     if singleton_check(params) == "violated":
         raise VerificationFailure("ladder output violates the quantum Singleton bound")
     return params
+
+
+def _formula_only(q: int, d: int, variant: int) -> QuantumParams:
+    """The closed-form record of a (q, d) past the variant's ceiling; no
+    certificate backs it, so it carries the conflict instead."""
+    n, k = mp7_shape(q, d, variant)
+    dmax = q + LADDER_VARIANTS[variant][3]
+    return QuantumParams(
+        q=q,
+        n=n,
+        k=k,
+        d=d,
+        d_is_exact=False,
+        mds=2 * d == n - k + 2,
+        ancestor={
+            "family": f"mp7-v{variant}",
+            "q": q,
+            "d": d,
+            "variant": variant,
+            "certification": "FORMULA-ONLY",
+            "range_conflict": (
+                f"needs an ingredient of design distance {d}, but variant "
+                f"{variant} ingredients are certified only up to d = {dmax}"
+            ),
+        },
+    )
 
 
 # (q, d, variant, previously published (n, k, d) at the same length)
@@ -187,30 +198,7 @@ def table1() -> list[QuantumParams]:
     """
     rows = []
     for q, d, variant, compare in TABLE1_LAYOUT:
-        if mp7_in_range(q, d, variant):
-            row = theorem_mp7(q, d, variant)
-        else:
-            n_form, k_form = mp7_shape(q, d, variant)
-            dmax = q + 1 if variant in (1, 2) else q
-            row = QuantumParams(
-                q=q,
-                n=n_form,
-                k=k_form,
-                d=d,
-                d_is_exact=False,
-                mds=2 * d == n_form - k_form + 2,
-                ancestor={
-                    "family": f"mp7-v{variant}",
-                    "q": q,
-                    "d": d,
-                    "variant": variant,
-                    "certification": "FORMULA-ONLY",
-                    "range_conflict": (
-                        f"needs an ingredient of design distance {d}, but variant "
-                        f"{variant} ingredients are certified only up to d = {dmax}"
-                    ),
-                },
-            )
+        row = theorem_mp7(q, d, variant) if mp7_in_range(q, d, variant) else _formula_only(q, d, variant)
         row.ancestor["compare"] = {"n": compare[0], "k": compare[1], "d": compare[2]}
         rows.append(row)
     return rows

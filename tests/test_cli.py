@@ -8,6 +8,7 @@ import time
 import pytest
 
 from qmds.cli import main
+from qmds.grs import valid_parameter_sets
 
 
 def run_cli(argv, capsys):
@@ -34,6 +35,15 @@ def test_construct_writes_schema_fields(tmp_path, capsys):
     assert payload["provenance"]["claims"]["claimed_distance_lb"] == 7
     assert payload["provenance"]["parameters"]["m"] == 1  # derived, not passed
     assert payload["certificates"][0]["overall"] == "pass"
+
+
+@pytest.mark.parametrize("family", ["grs-a", "grs-b", "grs-c"])
+def test_construct_derives_the_m_of_valid_parameter_sets(tmp_path, capsys, family):
+    params = valid_parameter_sets(family, 11)[-1]
+    flags = ["--family", family, "--q", "11", "--a", str(params.a), "--d", str(params.d)]
+    path = construct(tmp_path, capsys, "c.json", *flags)
+    parameters = json.loads(path.read_text())["provenance"]["parameters"]
+    assert parameters == {"q": 11, "a": params.a, "m": params.m, "d": params.d}
 
 
 def test_construct_is_byte_identical(tmp_path, capsys):
@@ -214,6 +224,16 @@ def test_table_family_sweeps(capsys):
     ]
 
 
+@pytest.mark.parametrize("q_max", ["257", "10000000000"])
+def test_table_q_max_past_the_field_cap_is_refused_at_once(capsys, q_max):
+    # q^2 must stay within gf.SIZE_CAP = 2^16, as for --q
+    start = time.perf_counter()
+    rc, out, err = run_cli(["table", "--which", "family-a", "--q-max", q_max], capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "FieldTooLarge"
+
+
 def test_table_output_is_deterministic(capsys):
     first = run_cli(["table", "--which", "family-b", "--q-max", "5", "--format", "json"], capsys)[1]
     second = run_cli(["table", "--which", "family-b", "--q-max", "5", "--format", "json"], capsys)[1]
@@ -222,7 +242,6 @@ def test_table_output_is_deterministic(capsys):
     assert all(row["certification"] == "FULL" for row in rows)
 
 
-@pytest.mark.slow
 def test_table1_csv(capsys):
     rc, out, _ = run_cli(["table", "--which", "table1"], capsys)
     assert rc == 0

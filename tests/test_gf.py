@@ -284,13 +284,13 @@ def test_field_construction_errors():
         field_for_q(huge_prime)
 
 
-def test_from_modulus_roundtrip_and_rejects_nonprimitive():
+def test_explicit_modulus_roundtrip_and_rejects_nonprimitive():
     f = field_new(3)
-    g = Field.from_modulus(3, 1, f.modulus)
+    g = Field(3, 1, f.modulus)
     assert g.modulus == f.modulus
     assert g.mul(g.omega, g.omega) == f.mul(f.omega, f.omega)
     with pytest.raises(errors.ZeroInput):
-        Field.from_modulus(3, 1, [1, 0, 1])  # x^2 + 1 has x of order 4
+        Field(3, 1, [1, 0, 1])  # x^2 + 1 has x of order 4
 
 
 def test_digit_fallback_field_matches_oracle():

@@ -25,7 +25,6 @@ from qmds.grs import (
     ConstructionParams,
     GrsSpec,
     LinearCode,
-    _family_a_spec,
     construct_extended,
     construct_family_A,
     construct_family_B,
@@ -37,6 +36,7 @@ from qmds.grs import (
     hermitian_dual,
     hermitian_gram,
     power_sum,
+    valid_parameter_sets,
 )
 from qmds.linalg import Matrix, rank, row_space_contains, stack
 
@@ -126,17 +126,6 @@ def test_family_a_q3_distance_seven():
     code = grs_generator(spec)
     assert code.claimed_distance_lb == 7
     assert naive_min_distance(spec.field, code.generator.data) == 7
-
-
-def test_family_a_regrouped_order_is_the_literal_order():
-    # the block-regrouped point sequence collapses to the literal one, which
-    # is why the constructor's fallback never fires
-    for q, a in ((3, 1), (5, 1), (5, 2), (9, 2)):
-        f = field_for_q(q)
-        lit = _family_a_spec(f, a, 2)
-        reg = _family_a_spec(f, a, 2, regrouped=True)
-        assert lit.points == reg.points
-        assert lit.multipliers == reg.multipliers
 
 
 def test_family_a_generator_shape_and_rank():
@@ -363,3 +352,28 @@ def test_construction_errors():
         construct_full_field(f, 0)
     with pytest.raises(DimensionOutOfRange):
         construct_extended(f, 4)
+
+
+def paper_parameter_sets(family, q):
+    """(a, m, d) straight from the paper's congruences and distance windows,
+    by trying every small (a, m)."""
+    out = []
+    for a in range(q + 1):
+        for m in range(1, q + 2):
+            if family == "grs-a" and a >= 1 and q == 2 * a * m + 1:
+                d_max = (a + 1) * m + 1
+            elif family == "grs-b" and a >= 1 and m >= 2 and q == 2 * a * m - 1:
+                d_max = (a + 1) * m - 2
+            elif family == "grs-c" and m >= 2 and q == (2 * a + 1) * m - 1:
+                d_max = (a + 1) * m - 1
+            else:
+                continue
+            out.extend((a, m, d) for d in range(2, d_max + 1))
+    return out
+
+
+def test_valid_parameter_sets_match_the_paper():
+    for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49):
+        for family in ("grs-a", "grs-b", "grs-c"):
+            got = [(p.a, p.m, p.d) for p in valid_parameter_sets(family, q)]
+            assert got == paper_parameter_sets(family, q), (family, q)

@@ -31,6 +31,7 @@ from qmds.linalg import (
 )
 from qmds.mpc import (
     MpcSpec,
+    _ladder_ingredient,
     hermitian_containment_check,
     matrix_product,
     mixer_prefix_distances,
@@ -169,14 +170,27 @@ def test_dual_needs_square_mixer():
 
 
 def test_pair_mixer_conjugate_inverse_transpose_closed_form():
-    # [(A^(q))^(-1)]^t = [[(p+1)/2, (p+1)/2], [(p+1)/2, (p-1)/2]] entrywise
-    for p in (3, 5, 7):
-        f = field_new(p, 1)
+    # [(A^(q))^(-1)]^t = [[(p+1)/2, (p+1)/2], [(p+1)/2, (p-1)/2]] entrywise,
+    # for t = 1 and for the towers GF(81), GF(625) and GF(729) with t > 1
+    for q in (3, 5, 7, 9, 25, 27):
+        f = field_for_q(q)
         mixer = pair_mixer(f)
         got = transpose(inverse(entrywise_frobenius(mixer)))
-        half = (p + 1) // 2
-        want = Matrix(f, [[half % p, half % p], [half % p, (half - 1) % p]])
-        assert got == want, p
+        half = f.element((f.p + 1) // 2)
+        want = Matrix(f, [[half, half], [half, f.element((f.p - 1) // 2)]])
+        assert got == want, q
+
+
+@pytest.mark.parametrize("variant", [1, 3, 5])  # extended, full-field, family-a
+def test_pair_mixer_and_its_conjugate_inverse_transpose_span_one_code(variant):
+    # the identity pair_construction's dual-containment argument rests on
+    f = field_for_q(3)
+    codes = (_ladder_ingredient(f, variant, 2), _ladder_ingredient(f, variant, 3))
+    mixer = pair_mixer(f)
+    conj_mixer = transpose(inverse(entrywise_frobenius(mixer)))
+    direct = matrix_product(MpcSpec(codes=codes, mixer=mixer))
+    rephrased = matrix_product(MpcSpec(codes=codes, mixer=conj_mixer))
+    assert row_equivalent(direct.generator, rephrased.generator)
 
 
 def test_pair_mixer_needs_odd_characteristic():
