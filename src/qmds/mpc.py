@@ -4,7 +4,6 @@ distance ladder built on top of it."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +37,7 @@ from .linalg import (
     row_space_contains,
     transpose,
 )
+from .verify import _min_weight
 
 
 @dataclass(frozen=True)
@@ -105,28 +105,9 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
 
 def mixer_prefix_distances(mixer: Matrix) -> list[int]:
     """delta_i for i = 1..s: exact minimum distance of the length-l code
-    spanned by the first i mixer rows, found by exhausting all q^(2i) - 1
-    combinations."""
-    f = mixer.field
-    out = []
-    for i in range(1, mixer.rows + 1):
-        rows = mixer.data[:i]
-        best = mixer.cols
-        for msg in itertools.product(f.elements(), repeat=i):
-            if not any(msg):
-                continue
-            w = 0
-            for c in range(mixer.cols):
-                acc = 0
-                for x, row in zip(msg, rows):
-                    if x and row[c]:
-                        acc = f.add(acc, f.mul(x, row[c]))
-                if acc:
-                    w += 1
-            if w < best:
-                best = w
-        out.append(best)
-    return out
+    spanned by the first i mixer rows (independent, since MpcSpec requires
+    full row rank), by the exhaustive enumerator of qmds.verify."""
+    return [_min_weight(mixer.field, mixer.data[:i]) for i in range(1, mixer.rows + 1)]
 
 
 def _distance_floor(code: LinearCode) -> int:

@@ -6,6 +6,7 @@ never trusts a claim recorded on the code object."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import comb
@@ -64,46 +65,89 @@ def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: i
     """Exact minimum nonzero codeword weight by exhausting the message space.
 
     Scalar multiples of a codeword share its weight, so one representative
-    per scalar class is expanded (leading coefficient fixed to 1); the
+    per scalar class is scored (leading coefficient fixed to 1); the
     minimum over those equals the minimum over all q^(2k) messages, which
-    is what the cap is measured against.  Work is split into chunks keyed
-    by the leading coefficients, so the answer is independent of the
-    worker count.
+    is what the cap is measured against.  See _min_weight for how the
+    classes are visited; the answer is independent of the worker count.
     """
     f = code.field
     gen = code.generator
-    k, n = gen.rows, gen.cols
+    k = gen.rows
     if k == 0:
         raise BadDimension("the zero code has no nonzero codewords")
     if f.q2**k > cap:
         raise EnumerationTooLarge(f"q^2k = {f.q2 ** k} messages exceed the cap of {cap}")
-    tasks = _enum_tasks(f.q2, k)
-    args = (f.p, f.t, f.modulus, gen.data)
+    return _min_weight(f, gen.data, workers)
+
+
+def _min_weight(f: Field, rows: list[list[int]], workers: int = 1) -> int:
+    """Lightest nonzero word in the span of linearly independent rows.
+
+    Weight is unchanged by permuting columns and scaling them by nonzero
+    scalars, so the columns are arranged once to make the last row
+    (1, ..., 1, 0, ..., 0) with m ones.  For a word u spanned by the other
+    rows, u + c * last then has weight n - #{j >= m : u_j = 0} -
+    #{j < m : u_j = -c}, and the lightest of those q^2 words drops the most
+    frequent value of u[:m].  So a depth-first walk over the first k - 1
+    rows (leading coefficient 1) scores q^2 codewords per visited word, and
+    the class of the last row alone has weight m.  Work is split into tasks
+    keyed by the leading coefficients, which workers > 1 spreads over a
+    process pool.
+    """
+    head, m = _last_row_to_ones(f, rows)
+    tasks = _enum_tasks(f.q2, len(rows))
+    if not tasks:
+        return m
     if workers <= 1 or len(tasks) < 2:
-        return _enum_chunk(args, tasks)
+        return min(m, _enum_chunk(f, head, m, tasks))
     chunks = [tasks[i::workers] for i in range(workers)]
     chunks = [c for c in chunks if c]
+    shared = [itertools.repeat(x) for x in (f, head, m)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return min(pool.map(_enum_chunk_star, [(args, c) for c in chunks]))
+        return min(m, *pool.map(_enum_chunk, *shared, chunks))
+
+
+def _last_row_to_ones(f: Field, rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The rows above the last, with columns permuted and scaled so that the
+    last row reads (1, ..., 1, 0, ..., 0); and m, its number of ones."""
+    last = rows[-1]
+    support = [j for j, x in enumerate(last) if x]
+    zeros = [j for j, x in enumerate(last) if not x]
+    exp, log, order = f._exp, f._log, f.q2 - 1
+    unscale = [order - log[last[j]] for j in support]
+    head = [
+        [exp[(log[r[j]] + s) % order] if r[j] else 0 for j, s in zip(support, unscale)]
+        + [r[j] for j in zeros]
+        for r in rows[:-1]
+    ]
+    return head, len(support)
 
 
 def _enum_tasks(q2: int, k: int) -> list[tuple[int, int | None]]:
-    """(lead, c): messages with first nonzero coefficient 1 at row lead and
-    coefficient c on the following row.  The last row's class is a single
-    codeword, flagged with c = None."""
+    """(lead, c): words of the first k - 1 rows with first nonzero
+    coefficient 1 at row lead and coefficient c on the following row.  The
+    word of row k - 2 alone is flagged with c = None; the last row's own
+    class is no task."""
     tasks: list[tuple[int, int | None]] = []
-    for lead in range(k - 1):
+    for lead in range(k - 2):
         tasks.extend((lead, c) for c in range(q2))
-    tasks.append((k - 1, None))
+    if k >= 2:
+        tasks.append((k - 2, None))
     return tasks
 
 
-def _enum_chunk(args, tasks) -> int:
-    p, t, modulus, gen = args
-    f = Field(p, t, modulus)
-    k = len(gen)
-    n = len(gen[0])
-    mult = [[[f.mul(c, x) for x in row] for c in range(f.q2)] for row in gen]
+def _enum_chunk(f: Field, head: list[list[int]], m: int, tasks) -> int:
+    """Lightest word u + c * last over the tasks' words u of the head rows."""
+    k1 = len(head)
+    n = len(head[0])
+    log, order = f._log, f.q2 - 1
+    exp2 = f._exp * 2  # exp2[a + b] for logs a, b < order
+    # row * c for every nonzero c, in the order of log c; row 0 only ever
+    # enters with coefficient 1
+    mults = [None] + [
+        [[exp2[lc + log[x]] if x else 0 for x in row] for lc in range(order)]
+        for row in head[1:]
+    ]
     addtab = f._add
     if addtab is not None:
 
@@ -118,33 +162,29 @@ def _enum_chunk(args, tasks) -> int:
 
     best = n
 
-    def dfs(level: int, acc: list[int]) -> None:
+    def score(u: list[int]) -> None:
         nonlocal best
-        if level == k:
-            w = n - acc.count(0)
-            if w < best:
-                best = w
+        w = n - u[m:].count(0) - max(Counter(u[:m]).values())
+        if w < best:
+            best = w
+
+    def dfs(level: int, acc: list[int]) -> None:
+        if level == k1:
+            score(acc)
             return
-        rowmults = mult[level]
         dfs(level + 1, acc)
-        for c in range(1, f.q2):
-            dfs(level + 1, vadd(acc, rowmults[c]))
+        for v in mults[level]:
+            dfs(level + 1, vadd(acc, v))
 
     for lead, c in tasks:
-        acc = mult[lead][1]
+        acc = head[lead]
         if c is None:
-            w = n - acc.count(0)
-            if w < best:
-                best = w
+            score(acc)
             continue
         if c:
-            acc = vadd(acc, mult[lead + 1][c])
+            acc = vadd(acc, mults[lead + 1][log[c]])
         dfs(lead + 2, acc)
     return best
-
-
-def _enum_chunk_star(pair):
-    return _enum_chunk(*pair)
 
 
 def enumeration_classes(code: LinearCode) -> int:
@@ -162,8 +202,7 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
         return True
     if w - 1 > n:
         raise BadDimension(f"w - 1 = {w - 1} exceeds the length {n}")
-    h = nullspace(code.generator)
-    r = h.rows
+    r = n - code.k  # the generator has full row rank
     if w - 1 > r:
         # columns live in an r-dimensional space, so w-1 of them are
         # always dependent; equivalently Singleton gives d <= r + 1 < w
@@ -171,6 +210,7 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
     cost = comb(n, w - 1) * (w - 1) ** 3
     if cost > budget:
         raise WorkBudgetExceeded(f"estimated work {cost} exceeds the budget {budget}")
+    h = nullspace(code.generator)
     f = code.field
     cols = [[h.data[i][j] for i in range(r)] for j in range(n)]
     for subset in itertools.combinations(range(n), w - 1):

@@ -81,8 +81,10 @@ def test_exact_distance_matches_naive_enumeration():
 
 
 def test_exact_distance_worker_count_is_immaterial():
-    code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
+    # k = 3 leaves q^2 + 1 tasks to split, so the process pool runs
+    code = grs_generator(full_field_spec(field_for_q(3), 3))
     single = min_distance_exact(code, workers=1)
+    assert single == 7  # [9,3] is MDS
     assert min_distance_exact(code, workers=2) == single
     assert min_distance_exact(code, workers=5) == single
 
@@ -123,10 +125,20 @@ def test_distance_floor_trivial_and_edge_cases():
     assert not min_distance_at_least(full, 2)
 
 
-def test_distance_floor_budget():
+def test_distance_floor_budget(monkeypatch):
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
     with pytest.raises(WorkBudgetExceeded):
         min_distance_at_least(code, 4, budget=1)
+
+    # a refusal, and a w past the dual's dimension, come before the parity
+    # check matrix is computed
+    def no_nullspace(m):
+        raise AssertionError("nullspace computed")
+
+    monkeypatch.setattr("qmds.verify.nullspace", no_nullspace)
+    with pytest.raises(WorkBudgetExceeded):
+        min_distance_at_least(code, 4, budget=1)
+    assert not min_distance_at_least(code, 8)
 
 
 def test_is_mds():

@@ -1,0 +1,93 @@
+"""Property tests: the exhaustive distance enumerator against naive oracles.
+
+`min_distance_exact` arranges the columns so that the last generator row is
+(1, ..., 1, 0, ..., 0) and scores all q^2 multiples of that row at once.
+Here it is compared with two enumerators that take no such shortcut:
+`naive_min_distance` (every message, from tests/test_verify.py) over GF(4),
+GF(9), GF(25) and GF(49), and, over GF(529), where the naive one is too
+slow, the earlier depth-first enumerator that adds every codeword out in
+full.  Generator entries are drawn with many zeros, so last rows that are
+zero on some columns (m < n) and k = 1 codes are common.
+"""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qmds.gf import field_new
+from qmds.grs import LinearCode
+from qmds.linalg import Matrix, rank
+from qmds.mpc import mixer_prefix_distances
+from qmds.verify import min_distance_exact
+
+from test_verify import naive_min_distance
+
+# field and the largest k whose q^(2k) messages the naive oracle can walk
+SMALL_FIELDS = [(field_new(2), 4), (field_new(3), 3), (field_new(5), 2), (field_new(7), 2)]
+GF529 = field_new(23)
+
+# fixed example sequence, so every run of the suite checks the same codes
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=80)
+
+
+def dfs_min_distance(f, gen: Matrix) -> int:
+    """The earlier enumerator: one representative per scalar class (first
+    nonzero coefficient 1), each codeword added out in full."""
+    k, n = gen.rows, gen.cols
+    mult = [[[f.mul(c, x) for x in row] for c in range(f.q2)] for row in gen.data]
+    best = n
+
+    def dfs(level, acc):
+        nonlocal best
+        if level == k:
+            best = min(best, n - acc.count(0))
+            return
+        dfs(level + 1, acc)
+        for c in range(1, f.q2):
+            dfs(level + 1, [f.add(x, y) for x, y in zip(acc, mult[level][c])])
+
+    for lead in range(k):
+        dfs(lead + 1, mult[lead][1])
+    return best
+
+
+@st.composite
+def codes(draw, fields, k_min=1):
+    f, k_max = draw(st.sampled_from(fields))
+    k = draw(st.integers(k_min, k_max))
+    n = draw(st.integers(k, k + 5))
+    entry = st.one_of(st.just(0), st.integers(0, f.q2 - 1))
+    data = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    gen = Matrix(f, data, cols=n)
+    assume(rank(gen) == k)
+    return LinearCode(field=f, generator=gen)
+
+
+@PROPERTY
+@given(codes(SMALL_FIELDS))
+def test_exact_distance_matches_every_message(code):
+    # a cap of exactly q^(2k) messages admits the code
+    cap = code.field.q2**code.k
+    assert min_distance_exact(code, cap=cap) == naive_min_distance(code.field, code.generator)
+
+
+@PROPERTY
+@given(codes([(GF529, 2)]))
+def test_exact_distance_without_add_table_matches_full_words(code):
+    assert min_distance_exact(code) == dfs_min_distance(code.field, code.generator)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(codes(SMALL_FIELDS[:2], k_min=3))
+def test_two_workers_agree_with_every_message(code):
+    # k >= 3 leaves more than one task, so the process pool really runs
+    assert min_distance_exact(code, workers=2) == naive_min_distance(code.field, code.generator)
+
+
+@PROPERTY
+@given(codes(SMALL_FIELDS))
+def test_mixer_prefix_distances_match_every_message(code):
+    f, rows = code.field, code.generator.data
+    expected = [naive_min_distance(f, Matrix(f, rows[:i])) for i in range(1, len(rows) + 1)]
+    assert mixer_prefix_distances(code.generator) == expected
