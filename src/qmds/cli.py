@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import cache
 from math import comb
 
@@ -94,10 +95,10 @@ def load_code_file(path: str) -> LinearCode:
         if raw["schema_version"] != SCHEMA_VERSION:
             raise FileMalformed(f"unsupported schema_version {raw['schema_version']!r}")
         fld = raw["field"]
-        field = Field(int(fld["p"]), int(fld["t"]), tuple(int(c) for c in fld["modulus"]))
+        field = Field(_integer(fld["p"]), _integer(fld["t"]), tuple(map(_integer, fld["modulus"])))
         sec = raw["code"]
-        n, k = int(sec["n"]), int(sec["k"])
-        gen = [[int(x) for x in row] for row in sec["generator"]]
+        n, k = _integer(sec["n"]), _integer(sec["k"])
+        gen = [list(map(_integer, row)) for row in sec["generator"]]
         if len(gen) != k or any(len(row) != n for row in gen):
             raise FileMalformed("generator shape disagrees with the declared n, k")
         code = LinearCode(field=field, generator=Matrix(field, gen, cols=n))
@@ -119,6 +120,13 @@ def load_code_file(path: str) -> LinearCode:
         code.known_distance = known if isinstance(known, int) else None
         code.claimed_distance_lb = lb if isinstance(lb, int) else None
     return code
+
+
+def _integer(x) -> int:
+    """A JSON integer as is; int() would round 1.5, parse "3" and read true as 1."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 # -- construct --------------------------------------------------------------------
@@ -195,40 +203,21 @@ def _claims(orthogonality: str | None, code: LinearCode) -> dict:
 
 
 def _self_certificate(code: LinearCode, provenance: dict) -> dict:
-    """Construction-time re-check of the orthogonality claim."""
+    """Construction-time re-check of the orthogonality claim, by the same
+    runner that verify uses for it."""
     report = VerificationReport(target=provenance["construction"])
     claim = provenance["claims"]["orthogonality"]
-    if claim == "self-orthogonal":
-        ok = self_orthogonal_check(code)
-        report.checks.append(
-            CheckResult(
-                name="gram",
-                verdict="pass" if ok else "fail",
-                method="hermitian gram matrix",
-                work_count=code.k * code.k,
-                detail="construction-time self-certification",
-            )
-        )
-    elif claim == "dual-containing":
-        ok = dual_containing_check(code)
-        report.checks.append(
-            CheckResult(
-                name="dual-containing",
-                verdict="pass" if ok else "fail",
-                method="rank of stacked generators",
-                work_count=code.n,
-                detail="construction-time self-certification",
-            )
+    if claim is None:
+        check = CheckResult(
+            name="orthogonality",
+            verdict="skipped",
+            method="none",
+            detail="forced construction carries no orthogonality claim",
         )
     else:
-        report.checks.append(
-            CheckResult(
-                name="orthogonality",
-                verdict="skipped",
-                method="none",
-                detail="forced construction carries no orthogonality claim",
-            )
-        )
+        runner = _check_gram if claim == "self-orthogonal" else _check_dual_containing
+        check = replace(runner(code, claim, None, None, None), detail="construction-time self-certification")
+    report.checks.append(check)
     return report.to_dict()
 
 

@@ -147,21 +147,9 @@ def hermitian_gram(code: LinearCode) -> Matrix:
 
     All-zero exactly when the code is contained in its Hermitian dual.
     """
-    f = code.field
-    add, mul, frob = f.add, f.mul, f.frobenius_q
-    g = code.generator.data
-    conj = [[frob(x) for x in row] for row in g]
-    out = []
-    for gi in g:
-        row = []
-        for cj in conj:
-            acc = 0
-            for x, y in zip(gi, cj):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            row.append(acc)
-        out.append(row)
-    return Matrix(f, out, cols=len(g))
+    g = code.generator
+    conj = entrywise_frobenius(g)
+    return Matrix(code.field, [mat_vec(conj, row) for row in g.data], cols=g.rows)
 
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
@@ -399,6 +387,7 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     system = _extension_system(field, k, points)
     kernel = nullspace(system)
     top_exponent = (q + 1) * (k - 1)
+    top_powers = Matrix(field, [[field.pow(alpha, top_exponent) for alpha in points]], cols=q2)
     draws = 0
     for u in _extension_candidates(field, k, points, kernel):
         draws += 1
@@ -408,9 +397,7 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
             continue
         if any(mat_vec(system, u)):
             continue  # not actually in the kernel; never trust a candidate
-        top = 0
-        for alpha, x in zip(points, u):
-            top = field.add(top, field.mul(x, field.pow(alpha, top_exponent)))
+        (top,) = mat_vec(top_powers, u)
         if top == 0:
             continue  # the extension coordinate would need norm zero
         eta = field.norm_preimage(field.neg(top))
@@ -476,43 +463,24 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
     elif k == q - 1:
         # 1 + lam*N(alpha) + Tr(b*alpha^gamma) stays in the kernel for
         # 2 <= gamma <= q - 1; hunt for a combination with no zero entry
-        count = 0
-        for gamma in range(2, q):
-            for lam in nonzero_sub:
-                for b in range(1, field.q2):
-                    u = []
-                    for alpha, nrm in zip(points, norms):
-                        z = field.mul(b, field.pow(alpha, gamma))
-                        tr = field.add(z, field.frobenius_q(z))
-                        u.append(field.add(field.add(1, field.mul(lam, nrm)), tr))
-                    yield u
-                    count += 1
-                    if count >= structured_cap:
-                        break
-                else:
-                    continue
-                break
-            else:
-                continue
-            break
+        choices = itertools.product(range(2, q), nonzero_sub, range(1, field.q2))
+        for gamma, lam, b in itertools.islice(choices, structured_cap):
+            u = []
+            for alpha, nrm in zip(points, norms):
+                z = field.mul(b, field.pow(alpha, gamma))
+                tr = field.add(z, field.frobenius_q(z))
+                u.append(field.add(field.add(1, field.mul(lam, nrm)), tr))
+            yield u
     else:
         # a polynomial P of exact degree q - k with P(0) = 1 and no root in
         # GF(q), applied to the point norms, is a kernel member whose top
-        # power sum equals minus its leading coefficient
-        deg = q - k
-        count = 0
-        for tail in itertools.product(subfield, repeat=deg - 1):
-            for lead in nonzero_sub:
-                coeffs = (1,) + tail + (lead,)
-                if any(_poly_eval(field, coeffs, x) == 0 for x in subfield):
-                    continue
-                yield [_poly_eval(field, coeffs, nrm) for nrm in norms]
-                count += 1
-                if count >= structured_cap:
-                    break
-            else:
-                continue
-            break
+        # power sum equals minus its leading coefficient.  product() stores
+        # each argument whole, so it gets q - k - 1 copies of the subfield
+        # for the middle coefficients, never a nested product
+        polys = ((1,) + c for c in itertools.product(*[subfield] * (q - k - 1), nonzero_sub))
+        rootless = (c for c in polys if all(_poly_eval(field, c, x) for x in subfield))
+        for coeffs in itertools.islice(rootless, structured_cap):
+            yield [_poly_eval(field, coeffs, nrm) for nrm in norms]
     rng = random.Random(0x5EED + field.q2 * (k + 1))
     nsub = len(subfield)
     while True:

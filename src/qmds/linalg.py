@@ -60,16 +60,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)], cols=cols)
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
-    def col(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
@@ -100,20 +90,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("mixed fields")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.cols} columns against {b.rows} rows")
-    f = a.field
-    add, mul = f.add, f.mul
-    bt = [[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)]
-    out = []
-    for arow in a.data:
-        orow = []
-        for bcol in bt:
-            acc = 0
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return Matrix(f, out, cols=b.cols)
+    bt = transpose(b)
+    return Matrix(a.field, [mat_vec(bt, row) for row in a.data], cols=b.cols)
 
 
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
@@ -215,7 +193,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix(m.field, [m.data[i] + Matrix.identity(m.field, n).data[i] for i in range(n)], cols=2 * n)
+    aug = Matrix(m.field, [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.data)], cols=2 * n)
     rows, pivots = _eliminate(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")

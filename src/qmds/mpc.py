@@ -37,7 +37,7 @@ from .linalg import (
     row_space_contains,
     transpose,
 )
-from .verify import _min_weight
+from .verify import _min_weight, dual_containing_check
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,10 @@ def pair_construction(c1: LinearCode, c2: LinearCode) -> LinearCode:
     argument go through; the output still carries its own certificate.
     """
     mixer = pair_mixer(c1.field)
-    for c in (c1, c2):
-        if not row_space_contains(c.generator, hermitian_dual(c).generator):
-            raise HypothesisViolated("ingredient is not Hermitian dual-containing")
+    if not all(dual_containing_check(c) for c in (c1, c2)):
+        raise HypothesisViolated("ingredient is not Hermitian dual-containing")
     out = matrix_product(MpcSpec(codes=(c1, c2), mixer=mixer))
-    if not row_space_contains(out.generator, hermitian_dual(out).generator):
+    if not dual_containing_check(out):
         raise NotDualContaining("pair output failed its dual-containment certificate")
     out.provenance = {"construction": "pair"}
     return out
@@ -230,12 +229,8 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     else:
         out = matrix_product(MpcSpec(codes=(c1, c2), mixer=pair_mixer(field)))
         forced_checks = {
-            "ingredient_dual_containing": [
-                row_space_contains(c.generator, hermitian_dual(c).generator) for c in (c1, c2)
-            ],
-            "output_dual_containing": row_space_contains(
-                out.generator, hermitian_dual(out).generator
-            ),
+            "ingredient_dual_containing": [dual_containing_check(c) for c in (c1, c2)],
+            "output_dual_containing": dual_containing_check(out),
         }
     out.provenance = {
         "construction": "paired-ladder",

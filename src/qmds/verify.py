@@ -14,7 +14,7 @@ from math import comb
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
 from .grs import LinearCode, hermitian_dual, hermitian_gram
-from .linalg import nullspace, row_space_contains
+from .linalg import nullspace, row_space_contains, transpose
 
 DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_WORK_BUDGET = 10**8
@@ -210,9 +210,8 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
     cost = comb(n, w - 1) * (w - 1) ** 3
     if cost > budget:
         raise WorkBudgetExceeded(f"estimated work {cost} exceeds the budget {budget}")
-    h = nullspace(code.generator)
     f = code.field
-    cols = [[h.data[i][j] for i in range(r)] for j in range(n)]
+    cols = transpose(nullspace(code.generator)).data
     for subset in itertools.combinations(range(n), w - 1):
         if not _independent(f, [cols[j] for j in subset]):
             return False
@@ -239,20 +238,19 @@ def is_mds(
     code: LinearCode,
     cap: int = DEFAULT_ENUM_CAP,
     budget: int = DEFAULT_WORK_BUDGET,
-    workers: int = 1,
 ) -> bool:
     """Certified d = n - k + 1.  Uses full enumeration when it fits the cap,
     otherwise the column-independence floor (Singleton pins d from above,
     so the floor alone settles it).  Budget overruns propagate."""
     w = code.n - code.k + 1
     if code.k and code.field.q2**code.k <= cap:
-        return min_distance_exact(code, cap=cap, workers=workers) == w
+        return min_distance_exact(code, cap=cap) == w
     return min_distance_at_least(code, w, budget=budget)
 
 
-def certify_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: int = 1) -> int:
+def certify_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Run the exact oracle and record the result on the code object."""
-    d = min_distance_exact(code, cap=cap, workers=workers)
+    d = min_distance_exact(code, cap=cap)
     code.known_distance = d
     return d
 

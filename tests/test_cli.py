@@ -113,6 +113,25 @@ def test_malformed_files_exit_4(tmp_path, capsys):
         bad.write_text(json.dumps(payload))
         assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
 
+    # each number must be a JSON integer: int() would round 3.5 to the valid
+    # p = 3, parse "8" and read true as 1, so these files would verify
+    for section, key, mangle in (
+        ("field", "p", lambda p: p + 0.5),
+        ("field", "t", float),
+        ("field", "modulus", lambda mod: [str(mod[0])] + mod[1:]),
+        ("code", "n", str),
+        ("code", "k", float),
+        ("code", "generator", lambda g: g[:-1] + [[x + 0.5 for x in g[-1]]]),
+        ("code", "generator", lambda g: g[:-1] + [[str(x) for x in g[-1]]]),
+        ("code", "generator", lambda g: g[:-1] + [[True if x == 1 else x for x in g[-1]]]),
+    ):
+        payload = json.loads(good.read_text())
+        payload[section][key] = mangle(payload[section][key])
+        bad.write_text(json.dumps(payload))
+        rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+        assert rc == 4, (key, payload[section][key])
+        assert json.loads(err)["error"] == "FileMalformed"
+
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
 
 

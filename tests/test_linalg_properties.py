@@ -1,20 +1,24 @@
-"""Property tests: the table-driven, cached elimination against a naive oracle.
+"""Property tests: the table-driven, cached elimination and the shared
+inner-product loop against naive oracles.
 
-The oracle is plain Gauss-Jordan elimination through the field's method
-calls (add, mul, neg, inv), with no cache and no table lookups.  Every
-question linalg answers from its cached echelon form (rank, kernel,
-inverse, row equivalence, containment) is recomputed here from the oracle
-alone, on random matrices over GF(9), GF(25), GF(81) and GF(529).  GF(529)
-is above the add-table size, so it covers the per-digit addition path.
+The elimination oracle is plain Gauss-Jordan elimination through the
+field's method calls (add, mul, neg, inv), with no cache and no table
+lookups.  Every question linalg answers from its cached echelon form (rank,
+kernel, inverse, row equivalence, containment) is recomputed here from the
+oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529).
+GF(529) is above the add-table size, so it covers the per-digit addition
+path.  Products and Hermitian Gram matrices, which both run through
+mat_vec, are checked against written-out sums.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import SingularMatrix
 from qmds.gf import field_new
+from qmds.grs import LinearCode, hermitian_gram
 from qmds.linalg import (
     Matrix,
     _eliminate,
@@ -99,6 +103,34 @@ def naive_contains(outer, inner):
     return len(naive_eliminate(outer.field, stacked, outer.cols)[1]) == naive_rank(outer)
 
 
+def naive_matmul(a, b):
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for l in range(a.cols):
+                acc = f.add(acc, f.mul(a.data[i][l], b.data[l][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def naive_hermitian_gram(f, rows):
+    """<g_i, g_j>_H = sum over l of g_i[l] * g_j[l]^q, by method calls."""
+    out = []
+    for gi in rows:
+        row = []
+        for gj in rows:
+            acc = 0
+            for x, y in zip(gi, gj):
+                acc = f.add(acc, f.mul(x, f.pow(y, f.q)))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def naive_equivalent(a, b):
     return naive_rank(a) == naive_rank(b) == len(
         naive_eliminate(a.field, a.data + b.data, a.cols)[1]
@@ -151,7 +183,34 @@ def containment_pairs(draw):
     return outer, draw(matrices(field=outer.field, rows=k, cols=outer.cols))
 
 
+@st.composite
+def product_pairs(draw):
+    """(a, b) with a.cols == b.rows, any of the dimensions possibly zero."""
+    f = draw(st.sampled_from(FIELDS))
+    r, inner, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(matrices(field=f, rows=r, cols=inner)), draw(matrices(field=f, rows=inner, cols=c))
+
+
 # -- properties ------------------------------------------------------------------
+
+
+@PROPERTY
+@given(product_pairs())
+def test_matmul_matches_the_triple_loop(pair):
+    a, b = pair
+    prod = matmul(a, b)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.data == naive_matmul(a, b)
+
+
+@PROPERTY
+@given(matrices(max_dim=8))
+def test_hermitian_gram_matches_the_written_out_sum(m):
+    # any full-rank generator, so the Gram matrix is rarely zero
+    assume(rank(m) == m.rows)
+    gram = hermitian_gram(LinearCode(field=m.field, generator=m))
+    assert (gram.rows, gram.cols) == (m.rows, m.rows)
+    assert gram.data == naive_hermitian_gram(m.field, m.data)
 
 
 @PROPERTY
