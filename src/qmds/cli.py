@@ -102,23 +102,19 @@ def load_code_file(path: str) -> LinearCode:
         if len(gen) != k or any(len(row) != n for row in gen):
             raise FileMalformed("generator shape disagrees with the declared n, k")
         code = LinearCode(field=field, generator=Matrix(field, gen, cols=n))
+        provenance = raw.get("provenance")
+        code.provenance = provenance if isinstance(provenance, dict) else {}
+        claims = code.provenance.get("claims", {})
+        if isinstance(claims, dict):
+            known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
+            code.known_distance = None if known is None else _integer(known)
+            code.claimed_distance_lb = None if lb is None else _integer(lb)
     except FileMalformed:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise FileMalformed(f"{path} does not match the code file schema: {e}") from e
     except QmdsError as e:
         raise FileMalformed(f"{path} holds invalid code data: {e}") from e
-    provenance = raw.get("provenance")
-    code.provenance = provenance if isinstance(provenance, dict) else {}
-    claims = code.provenance.get("claims", {})
-    if isinstance(claims, dict):
-        known = claims.get("known_distance")
-        lb = claims.get("claimed_distance_lb")
-        # bool is an int subclass; true must not read as a claimed d = 1
-        if isinstance(known, bool) or isinstance(lb, bool):
-            raise FileMalformed(f"{path}: a distance claim must be an integer, not a boolean")
-        code.known_distance = known if isinstance(known, int) else None
-        code.claimed_distance_lb = lb if isinstance(lb, int) else None
     return code
 
 

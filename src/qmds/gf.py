@@ -11,8 +11,16 @@ first, as a base-p integer).  "Primitive" means the residue class of x
 generates the multiplicative group, so the generator omega is always x
 itself and exp/log tables fall out of the primitivity check for free.
 
-The whole tower is capped at p^(2t) <= 2^16; the table build is quadratic
-in the field size and everything downstream assumes tables fit in memory.
+Addition runs on Zech logarithms, zech[i] = log(1 + omega^i), so that
+a + b = omega^(log a + zech[log b - log a]) for nonzero a, b; adding one
+changes only the constant digit, so the table is one pass over the powers.
+Fields of at most _TABLE_CAP elements also get a full q^2 x q^2 addition
+table, built from the Zech one, since one lookup beats a Zech sum.  Only
+this module reads the tables: other modules call the element methods or the
+vector kernels (scale, vadd, vdiv, dot, conjugate, clear_column), each of
+which picks the addition table or Zech once per call.
+
+The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
 Convention used throughout the package: 0^0 == 1.
 """
@@ -32,8 +40,7 @@ from .errors import (
 
 SIZE_CAP = 1 << 16
 
-# full q^2 x q^2 add/mul tables are built below this size; beyond it,
-# addition falls back to per-digit arithmetic and mul to exp/log lookups
+# fields up to this size also get a full q^2 x q^2 addition table
 _TABLE_CAP = 512
 
 
@@ -78,58 +85,45 @@ class Field:
         _check_tower(p, t)
         self.p = p
         self.t = t
-        self.q = p**t
-        self.q2 = p ** (2 * t)
+        self.q = q = p**t
+        self.q2 = q2 = p ** (2 * t)
         if len(modulus) != 2 * t + 1 or modulus[-1] != 1:
             raise ZeroInput(f"modulus must be monic of degree {2 * t}")
         if any(not 0 <= c < p for c in modulus):
             raise ZeroInput("modulus coefficients must be reduced mod p")
         self.modulus = list(modulus)
-        if _tables is not None:
-            self._exp, self._log = _tables
-        else:
-            tables = _build_tables(p, t, modulus)
-            if tables is None:
+        if _tables is None:
+            _tables = _build_tables(p, t, modulus)
+            if _tables is None:
                 raise ZeroInput(f"x is not primitive modulo {modulus}")
-            self._exp, self._log = tables
+        exp, log = _tables
+        order = q2 - 1
+        # exp runs over two periods, so exp[a + b] needs no reduction for
+        # logs a, b < order
+        self._exp = exp = exp + exp
+        self._log = log
         self.omega = p  # the residue class of x
-        self._neg = [self._digit_neg(a) for a in range(self.q2)]
-        if self.q2 <= _TABLE_CAP:
-            self._add = [
-                [self._digit_add(a, b) for b in range(self.q2)] for a in range(self.q2)
-            ]
-        else:
-            self._add = None
-
-    # -- digit-level fallbacks ------------------------------------------------
-
-    def _digit_add(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
-
-    def _digit_neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
-            shift *= p
-        return out
+        # 1 + omega^i differs from omega^i in the constant digit only;
+        # -1 marks the i with omega^i = -1
+        self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
+        log_minus_one = log[p - 1]  # the element p - 1 is -1
+        self._neg = [0] + [exp[log[x] + log_minus_one] for x in range(1, q2)]
+        self._conj = [0] + [exp[log[x] * q % order] for x in range(1, q2)]
+        self._add = None  # so that add() sums through Zech while the table is built
+        if q2 <= _TABLE_CAP:
+            self._add = [[self.add(a, b) for b in range(q2)] for a in range(q2)]
 
     # -- ring operations ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]
-        return self._digit_add(a, b)
+        if not (a and b):
+            return a or b
+        # a + b = a (1 + b/a); a negative index into zech wraps mod q^2 - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -140,7 +134,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q2 - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -172,18 +166,103 @@ class Field:
             raise ZeroInput("log of zero")
         return self._log[a]
 
+    # -- vector kernels: each chooses the addition table or Zech once ---------
+
+    def scale(self, c: int, v: list[int]) -> list[int]:
+        """c * v."""
+        if not c:
+            return [0] * len(v)
+        exp, log = self._exp, self._log
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in v]
+
+    def vdiv(self, u: list[int], v: list[int]) -> list[int]:
+        """u_i / v_i for every i; v has no zero entry."""
+        exp, log = self._exp, self._log
+        return [exp[log[x] - log[y]] if x else 0 for x, y in zip(u, v)]
+
+    def conjugate(self, v: list[int]) -> list[int]:
+        """v with every entry raised to the q-th power."""
+        return list(map(self._conj.__getitem__, v))
+
+    def vadd(self, u: list[int], v: list[int]) -> list[int]:
+        """u + v."""
+        addtab = self._add
+        if addtab is not None:
+            return [addtab[x][y] for x, y in zip(u, v)]
+        exp, log, zech = self._exp, self._log, self._zech
+        out = []
+        for x, y in zip(u, v):
+            if x and y:
+                lx = log[x]
+                z = zech[log[y] - lx]
+                out.append(exp[lx + z] if z >= 0 else 0)
+            else:
+                out.append(x or y)
+        return out
+
+    def dot(self, u: list[int], v: list[int]) -> int:
+        """sum of u_i v_i."""
+        exp, log, addtab = self._exp, self._log, self._add
+        if addtab is not None:
+            acc = 0
+            for x, y in zip(u, v):
+                if x and y:
+                    acc = addtab[acc][exp[log[x] + log[y]]]
+            return acc
+        zech, order = self._zech, self.q2 - 1
+        la = -1  # log of the running sum, -1 while the sum is zero
+        for x, y in zip(u, v):
+            if x and y:
+                lt = (log[x] + log[y]) % order
+                if la < 0:
+                    la = lt
+                else:
+                    z = zech[lt - la]
+                    la = (la + z) % order if z >= 0 else -1
+        return exp[la] if la >= 0 else 0
+
+    def clear_column(self, rows: list[list[int]], prow: list[int], c: int) -> None:
+        """Subtract from every row other than prow the multiple of prow that
+        zeroes its column c, in place.
+
+        prow is nonzero at column c and zero left of it, so only its nonzero
+        entries from c on take part.  Each product is one exp lookup on the
+        sum of two logs, with the pivot's log folded into prow's.
+        """
+        exp, log, neg, addtab = self._exp, self._log, self._neg, self._add
+        order = self.q2 - 1
+        lp = order - log[prow[c]]
+        terms = [(j, (log[y] + lp) % order) for j in range(c, len(prow)) if (y := prow[j])]
+        targets = [(row, log[neg[x]]) for row in rows if (x := row[c]) and row is not prow]
+        if addtab is not None:
+            for row, lx in targets:
+                for j, ly in terms:
+                    row[j] = addtab[row[j]][exp[lx + ly]]
+            return
+        zech = self._zech
+        for row, lx in targets:
+            for j, ly in terms:
+                y = row[j]
+                if y:
+                    la = log[y]
+                    z = zech[(lx + ly - la) % order]
+                    row[j] = exp[la + z] if z >= 0 else 0
+                else:
+                    row[j] = exp[lx + ly]
+
     # -- tower structure ------------------------------------------------------
 
     def frobenius_q(self, a: int) -> int:
         """The conjugation x -> x^q; an involution fixing exactly GF(q)."""
-        return self.pow(a, self.q)
+        return self._conj[a]
 
     def norm(self, a: int) -> int:
         """x -> x^(q+1), multiplicative onto GF(q); fibers have size q+1."""
         return self.pow(a, self.q + 1)
 
     def in_subfield(self, a: int) -> bool:
-        return self.frobenius_q(a) == a
+        return self._conj[a] == a
 
     def norm_preimage(self, u: int) -> int:
         """Some v with norm(v) = u, for u in GF(q)*.
@@ -231,12 +310,15 @@ def _build_tables(p: int, t: int, modulus: list[int]):
     coeffs[0] = 1
     exp = [0] * (q2 - 1)
     log = [0] * q2
-    for e in range(q2 - 1):
+    for e in range(q2):
         idx = 0
         shift = 1
         for c in coeffs:
             idx += c * shift
             shift *= p
+        if e == q2 - 1:
+            # closing the cycle: x^(q^2-1) must come back to 1
+            return (exp, log) if idx == 1 else None
         if idx == 1 and e > 0:
             return None  # order of x divides e < q^2 - 1
         exp[e] = idx
@@ -246,15 +328,6 @@ def _build_tables(p: int, t: int, modulus: list[int]):
         for i in range(deg - 1, 0, -1):
             coeffs[i] = (coeffs[i - 1] - top * head[i]) % p
         coeffs[0] = -top * head[0] % p
-    # closing the cycle: x^(q^2-1) must come back to 1
-    idx = 0
-    shift = 1
-    for c in coeffs:
-        idx += c * shift
-        shift *= p
-    if idx != 1:
-        return None
-    return exp, log
 
 
 @lru_cache(maxsize=None)

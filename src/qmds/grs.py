@@ -433,7 +433,7 @@ def _extension_system(field: Field, k: int, points: list[int]) -> Matrix:
     f = field
     q = f.q
     omega = f.omega
-    denom = f.sub(omega, f.frobenius_q(omega))  # nonzero: omega is outside GF(q)
+    inv_denom = f.inv(f.sub(omega, f.frobenius_q(omega)))  # nonzero: omega is outside GF(q)
     rows = []
     for j in range(k):
         for l in range(k):
@@ -441,8 +441,8 @@ def _extension_system(field: Field, k: int, points: list[int]) -> Matrix:
                 continue
             e = q * j + l
             coeffs = [f.pow(alpha, e) for alpha in points]
-            comp1 = [f.div(f.sub(c, f.frobenius_q(c)), denom) for c in coeffs]
-            comp0 = [f.sub(c, f.mul(z1, omega)) for c, z1 in zip(coeffs, comp1)]
+            comp1 = f.scale(inv_denom, f.vadd(coeffs, f.scale(f.neg(1), f.conjugate(coeffs))))
+            comp0 = f.vadd(coeffs, f.scale(f.neg(omega), comp1))
             rows.append(comp0)
             rows.append(comp1)
     return Matrix(f, rows, cols=len(points))
@@ -465,12 +465,9 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
         # 2 <= gamma <= q - 1; hunt for a combination with no zero entry
         choices = itertools.product(range(2, q), nonzero_sub, range(1, field.q2))
         for gamma, lam, b in itertools.islice(choices, structured_cap):
-            u = []
-            for alpha, nrm in zip(points, norms):
-                z = field.mul(b, field.pow(alpha, gamma))
-                tr = field.add(z, field.frobenius_q(z))
-                u.append(field.add(field.add(1, field.mul(lam, nrm)), tr))
-            yield u
+            z = field.scale(b, [field.pow(alpha, gamma) for alpha in points])
+            u = field.vadd([1] * len(points), field.scale(lam, norms))
+            yield field.vadd(u, field.vadd(z, field.conjugate(z)))
     else:
         # a polynomial P of exact degree q - k with P(0) = 1 and no root in
         # GF(q), applied to the point norms, is a kernel member whose top
@@ -487,8 +484,7 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
         u = [0] * len(points)
         for row in kernel.data:
             c = subfield[rng.randrange(nsub)]
-            if c:
-                u = [field.add(x, field.mul(c, y)) for x, y in zip(u, row)]
+            u = field.vadd(u, field.scale(c, row))
         yield u
 
 

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over GF(q^2).
 
 Matrices are lightweight row-major containers of element indices; all the
-work happens in module functions via fraction-free Gaussian elimination
-(exact in a field, so plain elimination with pivots normalized to one).
-Pivot choice is deterministic: the first nonzero entry scanning down the
-column, so identical inputs give identical reduced forms and kernels.
+work happens in module functions via Gaussian elimination (exact in a
+field, so plain elimination with pivots normalized to one).  Pivot choice
+is deterministic: the first nonzero entry scanning down the column, so
+identical inputs give identical reduced forms and kernels.
+
+Row arithmetic runs on the vector kernels of qmds.gf; no table of the
+field is read here.
 
 Each matrix is eliminated at most once: its reduced row echelon form is
 kept on the instance, and rank, kernel, containment and row equivalence
@@ -97,16 +100,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
     if len(v) != m.cols:
         raise DimensionMismatch("vector length mismatch")
-    f = m.field
-    add, mul = f.add, f.mul
-    out = []
-    for row in m.data:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return out
+    dot = m.field.dot
+    return [dot(row, v) for row in m.data]
 
 
 def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -129,39 +124,13 @@ def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             prow = rows[r]
-            piv = prow[c]
-            if piv != 1:
-                exp, log, order = f._exp, f._log, f.q2 - 1
-                s = order - log[piv]
-                prow[c:] = [exp[(s + log[y]) % order] if y else 0 for y in prow[c:]]
-            _clear_column(f, rows, prow, c)
+            if prow[c] != 1:
+                prow[c:] = f.scale(f.inv(prow[c]), prow[c:])
+            f.clear_column(rows, prow, c)
             pivots.append(c)
             r += 1
         m._echelon = (rows, pivots)
     return m._echelon
-
-
-def _clear_column(f: Field, rows: list[list[int]], prow: list[int], c: int) -> None:
-    """Subtract from every row other than prow the multiple of prow that
-    zeroes its column c, in place.
-
-    prow is 1 at column c and zero left of it, so only its nonzero entries
-    from c on take part.  Products run on the exp/log tables and sums on
-    the add table; fields too large for an add table fall back to f.add.
-    """
-    exp, log, neg, addtab = f._exp, f._log, f._neg, f._add
-    order = f.q2 - 1
-    terms = [(j, log[y]) for j in range(c, len(prow)) if (y := prow[j])]
-    for row in rows:
-        x = row[c]
-        if x and row is not prow:
-            lx = log[neg[x]]
-            if addtab is not None:
-                for j, ly in terms:
-                    row[j] = addtab[row[j]][exp[(lx + ly) % order]]
-            else:
-                for j, ly in terms:
-                    row[j] = f.add(row[j], exp[(lx + ly) % order])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -210,16 +179,11 @@ def entrywise_frobenius(m: Matrix) -> Matrix:
     eliminated itself.
     """
     f = m.field
-    out = Matrix(f, _conjugate_rows(f, m.data), cols=m.cols)
+    out = Matrix(f, [f.conjugate(row) for row in m.data], cols=m.cols)
     if m._echelon is not None:
         rows, pivots = m._echelon
-        out._echelon = (_conjugate_rows(f, rows), pivots)
+        out._echelon = ([f.conjugate(row) for row in rows], pivots)
     return out
-
-
-def _conjugate_rows(f: Field, rows: list[list[int]]) -> list[list[int]]:
-    exp, log, q, order = f._exp, f._log, f.q, f.q2 - 1
-    return [[exp[log[x] * q % order] if x else 0 for x in row] for row in rows]
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:
@@ -246,7 +210,7 @@ def row_space_contains(outer: Matrix, inner: Matrix) -> bool:
     rows, pivots = _eliminate(outer)
     rest = [list(v) for v in inner.data]
     for prow, c in zip(rows, pivots):
-        _clear_column(outer.field, rest, prow, c)
+        outer.field.clear_column(rest, prow, c)
     return not any(any(v) for v in rest)
 
 
@@ -269,9 +233,7 @@ def subfield_nullvector(m: Matrix) -> list[int]:
     assert ns.rows == 1
     f = m.field
     v = ns.data[0]
-    first = next(x for x in v if x)
-    s = f.inv(first)
-    v = [f.mul(s, x) for x in v]
-    if not all(f.in_subfield(x) for x in v):
+    v = f.scale(f.inv(next(x for x in v if x)), v)
+    if f.conjugate(v) != v:
         raise NoSubfieldSolution("kernel line has no GF(q) representative")
     return v

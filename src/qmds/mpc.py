@@ -82,15 +82,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     rows = []
     for arow, code in zip(mix.data, spec.codes):
         for grow in code.generator.data:
-            out: list[int] = []
-            for aij in arow:
-                if aij == 0:
-                    out.extend([0] * m)
-                elif aij == 1:
-                    out.extend(grow)
-                else:
-                    out.extend(f.mul(aij, x) for x in grow)
-            rows.append(out)
+            rows.append([x for aij in arow for x in f.scale(aij, grow)])
     gen = Matrix(f, rows, cols=mix.cols * m)
     deltas = mixer_prefix_distances(mix)
     floors = [_distance_floor(c) for c in spec.codes]

@@ -113,13 +113,8 @@ def _last_row_to_ones(f: Field, rows: list[list[int]]) -> tuple[list[list[int]],
     last = rows[-1]
     support = [j for j, x in enumerate(last) if x]
     zeros = [j for j, x in enumerate(last) if not x]
-    exp, log, order = f._exp, f._log, f.q2 - 1
-    unscale = [order - log[last[j]] for j in support]
-    head = [
-        [exp[(log[r[j]] + s) % order] if r[j] else 0 for j, s in zip(support, unscale)]
-        + [r[j] for j in zeros]
-        for r in rows[:-1]
-    ]
+    scales = [last[j] for j in support]
+    head = [f.vdiv([r[j] for j in support], scales) + [r[j] for j in zeros] for r in rows[:-1]]
     return head, len(support)
 
 
@@ -140,26 +135,10 @@ def _enum_chunk(f: Field, head: list[list[int]], m: int, tasks) -> int:
     """Lightest word u + c * last over the tasks' words u of the head rows."""
     k1 = len(head)
     n = len(head[0])
-    log, order = f._log, f.q2 - 1
-    exp2 = f._exp * 2  # exp2[a + b] for logs a, b < order
-    # row * c for every nonzero c, in the order of log c; row 0 only ever
-    # enters with coefficient 1
-    mults = [None] + [
-        [[exp2[lc + log[x]] if x else 0 for x in row] for lc in range(order)]
-        for row in head[1:]
-    ]
-    addtab = f._add
-    if addtab is not None:
-
-        def vadd(u, v):
-            return [addtab[x][y] for x, y in zip(u, v)]
-
-    else:
-        fadd = f.add
-
-        def vadd(u, v):
-            return [fadd(x, y) for x, y in zip(u, v)]
-
+    # row * c at index c - 1 for every nonzero c; row 0 only ever enters
+    # with coefficient 1
+    mults = [None] + [[f.scale(c, row) for c in range(1, f.q2)] for row in head[1:]]
+    vadd = f.vadd
     best = n
 
     def score(u: list[int]) -> None:
@@ -182,7 +161,7 @@ def _enum_chunk(f: Field, head: list[list[int]], m: int, tasks) -> int:
             score(acc)
             continue
         if c:
-            acc = vadd(acc, mults[lead + 1][log[c]])
+            acc = vadd(acc, mults[lead + 1][c - 1])
         dfs(lead + 2, acc)
     return best
 
@@ -219,19 +198,19 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
 
 
 def _independent(f: Field, vectors) -> bool:
-    basis: list[tuple[int, list[int]]] = []
-    for v in vectors:
-        v = list(v)
-        for piv, b in basis:
-            c = v[piv]
-            if c:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        scale = f.inv(v[piv])
-        basis.append((piv, [f.mul(scale, x) for x in v]))
-    return True
+    """Forward elimination: each column that some remaining vector is
+    nonzero on takes one of them as pivot and clears it from the others.
+    The vectors are independent exactly when every one becomes a pivot."""
+    rows = [list(v) for v in vectors]
+    for c in range(len(rows[0])):
+        for i, prow in enumerate(rows):
+            if prow[c]:
+                del rows[i]
+                if not rows:
+                    return True
+                f.clear_column(rows, prow, c)
+                break
+    return not rows
 
 
 def is_mds(

@@ -107,11 +107,16 @@ def test_malformed_files_exit_4(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
 
+    # a distance claim is null or a JSON integer: true is not the integer 1,
+    # and 7.5 or "7" must not be dropped as if the file claimed nothing
     for claim in ("known_distance", "claimed_distance_lb"):
-        payload = json.loads(good.read_text())
-        payload["provenance"]["claims"][claim] = True  # bool, not the integer 1
-        bad.write_text(json.dumps(payload))
-        assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
+        for value in (True, 7.5, "7"):
+            payload = json.loads(good.read_text())
+            payload["provenance"]["claims"][claim] = value
+            bad.write_text(json.dumps(payload))
+            rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+            assert rc == 4, (claim, value)
+            assert json.loads(err)["error"] == "FileMalformed"
 
     # each number must be a JSON integer: int() would round 3.5 to the valid
     # p = 3, parse "8" and read true as 1, so these files would verify

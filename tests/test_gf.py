@@ -2,7 +2,10 @@
 
 The oracles here avoid the table machinery on purpose: polynomial
 arithmetic is redone with coefficient lists, orders are checked by
-repeated multiplication, and preimages by exhaustive scan.
+repeated multiplication, and preimages by exhaustive scan.  The element
+methods and vector kernels are compared with them on fields on both sides
+of the addition-table size: table fields add by lookup, larger ones through
+Zech logarithms.
 """
 
 from __future__ import annotations
@@ -10,9 +13,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmds import errors
-from qmds.gf import Field, field_for_q, field_new
+from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new
 
 # ---------------------------------------------------------------------------
 # oracle helpers: schoolbook polynomial arithmetic mod (modulus, p)
@@ -58,6 +63,28 @@ def oracle_pow(f: Field, a: int, e: int) -> int:
     acc = 1
     for _ in range(e):
         acc = oracle_mul(f, acc, a)
+    return acc
+
+
+def oracle_add(f: Field, a: int, b: int) -> int:
+    """Digit-wise sum of the base-p packings."""
+    pa = poly_of_index(a, f.p, 2 * f.t)
+    pb = poly_of_index(b, f.p, 2 * f.t)
+    return index_of_poly([(x + y) % f.p for x, y in zip(pa, pb)], f.p)
+
+
+def oracle_neg(f: Field, a: int) -> int:
+    return index_of_poly([-x % f.p for x in poly_of_index(a, f.p, 2 * f.t)], f.p)
+
+
+def oracle_power(f: Field, a: int, e: int) -> int:
+    """a^e by square-and-multiply on the polynomial oracle, for large e."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = oracle_mul(f, acc, a)
+        a = oracle_mul(f, a, a)
+        e >>= 1
     return acc
 
 
@@ -294,7 +321,8 @@ def test_explicit_modulus_roundtrip_and_rejects_nonprimitive():
 
 
 def test_digit_fallback_field_matches_oracle():
-    # q^2 = 841 is above the dense-table threshold, exercising digit adds
+    # q^2 = 841 is above the dense-table threshold, so addition runs on Zech
+    # logarithms; the oracle adds digit by digit
     f = field_new(29)
     assert f._add is None
     rng = random.Random(3)
@@ -306,3 +334,76 @@ def test_digit_fallback_field_matches_oracle():
         pb = poly_of_index(b, f.p, 2)
         s = [(x + y) % f.p for x, y in zip(pa, pb)]
         assert f.add(a, b) == index_of_poly(s, f.p)
+
+
+# ---------------------------------------------------------------------------
+# element methods and vector kernels against the oracles, on fields on both
+# sides of _TABLE_CAP, including p = 2 and t > 1
+
+TABLE_FIELDS = [field_new(2), field_new(3), field_new(2, 2), field_new(3, 2), field_new(2, 4)]
+ZECH_FIELDS = [field_new(23), field_new(5, 2), field_new(2, 5)]
+
+# fixed example sequence, so every run of the suite checks the same inputs
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
+
+
+def test_property_fields_straddle_the_table_cap():
+    assert all(f._add is not None and f.q2 <= _TABLE_CAP for f in TABLE_FIELDS)
+    assert all(f._add is None and f.q2 > _TABLE_CAP for f in ZECH_FIELDS)
+
+
+@st.composite
+def field_and_vectors(draw, count):
+    """A field and count vectors of one length, zero entries common."""
+    f = draw(st.sampled_from(TABLE_FIELDS + ZECH_FIELDS))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, f.q2 - 1))
+    vecs = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(count)]
+    return f, vecs
+
+
+@PROPERTY
+@given(field_and_vectors(2))
+def test_element_methods_match_digit_oracle(fv):
+    f, (u, v) = fv
+    for a, b in zip(u, v):
+        assert f.add(a, b) == oracle_add(f, a, b)
+        assert f.neg(a) == oracle_neg(f, a)
+        assert f.sub(a, b) == oracle_add(f, a, oracle_neg(f, b))
+        assert f.mul(a, b) == oracle_mul(f, a, b)
+        assert f.frobenius_q(a) == oracle_power(f, a, f.q)
+
+
+@PROPERTY
+@given(field_and_vectors(2), st.integers(0, 1 << 16))
+def test_vector_kernels_match_oracle(fv, c):
+    f, (u, v) = fv
+    c %= f.q2
+    assert f.scale(c, u) == [oracle_mul(f, c, x) for x in u]
+    assert f.vadd(u, v) == [oracle_add(f, x, y) for x, y in zip(u, v)]
+    units = [y or 1 for y in v]
+    assert f.vdiv(u, units) == [oracle_mul(f, x, oracle_power(f, y, f.q2 - 2)) for x, y in zip(u, units)]
+    assert f.conjugate(u) == [oracle_power(f, x, f.q) for x in u]
+    acc = 0
+    for x, y in zip(u, v):
+        acc = oracle_add(f, acc, oracle_mul(f, x, y))
+    assert f.dot(u, v) == acc
+
+
+@PROPERTY
+@given(field_and_vectors(4), st.data())
+def test_clear_column_matches_oracle(fv, data):
+    f, rows = fv
+    n = len(rows[0])
+    c = data.draw(st.integers(0, n - 1))
+    prow = [0] * c + [data.draw(st.integers(1, f.q2 - 1))] + rows[0][c + 1 :]
+    rows = [prow] + rows[1:]
+    inv_pivot = oracle_power(f, prow[c], f.q2 - 2)
+    expected = [prow]
+    for row in rows[1:]:
+        # row - (row[c] / prow[c]) prow
+        factor = oracle_neg(f, oracle_mul(f, row[c], inv_pivot))
+        expected.append([oracle_add(f, x, oracle_mul(f, factor, y)) for x, y in zip(row, prow)])
+    f.clear_column(rows, prow, c)
+    assert rows == expected
+    assert all(row[c] == 0 for row in rows[1:])

@@ -6,8 +6,8 @@ field's method calls (add, mul, neg, inv), with no cache and no table
 lookups.  Every question linalg answers from its cached echelon form (rank,
 kernel, inverse, row equivalence, containment) is recomputed here from the
 oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529).
-GF(529) is above the add-table size, so it covers the per-digit addition
-path.  Products and Hermitian Gram matrices, which both run through
+GF(529) is above the add-table size, so it covers addition through Zech
+logarithms.  Products and Hermitian Gram matrices, which both run through
 mat_vec, are checked against written-out sums.
 """
 

@@ -1,4 +1,5 @@
-"""Property tests: the exhaustive distance enumerator against naive oracles.
+"""Property tests: the exhaustive distance enumerator and the column
+independence floor against naive oracles.
 
 `min_distance_exact` arranges the columns so that the last generator row is
 (1, ..., 1, 0, ..., 0) and scores all q^2 multiples of that row at once.
@@ -8,6 +9,12 @@ GF(9), GF(25) and GF(49), and, over GF(529), where the naive one is too
 slow, the earlier depth-first enumerator that adds every codeword out in
 full.  Generator entries are drawn with many zeros, so last rows that are
 zero on some columns (m < n) and k = 1 codes are common.
+
+The floor check `min_distance_at_least` must answer d >= w exactly as the
+naive distance does, for every w up to the Singleton bound.  Its subset
+test `_independent` eliminates on the field's row kernel; over GF(529) it
+is compared with the earlier basis-building version, which works element
+by element through the field's methods.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from qmds.gf import field_new
 from qmds.grs import LinearCode
 from qmds.linalg import Matrix, rank
 from qmds.mpc import mixer_prefix_distances
-from qmds.verify import min_distance_exact
+from qmds.verify import _independent, min_distance_at_least, min_distance_exact
 
 from test_verify import naive_min_distance
 
@@ -91,3 +98,53 @@ def test_mixer_prefix_distances_match_every_message(code):
     f, rows = code.field, code.generator.data
     expected = [naive_min_distance(f, Matrix(f, rows[:i])) for i in range(1, len(rows) + 1)]
     assert mixer_prefix_distances(code.generator) == expected
+
+
+@PROPERTY
+@given(codes(SMALL_FIELDS))
+def test_floor_check_matches_every_message(code):
+    d = naive_min_distance(code.field, code.generator)
+    for w in range(1, code.n - code.k + 2):
+        assert min_distance_at_least(code, w) == (d >= w), w
+
+
+def naive_independent(f, vectors) -> bool:
+    """The earlier subset test: reduce each vector against a growing basis,
+    one field method call per element."""
+    basis: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        v = list(v)
+        for piv, b in basis:
+            c = v[piv]
+            if c:
+                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, b)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        scale = f.inv(v[piv])
+        basis.append((piv, [f.mul(scale, x) for x in v]))
+    return True
+
+
+@st.composite
+def vector_lists(draw, f):
+    """Up to r + 1 vectors of length r; half the lists get a combination of
+    their other vectors inserted, so dependent lists are common."""
+    r = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, f.q2 - 1))
+    vectors = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=r + 1))
+    if draw(st.booleans()):
+        combo = [0] * r
+        for v in vectors:
+            c = draw(entry)
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, v)]
+        vectors.insert(draw(st.integers(0, len(vectors))), combo)
+    return vectors
+
+
+@PROPERTY
+@given(vector_lists(GF529))
+def test_independent_matches_basis_building_oracle(vectors):
+    before = [list(v) for v in vectors]
+    assert _independent(GF529, vectors) == naive_independent(GF529, vectors)
+    assert vectors == before  # the subset's columns are shared, never reduced in place
