@@ -24,6 +24,7 @@ from .errors import (
     EnumerationTooLarge,
     FieldTooLarge,
     FileMalformed,
+    OutputUnwritable,
     QmdsError,
     VerificationFailure,
     WorkBudgetExceeded,
@@ -89,7 +90,7 @@ def load_code_file(path: str) -> LinearCode:
             raw = json.load(fh)
     except OSError as e:
         raise FileMalformed(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, too many digits, too deep
         raise FileMalformed(f"{path} is not valid JSON: {e}") from e
     try:
         if raw["schema_version"] != SCHEMA_VERSION:
@@ -132,8 +133,11 @@ def cmd_construct(args) -> int:
     code, provenance = _build(args)
     certificates = [_self_certificate(code, provenance)]
     payload = code_file_payload(code, provenance, certificates)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(payload))
+    except OSError as e:
+        raise OutputUnwritable(f"cannot write {args.out}: {e}") from e
     print(f"wrote {args.out}: [{code.n},{code.k}] over GF({code.field.q2})")
     return 0
 

@@ -152,3 +152,7 @@ class WorkBudgetExceeded(QmdsError):
 
 class FileMalformed(QmdsError):
     exit_code = 4
+
+
+class OutputUnwritable(QmdsError):
+    pass

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
@@ -68,8 +67,11 @@ def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: i
     per scalar class is scored (leading coefficient fixed to 1); the
     minimum over those equals the minimum over all q^(2k) messages, which
     is what the cap is measured against.  See _min_weight for how the
-    classes are visited; the answer is independent of the worker count.
+    classes are visited.
     """
+    # workers stays only for callers that pass workers=1 (perfbench/workloads.py)
+    if workers != 1:
+        raise BadDimension(f"the enumeration runs in one process, got workers={workers}")
     f = code.field
     gen = code.generator
     k = gen.rows
@@ -77,10 +79,10 @@ def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: i
         raise BadDimension("the zero code has no nonzero codewords")
     if f.q2**k > cap:
         raise EnumerationTooLarge(f"q^2k = {f.q2 ** k} messages exceed the cap of {cap}")
-    return _min_weight(f, gen.data, workers)
+    return _min_weight(f, gen.data)
 
 
-def _min_weight(f: Field, rows: list[list[int]], workers: int = 1) -> int:
+def _min_weight(f: Field, rows: list[list[int]]) -> int:
     """Lightest nonzero word in the span of linearly independent rows.
 
     Weight is unchanged by permuting columns and scaling them by nonzero
@@ -90,21 +92,30 @@ def _min_weight(f: Field, rows: list[list[int]], workers: int = 1) -> int:
     #{j < m : u_j = -c}, and the lightest of those q^2 words drops the most
     frequent value of u[:m].  So a depth-first walk over the first k - 1
     rows (leading coefficient 1) scores q^2 codewords per visited word, and
-    the class of the last row alone has weight m.  Work is split into tasks
-    keyed by the leading coefficients, which workers > 1 spreads over a
-    process pool.
+    the class of the last row alone has weight m.
     """
     head, m = _last_row_to_ones(f, rows)
-    tasks = _enum_tasks(f.q2, len(rows))
-    if not tasks:
-        return m
-    if workers <= 1 or len(tasks) < 2:
-        return min(m, _enum_chunk(f, head, m, tasks))
-    chunks = [tasks[i::workers] for i in range(workers)]
-    chunks = [c for c in chunks if c]
-    shared = [itertools.repeat(x) for x in (f, head, m)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return min(m, *pool.map(_enum_chunk, *shared, chunks))
+    k1, n = len(head), len(rows[0])
+    # row * c at index c - 1 for every nonzero c; row 0 only ever enters
+    # with coefficient 1
+    mults = [None] + [[f.scale(c, row) for c in range(1, f.q2)] for row in head[1:]]
+    vadd = f.vadd
+    best = m
+
+    def dfs(level: int, acc: list[int]) -> None:
+        nonlocal best
+        if level == k1:
+            w = n - acc[m:].count(0) - max(Counter(acc[:m]).values())
+            if w < best:
+                best = w
+            return
+        dfs(level + 1, acc)
+        for v in mults[level]:
+            dfs(level + 1, vadd(acc, v))
+
+    for lead, row in enumerate(head):
+        dfs(lead + 1, row)
+    return best
 
 
 def _last_row_to_ones(f: Field, rows: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -116,54 +127,6 @@ def _last_row_to_ones(f: Field, rows: list[list[int]]) -> tuple[list[list[int]],
     scales = [last[j] for j in support]
     head = [f.vdiv([r[j] for j in support], scales) + [r[j] for j in zeros] for r in rows[:-1]]
     return head, len(support)
-
-
-def _enum_tasks(q2: int, k: int) -> list[tuple[int, int | None]]:
-    """(lead, c): words of the first k - 1 rows with first nonzero
-    coefficient 1 at row lead and coefficient c on the following row.  The
-    word of row k - 2 alone is flagged with c = None; the last row's own
-    class is no task."""
-    tasks: list[tuple[int, int | None]] = []
-    for lead in range(k - 2):
-        tasks.extend((lead, c) for c in range(q2))
-    if k >= 2:
-        tasks.append((k - 2, None))
-    return tasks
-
-
-def _enum_chunk(f: Field, head: list[list[int]], m: int, tasks) -> int:
-    """Lightest word u + c * last over the tasks' words u of the head rows."""
-    k1 = len(head)
-    n = len(head[0])
-    # row * c at index c - 1 for every nonzero c; row 0 only ever enters
-    # with coefficient 1
-    mults = [None] + [[f.scale(c, row) for c in range(1, f.q2)] for row in head[1:]]
-    vadd = f.vadd
-    best = n
-
-    def score(u: list[int]) -> None:
-        nonlocal best
-        w = n - u[m:].count(0) - max(Counter(u[:m]).values())
-        if w < best:
-            best = w
-
-    def dfs(level: int, acc: list[int]) -> None:
-        if level == k1:
-            score(acc)
-            return
-        dfs(level + 1, acc)
-        for v in mults[level]:
-            dfs(level + 1, vadd(acc, v))
-
-    for lead, c in tasks:
-        acc = head[lead]
-        if c is None:
-            score(acc)
-            continue
-        if c:
-            acc = vadd(acc, mults[lead + 1][c - 1])
-        dfs(lead + 2, acc)
-    return best
 
 
 def enumeration_classes(code: LinearCode) -> int:
@@ -225,13 +188,6 @@ def is_mds(
     if code.k and code.field.q2**code.k <= cap:
         return min_distance_exact(code, cap=cap) == w
     return min_distance_at_least(code, w, budget=budget)
-
-
-def certify_distance(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Run the exact oracle and record the result on the code object."""
-    d = min_distance_exact(code, cap=cap)
-    code.known_distance = d
-    return d
 
 
 def self_orthogonal_check(code: LinearCode) -> bool:

@@ -91,6 +91,14 @@ def test_malformed_files_exit_4(tmp_path, capsys):
     bad.write_text(json.dumps({"schema_version": 99}))
     assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
 
+    # not UTF-8, an integer past Python's digit limit, nesting past the
+    # recursion limit: json.load raises neither OSError nor JSONDecodeError
+    for content in (b"\xff\xfe{", b'{"schema_version": ' + b"9" * 5000 + b"}", b"[" * 200000):
+        bad.write_bytes(content)
+        rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+        assert rc == 4, content[:20]
+        assert json.loads(err)["error"] == "FileMalformed"
+
     good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
     payload = json.loads(good.read_text())
     del payload["code"]
@@ -138,6 +146,15 @@ def test_malformed_files_exit_4(tmp_path, capsys):
         assert json.loads(err)["error"] == "FileMalformed"
 
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    flags = ["--family", "grs-a", "--q", "3", "--a", "1", "--d", "3"]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        rc, stdout, err = run_cli(["construct", *flags, "--out", str(out)], capsys)
+        assert rc == 2, out
+        assert stdout == ""
+        assert json.loads(err)["error"] == "OutputUnwritable"
 
 
 def test_even_q_rejected_with_error_json(tmp_path, capsys):

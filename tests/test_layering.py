@@ -1,4 +1,5 @@
-"""Layering: only qmds.gf reads the tables of a Field.
+"""Layering: only qmds.gf reads the tables of a Field, and importing the
+command-line front end loads no process pool.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -10,6 +11,8 @@ editing this test.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import qmds
@@ -30,3 +33,14 @@ def test_only_gf_reads_field_tables():
         if isinstance(node, ast.Attribute) and node.attr in TABLES
     ]
     assert not reads, reads
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, so modules other tests import do not count; -I
+    # ignores PYTHONPATH, so the package's parent directory goes on sys.path
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qmds.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -23,7 +23,6 @@ from qmds.linalg import Matrix, rank
 from qmds.verify import (
     CheckResult,
     VerificationReport,
-    certify_distance,
     dual_containing_check,
     enumeration_classes,
     is_mds,
@@ -61,6 +60,7 @@ def test_exact_distance_frozen_values():
     assert min_distance_exact(code) == 7  # [8,2] is MDS
     primal = grs_generator(full_field_spec(f, 2))
     assert min_distance_exact(primal) == 8  # [9,2]
+    assert min_distance_exact(grs_generator(full_field_spec(f, 3))) == 7  # [9,3] is MDS
 
 
 def test_exact_distance_repetition_code():
@@ -80,13 +80,12 @@ def test_exact_distance_matches_naive_enumeration():
         assert min_distance_exact(code) == naive_min_distance(f, code.generator)
 
 
-def test_exact_distance_worker_count_is_immaterial():
-    # k = 3 leaves q^2 + 1 tasks to split, so the process pool runs
+def test_exact_distance_refuses_a_worker_count():
+    # the enumeration runs in one process; no other worker count is accepted
     code = grs_generator(full_field_spec(field_for_q(3), 3))
-    single = min_distance_exact(code, workers=1)
-    assert single == 7  # [9,3] is MDS
-    assert min_distance_exact(code, workers=2) == single
-    assert min_distance_exact(code, workers=5) == single
+    for workers in (0, 2):
+        with pytest.raises(BadDimension):
+            min_distance_exact(code, workers=workers)
 
 
 def test_exact_distance_cap():
@@ -158,13 +157,6 @@ def test_is_mds_on_duals():
     f = field_for_q(3)
     dual = construct_full_field(f, 2)
     assert is_mds(dual, cap=10**7)
-
-
-def test_certify_distance_records_result():
-    code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
-    assert code.known_distance is None
-    assert certify_distance(code) == 7
-    assert code.known_distance == 7
 
 
 def test_hermitian_checks():
