@@ -5,7 +5,6 @@ never trusts a claim recorded on the code object."""
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from math import comb
@@ -137,8 +136,10 @@ def enumeration_classes(code: LinearCode) -> int:
 
 def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_BUDGET) -> bool:
     """True exactly when d >= w: every (w-1)-subset of parity-check columns
-    must be linearly independent.  Estimated work C(n, w-1) (w-1)^3 is
-    checked against the budget before starting."""
+    must be linearly independent.  The work estimate C(n, w-1) (w-1)^3,
+    one elimination per subset, is checked against the budget before
+    starting.  It bounds the prefix-sharing walk's work from above and is
+    kept as it was, so every pass or refusal stays the same."""
     n = code.n
     if w <= 1:
         return True
@@ -152,28 +153,45 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
     cost = comb(n, w - 1) * (w - 1) ** 3
     if cost > budget:
         raise WorkBudgetExceeded(f"estimated work {cost} exceeds the budget {budget}")
-    f = code.field
     cols = transpose(nullspace(code.generator)).data
-    for subset in itertools.combinations(range(n), w - 1):
-        if not _independent(f, [cols[j] for j in subset]):
-            return False
-    return True
+    return _subsets_independent(code.field, cols, w - 1)
 
 
-def _independent(f: Field, vectors) -> bool:
-    """Forward elimination: each column that some remaining vector is
-    nonzero on takes one of them as pivot and clears it from the others.
-    The vectors are independent exactly when every one becomes a pivot."""
-    rows = [list(v) for v in vectors]
-    for c in range(len(rows[0])):
-        for i, prow in enumerate(rows):
-            if prow[c]:
-                del rows[i]
-                if not rows:
-                    return True
-                f.clear_column(rows, prow, c)
-                break
-    return not rows
+def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
+    """True when every s of the vectors (1 <= s <= len(vectors)) are
+    linearly independent, walking the s-subsets depth first in
+    lexicographic order.
+
+    Each node shares one elimination among all subsets with its prefix:
+    rest holds the vectors after the prefix, already reduced against the
+    prefix's echelon basis, and s counts the vectors still to choose.
+    Taking v as the next vector reduces the later ones against it in one
+    clear_column pass; one that becomes zero depends on the prefix and v,
+    and any s vectors holding them are dependent.  Only the later vectors
+    nonzero at v's pivot are copied and reduced, since the pass leaves the
+    others as they are, so the caller's vectors are never written.  With
+    two vectors left to choose, the prefix extends to an independent set by
+    any pair of rest exactly when no two of them are proportional.
+    """
+
+    def walk(rest: list[list[int]], s: int) -> bool:
+        if s == 2:
+            leading_one = {tuple(f.scale(f.inv(next(filter(None, u))), u)) for u in rest}
+            return len(leading_one) == len(rest)
+        for i in range(len(rest) - s + 1):
+            v = rest[i]
+            p = v.index(next(filter(None, v)))  # v's first nonzero entry
+            later = rest[i + 1 :]
+            copies = [list(u) for u in later if u[p]]
+            f.clear_column(copies, v, p)
+            if not all(map(any, copies)):
+                return False
+            reduced = iter(copies)
+            if not walk([next(reduced) if u[p] else u for u in later], s - 1):
+                return False
+        return True
+
+    return all(map(any, vectors)) and (s == 1 or walk(vectors, s))
 
 
 def is_mds(

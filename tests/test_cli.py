@@ -196,6 +196,25 @@ def test_construct_mp7_embeds_quantum_record(tmp_path, capsys):
     assert "EnumerationTooLarge" in dist["method"]
 
 
+@pytest.mark.parametrize(
+    "flags, mds",
+    [
+        (["--family", "extended", "--q", "5", "--k", "5"], ("pass", "column-independence floor")),
+        (["--family", "mp7", "--q", "5", "--d", "5", "--variant", "2"], ("skipped", "none")),
+    ],
+)
+def test_verify_all_on_the_largest_floor_checks(tmp_path, capsys, flags, mds):
+    # both are past the enumeration cap, and their floor checks cover the
+    # most column subsets of any certify file: 65,780 and 270,725
+    path = construct(tmp_path, capsys, "c.json", *flags)
+    rc, out, _ = run_cli(["verify", "--in", str(path), "--check", "all"], capsys)
+    assert rc == 0
+    checks = {c["name"]: (c["verdict"], c["method"]) for c in json.loads(out)["checks"]}
+    floor = "column-independence floor (EnumerationTooLarge for exact search)"
+    assert checks["min-distance"] == ("pass", floor)
+    assert checks["mds"] == mds
+
+
 def test_construct_forced_mp6_reports_failed_checks(tmp_path, capsys):
     path = construct(
         tmp_path, capsys, "f.json",

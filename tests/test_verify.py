@@ -124,6 +124,18 @@ def test_distance_floor_trivial_and_edge_cases():
     assert not min_distance_at_least(full, 2)
 
 
+def test_distance_floor_walks_99_columns_deep():
+    # the [100, 1] all-ones code over GF(121) has d = 100, so every 99 of
+    # its parity-check columns are independent.  The walk recurses once per
+    # chosen column, and its estimate C(100, 99) 99^3 = 9.7e7 fits the
+    # default budget, which keeps any walk about this shallow: r < n, so
+    # C(n, w-1) (w-1)^3 > (w-1)^4
+    f = field_for_q(11)
+    code = LinearCode(field=f, generator=Matrix(f, [[1] * 100]))
+    assert min_distance_at_least(code, 100)
+    assert not min_distance_at_least(code, 101)  # w - 1 past r = 99
+
+
 def test_distance_floor_budget(monkeypatch):
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
     with pytest.raises(WorkBudgetExceeded):

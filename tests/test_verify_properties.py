@@ -11,13 +11,17 @@ full.  Generator entries are drawn with many zeros, so last rows that are
 zero on some columns (m < n) and k = 1 codes are common.
 
 The floor check `min_distance_at_least` must answer d >= w exactly as the
-naive distance does, for every w up to the Singleton bound.  Its subset
-test `_independent` eliminates on the field's row kernel; over GF(529) it
-is compared with the earlier basis-building version, which works element
-by element through the field's methods.
+naive distance does, for every w up to the Singleton bound.  Its walk
+`_subsets_independent` shares each prefix's elimination among all the
+subsets that extend it; over GF(529) (Zech sums) and GF(9) (add table) it
+is compared with testing every subset on its own with the earlier
+basis-building version, which works element by element through the
+field's methods.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,7 +30,7 @@ from qmds.gf import field_new
 from qmds.grs import LinearCode
 from qmds.linalg import Matrix, rank
 from qmds.mpc import mixer_prefix_distances
-from qmds.verify import _independent, min_distance_at_least, min_distance_exact
+from qmds.verify import _subsets_independent, min_distance_at_least, min_distance_exact
 
 from test_verify import naive_min_distance
 
@@ -120,24 +124,34 @@ def naive_independent(f, vectors) -> bool:
 
 
 @st.composite
-def vector_lists(draw, f):
-    """Up to r + 1 vectors of length r; half the lists get a combination of
-    their other vectors inserted, so dependent lists are common."""
-    r = draw(st.integers(1, 5))
-    entry = st.one_of(st.just(0), st.integers(0, f.q2 - 1))
-    vectors = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=1, max_size=r + 1))
+def walk_inputs(draw):
+    """A field, a subset size s and s to s + 3 vectors of length r >= s.
+    Half the lists get a combination of at most s - 1 of their vectors
+    inserted, so that some s of them are dependent, and half the lists are
+    sparse, so that zero and proportional vectors are common."""
+    f = draw(st.sampled_from([GF529, field_new(3)]))
+    r = draw(st.integers(1, 6))
+    s = draw(st.integers(1, r))
+    entry = st.integers(0, f.q2 - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    vectors = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=s, max_size=s + 3))
     if draw(st.booleans()):
         combo = [0] * r
-        for v in vectors:
+        for v in draw(st.lists(st.sampled_from(vectors), max_size=s - 1)):
             c = draw(entry)
             combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, v)]
         vectors.insert(draw(st.integers(0, len(vectors))), combo)
-    return vectors
+    return f, vectors, s
 
 
 @PROPERTY
-@given(vector_lists(GF529))
-def test_independent_matches_basis_building_oracle(vectors):
+@given(walk_inputs())
+def test_independent_matches_basis_building_oracle(inputs):
+    f, vectors, s = inputs
     before = [list(v) for v in vectors]
-    assert _independent(GF529, vectors) == naive_independent(GF529, vectors)
-    assert vectors == before  # the subset's columns are shared, never reduced in place
+    expected = all(
+        naive_independent(f, subset) for subset in itertools.combinations(vectors, s)
+    )
+    assert _subsets_independent(f, vectors, s) == expected
+    assert vectors == before  # columns are copied before they are reduced
