@@ -103,13 +103,17 @@ def load_code_file(path: str) -> LinearCode:
         if len(gen) != k or any(len(row) != n for row in gen):
             raise FileMalformed("generator shape disagrees with the declared n, k")
         code = LinearCode(field=field, generator=Matrix(field, gen, cols=n))
-        provenance = raw.get("provenance")
-        code.provenance = provenance if isinstance(provenance, dict) else {}
-        claims = code.provenance.get("claims", {})
-        if isinstance(claims, dict):
-            known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
-            code.known_distance = None if known is None else _integer(known)
-            code.claimed_distance_lb = None if lb is None else _integer(lb)
+        # only an absent provenance or claims section means "claims nothing"
+        provenance = raw.get("provenance", {})
+        claims = provenance.get("claims", {}) if isinstance(provenance, dict) else None
+        if not isinstance(claims, dict):
+            raise FileMalformed("provenance and its claims must be JSON objects")
+        if claims.get("orthogonality") not in (None, "self-orthogonal", "dual-containing"):
+            raise FileMalformed(f"unknown orthogonality claim {claims['orthogonality']!r}")
+        code.provenance = provenance
+        known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
+        code.known_distance = None if known is None else _integer(known)
+        code.claimed_distance_lb = None if lb is None else _integer(lb)
     except FileMalformed:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -245,8 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def run_checks(code: LinearCode, which: str, cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    claimed = code.provenance.get("claims", {})
-    orthogonality = claimed.get("orthogonality") if isinstance(claimed, dict) else None
+    orthogonality = code.provenance.get("claims", {}).get("orthogonality")
     report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
     names = ("gram", "dual-containing", "min-distance", "mds") if which == "all" else (which,)
     # the distance and MDS checks share one run of each oracle; a refusal
@@ -297,7 +300,7 @@ def _check_dual_containing(code, orthogonality, cap, exact, at_least) -> CheckRe
 
 def _check_min_distance(code, orthogonality, cap, exact, at_least) -> CheckResult:
     exact_claim = code.known_distance
-    floor = exact_claim if exact_claim is not None else code.claimed_distance_lb
+    floor = code.distance_claim
     if floor is None:
         return CheckResult(
             name="min-distance",
@@ -343,8 +346,7 @@ def _check_min_distance(code, orthogonality, cap, exact, at_least) -> CheckResul
 
 def _check_mds(code, orthogonality, cap, exact, at_least) -> CheckResult:
     w = code.n - code.k + 1
-    floor = code.known_distance if code.known_distance is not None else code.claimed_distance_lb
-    if floor != w:
+    if code.distance_claim != w:
         return CheckResult(
             name="mds",
             verdict="skipped",

@@ -65,7 +65,9 @@ class LinearCode:
 
     known_distance is only ever set once an exact enumeration certifies it;
     until then claimed_distance_lb carries the best provable lower bound,
-    with the provenance dict saying where the claim comes from.
+    with the provenance dict saying where the claim comes from.  The
+    generator is never reassigned after construction, so
+    verify.dual_containing_check keeps its verdict in _dual_containing.
     """
 
     field: Field
@@ -73,6 +75,7 @@ class LinearCode:
     known_distance: int | None = None
     claimed_distance_lb: int | None = None
     provenance: dict = dataclass_field(default_factory=dict)
+    _dual_containing: bool | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generator.field is not self.field:
@@ -87,6 +90,11 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.rows
+
+    @property
+    def distance_claim(self) -> int | None:
+        """The exact distance when known, else the claimed lower bound."""
+        return self.known_distance if self.known_distance is not None else self.claimed_distance_lb
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q2}))"
@@ -180,7 +188,7 @@ def construct_family_A(params: ConstructionParams) -> GrsSpec:
 
 
 def _family_a_spec(field: Field, a: int, k: int) -> GrsSpec:
-    # no range policing; forced paths build beyond the certified window
+    # no range policing or Gram gate; construct_family_A adds both
     q = field.q
     n = (q * q - 1) // a
     block = []
@@ -328,7 +336,7 @@ def full_field_spec(field: Field, k: int) -> GrsSpec:
     )
 
 
-def construct_full_field(field: Field, k: int, check: bool = True) -> LinearCode:
+def construct_full_field(field: Field, k: int) -> LinearCode:
     """Hermitian dual-containing [q^2, q^2 - k] code with design distance k + 1.
 
     The self-orthogonal side is the unit-multiplier GRS code on the whole
@@ -336,10 +344,10 @@ def construct_full_field(field: Field, k: int, check: bool = True) -> LinearCode
     zero over a full field); what is returned is its Hermitian dual.
     """
     q = field.q
-    if check and not 1 <= k <= q - 1:
+    if not 1 <= k <= q - 1:
         raise DimensionOutOfRange(f"need 1 <= k <= q - 1 = {q - 1}, got k={k}")
     primal = grs_generator(full_field_spec(field, k))
-    if check and not hermitian_gram(primal).is_zero():
+    if not hermitian_gram(primal).is_zero():
         raise NotSelfOrthogonal("full-field spec failed its own Gram certificate")
     dual = hermitian_dual(primal)
     dual.claimed_distance_lb = k + 1

@@ -19,13 +19,11 @@ from .errors import (
 )
 from .gf import Field, field_for_q
 from .grs import (
-    ConstructionParams,
     LinearCode,
     _family_a_spec,
     construct_extended,
-    construct_family_A,
-    construct_full_field,
     euclidean_dual,
+    full_field_spec,
     grs_generator,
     hermitian_dual,
 )
@@ -73,8 +71,8 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
 
     The recorded distance bound is min_i {d_i * delta_i}, where delta_i is
     the exact minimum distance of the code spanned by the first i mixer
-    rows and d_i is whatever distance floor ingredient i carries (1 when it
-    claims nothing).
+    rows and d_i is ingredient i's distance claim (1 when it claims
+    nothing).
     """
     f = spec.field
     mix = spec.mixer
@@ -85,8 +83,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
             rows.append([x for aij in arow for x in f.scale(aij, grow)])
     gen = Matrix(f, rows, cols=mix.cols * m)
     deltas = mixer_prefix_distances(mix)
-    floors = [_distance_floor(c) for c in spec.codes]
-    bound = min(fl * de for fl, de in zip(floors, deltas))
+    bound = min((c.distance_claim or 1) * de for c, de in zip(spec.codes, deltas))
     return LinearCode(
         field=f,
         generator=gen,
@@ -100,14 +97,6 @@ def mixer_prefix_distances(mixer: Matrix) -> list[int]:
     spanned by the first i mixer rows (independent, since MpcSpec requires
     full row rank), by the exhaustive enumerator of qmds.verify."""
     return [_min_weight(mixer.field, mixer.data[:i]) for i in range(1, mixer.rows + 1)]
-
-
-def _distance_floor(code: LinearCode) -> int:
-    if code.known_distance is not None:
-        return code.known_distance
-    if code.claimed_distance_lb is not None:
-        return code.claimed_distance_lb
-    return 1
 
 
 def mpc_dual(spec: MpcSpec) -> LinearCode:
@@ -157,14 +146,23 @@ def pair_construction(c1: LinearCode, c2: LinearCode) -> LinearCode:
     row scaling of the mixer itself, which is what makes the dual-containment
     argument go through; the output still carries its own certificate.
     """
-    mixer = pair_mixer(c1.field)
-    if not all(dual_containing_check(c) for c in (c1, c2)):
-        raise HypothesisViolated("ingredient is not Hermitian dual-containing")
-    out = matrix_product(MpcSpec(codes=(c1, c2), mixer=mixer))
-    if not dual_containing_check(out):
-        raise NotDualContaining("pair output failed its dual-containment certificate")
+    out, _ = _pair(c1, c2, force=False)
     out.provenance = {"construction": "pair"}
     return out
+
+
+def _pair(c1: LinearCode, c2: LinearCode, force: bool) -> tuple[LinearCode, dict]:
+    """The pair product and its dual-containment verdicts, ingredients then
+    output; unless forced, a failed verdict raises before the next step."""
+    mixer = pair_mixer(c1.field)
+    ingredients = [dual_containing_check(c) for c in (c1, c2)]
+    if not (force or all(ingredients)):
+        raise HypothesisViolated("ingredient is not Hermitian dual-containing")
+    out = matrix_product(MpcSpec(codes=(c1, c2), mixer=mixer))
+    output = dual_containing_check(out)
+    if not (force or output):
+        raise NotDualContaining("pair output failed its dual-containment certificate")
+    return out, {"ingredient_dual_containing": ingredients, "output_dual_containing": output}
 
 
 # -- the distance ladder ----------------------------------------------------------
@@ -193,8 +191,8 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
 
     LADDER_VARIANTS gives each variant's ingredient kind, length n', parity
     of d and ceiling.  Out-of-range d raises unless force is set, in which
-    case the object is still assembled and its failed certificates are
-    recorded in the provenance instead of being enforced.
+    case the object is assembled the same way and its containment verdicts
+    are recorded in the provenance instead of being enforced.
     """
     if variant not in LADDER_VARIANTS:
         raise BadDimension(f"variant must be 1..6, got {variant}")
@@ -212,18 +210,9 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
             f"variant {variant} certifies 2 <= d <= {dmax}; d={d} requires force and loses the certificate"
         )
     field = field_for_q(q)
-    d1 = (d + 1) // 2
-    c1 = _ladder_ingredient(field, variant, d1, force=not in_range)
-    c2 = _ladder_ingredient(field, variant, d, force=not in_range)
-    if in_range:
-        out = pair_construction(c1, c2)
-        forced_checks = None
-    else:
-        out = matrix_product(MpcSpec(codes=(c1, c2), mixer=pair_mixer(field)))
-        forced_checks = {
-            "ingredient_dual_containing": [dual_containing_check(c) for c in (c1, c2)],
-            "output_dual_containing": dual_containing_check(out),
-        }
+    c1 = _ladder_ingredient(field, variant, (d + 1) // 2)
+    c2 = _ladder_ingredient(field, variant, d)
+    out, checks = _pair(c1, c2, force=not in_range)
     out.provenance = {
         "construction": "paired-ladder",
         "variant": variant,
@@ -231,20 +220,19 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
         "d": d,
         "certified": in_range,
     }
-    if forced_checks is not None:
-        out.provenance["forced_checks"] = forced_checks
+    if not in_range:
+        out.provenance["forced_checks"] = checks
     assert (out.n, out.k) == ladder_shape(q, d, variant)
     if out.claimed_distance_lb is not None:
         assert out.claimed_distance_lb >= d
     return out
 
 
-def _ladder_ingredient(field: Field, variant: int, dprime: int, force: bool = False) -> LinearCode:
-    """Dual-containing code of the variant's length with design distance dprime.
-
-    dprime = 1 is the full space; otherwise the dual of the corresponding
-    self-orthogonal construction.  With force, range and Gram gates are
-    bypassed and the caller owns the consequences.
+def _ladder_ingredient(field: Field, variant: int, dprime: int) -> LinearCode:
+    """Code of the variant's length with design distance dprime: the full
+    space for dprime = 1, else construct_extended's code or the Hermitian
+    dual of the full-field or family-a GRS code of dimension dprime - 1.
+    The ladder's ingredient verdict decides whether it is dual-containing.
     """
     q = field.q
     kind, _, length, _ = LADDER_VARIANTS[variant]
@@ -259,16 +247,10 @@ def _ladder_ingredient(field: Field, variant: int, dprime: int, force: bool = Fa
     if kind == "extended":
         # the multiplier solver has no forced mode; its range is a hard precondition
         return construct_extended(field, k)
-    if kind == "full-field":
-        return construct_full_field(field, k, check=not force)
-    m = (q - 1) // 2
-    if force:
-        spec = _family_a_spec(field, 1, k)
-    else:
-        spec = construct_family_A(ConstructionParams(q=q, a=1, m=m, d=dprime))
+    spec = full_field_spec(field, k) if kind == "full-field" else _family_a_spec(field, 1, k)
     dual = hermitian_dual(grs_generator(spec))
     # dual of an MDS code is MDS, so the design distance holds with or
-    # without the self-orthogonality certificate
+    # without dual containment
     dual.claimed_distance_lb = dprime
-    dual.provenance = {"construction": "family-a-dual", "q": q, "d": dprime, "certified": not force}
+    dual.provenance = {"construction": f"{kind}-dual", "q": q, "d": dprime}
     return dual

@@ -2,7 +2,7 @@
 
 Two doors in: a dual-containing code gives [[n, 2k - n, >= d]], and a
 self-orthogonal MDS code gives the Singleton-saturating [[n, n - 2k, k + 1]].
-Both re-verify their hypothesis on the spot.
+Both check their hypothesis, reusing a verdict the code already carries.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
+    DimensionOutOfRange,
     NotDualContaining,
     NotMds,
     NotSelfOrthogonal,
@@ -51,12 +52,12 @@ def singleton_check(params: QuantumParams) -> str:
 def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> QuantumParams:
     """[[n, 2k - n, >= d]]_q from a dual-containing [n, k] code over GF(q^2).
 
-    Dual containment is re-verified here, never assumed.  distance_lb
-    defaults to the bound the code carries and may only tighten downward.
+    Containment is checked, reusing this object's verdict, never assumed.
+    distance_lb defaults to the carried bound and may only tighten downward.
     """
     if not dual_containing_check(code):
         raise NotDualContaining("ancestor does not contain its Hermitian dual")
-    carried = code.known_distance or code.claimed_distance_lb
+    carried = code.distance_claim
     if distance_lb is None:
         distance_lb = carried or 1
     elif carried is not None and distance_lb > carried:
@@ -126,7 +127,8 @@ def theorem_mp7(q: int, d: int, variant: int, force: bool = False) -> QuantumPar
     force on an out-of-range d, the ladder is still assembled but its
     failed certificates are reported in the ancestor record instead of
     backing the parameters, which are then emitted from the closed form
-    alone and flagged FORMULA-ONLY.
+    alone and flagged FORMULA-ONLY.  A closed form with a negative quantum
+    dimension is refused with DimensionOutOfRange.
     """
     return ladder_quantum_record(mp6_ladder(q, d, variant, force=force), q, d, variant)
 
@@ -152,6 +154,8 @@ def _formula_only(q: int, d: int, variant: int) -> QuantumParams:
     """The closed-form record of a (q, d) past the variant's ceiling; no
     certificate backs it, so it carries the conflict instead."""
     n, k = mp7_shape(q, d, variant)
+    if k < 0:
+        raise DimensionOutOfRange(f"variant {variant} at q={q}, d={d} has quantum dimension 2k - n = {k}")
     dmax = q + LADDER_VARIANTS[variant][3]
     return QuantumParams(
         q=q,

@@ -11,8 +11,8 @@ from math import comb
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
-from .grs import LinearCode, hermitian_dual, hermitian_gram
-from .linalg import nullspace, row_space_contains, transpose
+from .grs import LinearCode, hermitian_gram
+from .linalg import entrywise_frobenius, nullspace, row_space_contains, transpose
 
 DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_WORK_BUDGET = 10**8
@@ -214,5 +214,9 @@ def self_orthogonal_check(code: LinearCode) -> bool:
 
 
 def dual_containing_check(code: LinearCode) -> bool:
-    """The code's Hermitian dual lies inside the code itself."""
-    return row_space_contains(code.generator, hermitian_dual(code).generator)
+    """The code's Hermitian dual lies inside the code itself.  The verdict is
+    kept on the code object, so every caller holding it shares one run."""
+    if code._dual_containing is None:
+        g = code.generator  # the kernel of its conjugate spans the Hermitian dual
+        code._dual_containing = row_space_contains(g, nullspace(entrywise_frobenius(g)))
+    return code._dual_containing

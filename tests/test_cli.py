@@ -7,8 +7,10 @@ import time
 
 import pytest
 
+import qmds.verify
 from qmds.cli import main
 from qmds.grs import valid_parameter_sets
+from qmds.quantum import theorem_mp7
 
 
 def run_cli(argv, capsys):
@@ -67,6 +69,42 @@ def test_verify_all_on_fresh_file(tmp_path, capsys):
     }
     dist = next(c for c in report["checks"] if c["name"] == "min-distance")
     assert "exact d = 7" in dist["detail"]
+
+    # an exact claim must equal the enumerated distance, and a file that
+    # claims no distance gets no distance verdict
+    edited = tmp_path / "edited.json"
+    for known, lb, want_rc, want in (
+        (7, 7, 0, ("pass", "exact d = 7, claimed d = 7")),
+        (6, 7, 3, ("fail", "exact d = 7, claimed d = 6")),
+        (None, None, 0, ("skipped", "file carries no distance claim")),
+    ):
+        payload = json.loads(path.read_text())
+        payload["provenance"]["claims"].update(known_distance=known, claimed_distance_lb=lb)
+        edited.write_text(json.dumps(payload))
+        rc, out, _ = run_cli(["verify", "--in", str(edited), "--check", "all"], capsys)
+        assert rc == want_rc, known
+        dist = next(c for c in json.loads(out)["checks"] if c["name"] == "min-distance")
+        assert (dist["verdict"], dist["detail"]) == want
+
+    # an absent provenance or claims section claims nothing
+    for strip in (lambda p: p.pop("provenance"), lambda p: p["provenance"].pop("claims")):
+        payload = json.loads(path.read_text())
+        strip(payload)
+        edited.write_text(json.dumps(payload))
+        rc, out, _ = run_cli(["verify", "--in", str(edited), "--check", "all"], capsys)
+        assert rc == 0
+        assert {c["verdict"] for c in json.loads(out)["checks"]} == {"skipped"}
+
+    # [48, 4] over GF(49): 49^4 messages pass the enumeration cap and the
+    # floor's C(48, 44) subsets pass the work budget, so both distance
+    # checks are refused, which does not fail the report
+    path = construct(tmp_path, capsys, "big.json", "--family", "grs-a", "--q", "7", "--a", "1", "--d", "5")
+    rc, out, _ = run_cli(["verify", "--in", str(path), "--check", "all"], capsys)
+    assert rc == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("min-distance", "mds"):
+        assert checks[name]["verdict"] == "skipped", name
+        assert "exceeds the budget" in checks[name]["detail"], name
 
 
 def test_verify_detects_corruption(tmp_path, capsys):
@@ -137,6 +175,12 @@ def test_malformed_files_exit_4(tmp_path, capsys):
         ("code", "generator", lambda g: g[:-1] + [[x + 0.5 for x in g[-1]]]),
         ("code", "generator", lambda g: g[:-1] + [[str(x) for x in g[-1]]]),
         ("code", "generator", lambda g: g[:-1] + [[True if x == 1 else x for x in g[-1]]]),
+        ("code", "generator", lambda g: g + [g[0]]),  # one row more than k
+        # a claims section that is there but malformed must not read as
+        # "claims nothing", which skips every check
+        ("provenance", "claims", lambda c: [1]),
+        ("provenance", "claims", lambda c: {**c, "orthogonality": ["x"]}),
+        ("provenance", "claims", lambda c: {**c, "orthogonality": "self-orthogonl"}),
     ):
         payload = json.loads(good.read_text())
         payload[section][key] = mangle(payload[section][key])
@@ -144,6 +188,13 @@ def test_malformed_files_exit_4(tmp_path, capsys):
         rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
         assert rc == 4, (key, payload[section][key])
         assert json.loads(err)["error"] == "FileMalformed"
+
+    payload = json.loads(good.read_text())
+    payload["provenance"] = [1, 2]
+    bad.write_text(json.dumps(payload))
+    rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+    assert rc == 4
+    assert json.loads(err)["error"] == "FileMalformed"
 
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
 
@@ -231,6 +282,40 @@ def test_construct_forced_mp6_reports_failed_checks(tmp_path, capsys):
     verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
     assert verdicts["gram"] == "skipped" and verdicts["dual-containing"] == "skipped"
     assert verdicts["min-distance"] == "pass"
+
+
+@pytest.mark.parametrize("variant", ["5", "3"])
+def test_forced_mp7_with_a_negative_quantum_dimension_exits_2(tmp_path, capsys, variant):
+    # the closed forms give [[16, -4, 8]] and [[18, -2, 8]]
+    flags = ["--q", "3", "--d", "8", "--variant", variant, "--force"]
+    out = tmp_path / "x.json"
+    rc, stdout, err = run_cli(["construct", "--family", "mp7", *flags, "--out", str(out)], capsys)
+    assert rc == 2 and stdout == ""
+    assert json.loads(err)["error"] == "DimensionOutOfRange"
+    assert not out.exists()
+    # the classical ladder has no quantum record and is still written
+    construct(tmp_path, capsys, "mp6.json", "--family", "mp6", *flags)
+
+
+@pytest.mark.parametrize("entry", ["construct", "theorem_mp7"])
+def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry):
+    # the pairing, the quantum record and the construct-time certificate all
+    # need the [52, 48] output's containment verdict: one computation serves
+    # them, and each [26, *] ingredient is decided once too
+    calls = {}  # id(outer) -> [outer, count]; holding outer keeps ids unique
+    real = qmds.verify.row_space_contains
+
+    def counting(outer, inner):
+        calls.setdefault(id(outer), [outer, 0])[1] += 1
+        return real(outer, inner)
+
+    monkeypatch.setattr(qmds.verify, "row_space_contains", counting)
+    if entry == "construct":
+        construct(tmp_path, capsys, "q.json", "--family", "mp7", "--q", "5", "--d", "4", "--variant", "1")
+    else:
+        theorem_mp7(5, 4, 1)
+    decided = sorted(((outer.rows, outer.cols), count) for outer, count in calls.values())
+    assert decided == [((23, 26), 1), ((25, 26), 1), ((48, 52), 1)]
 
 
 def test_unforced_out_of_range_mp6_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from qmds.errors import (
+    DimensionOutOfRange,
     NotDualContaining,
     NotMds,
     NotSelfOrthogonal,
@@ -151,6 +152,14 @@ def test_ladder_forced_is_formula_only():
     assert qp.ancestor["certification"] == "FORMULA-ONLY"
     checks = qp.ancestor["construction_checks"]
     assert checks["output_dual_containing"] is False
+
+
+@pytest.mark.parametrize("q, d, variant", [(3, 8, 5), (5, 18, 5), (3, 8, 3)])
+def test_forced_ladder_with_a_negative_quantum_dimension_is_refused(q, d, variant):
+    # the closed forms give [[16, -4, 8]], [[48, -2, 18]] and [[18, -2, 8]]
+    assert mp7_shape(q, d, variant)[1] < 0
+    with pytest.raises(DimensionOutOfRange):
+        theorem_mp7(q, d, variant, force=True)
 
 
 def test_table_shape_and_order(table_rows):

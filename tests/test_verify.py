@@ -12,6 +12,7 @@ from qmds.gf import field_for_q
 from qmds.grs import (
     ConstructionParams,
     LinearCode,
+    _family_a_spec,
     construct_family_A,
     construct_family_C,
     construct_full_field,
@@ -190,6 +191,24 @@ def test_duality_consistency():
     ]
     for code in cases:
         assert self_orthogonal_check(code) == dual_containing_check(hermitian_dual(code))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_gram_gate_equals_the_ladder_ingredient_verdict(q):
+    # mp6_ladder builds its full-field and family-a ingredients as bare
+    # Hermitian duals and certifies them by dual containment alone; that
+    # stands in for the constructors' Gram gates because C has a zero Gram
+    # matrix exactly when its dual contains its own Hermitian dual.  k runs
+    # past the window (k <= q - 1), so both verdicts occur
+    f = field_for_q(q)
+    for spec_of in (full_field_spec, lambda f, k: _family_a_spec(f, 1, k)):
+        verdicts = set()
+        for k in range(1, 2 * q + 1):
+            code = grs_generator(spec_of(f, k))
+            gram = self_orthogonal_check(code)
+            assert gram == dual_containing_check(hermitian_dual(code)), (q, k)
+            verdicts.add(gram)
+        assert verdicts == {True, False}
 
 
 def test_report_overall():
