@@ -275,6 +275,8 @@ def _check_gram(code, orthogonality, cap, exact, at_least) -> CheckResult:
         name="gram",
         verdict="pass" if ok else "fail",
         method="hermitian gram matrix",
+        # the k^2 estimate code files have always carried, though
+        # hermitian_gram sums only the k(k + 1)/2 entries with i <= j
         work_count=code.k * code.k,
         detail="gram matrix is zero" if ok else "gram matrix has a nonzero entry",
     )

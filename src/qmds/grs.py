@@ -5,6 +5,14 @@ parametric self-orthogonal families, and the length q^2 / q^2 + 1
 dual-containing realizations.  Constructors verify their own Gram matrix
 before returning, so a successfully constructed object doubles as a
 certificate.
+
+Each fact is decided once.  A GrsSpec keeps the first code grs_generator
+built from it, and later calls hand out fresh codes on that code's
+generator, whose echelon form is then already known.  is_self_orthogonal
+keeps its Gram verdict on the code object, and grs_generator passes the
+first code's verdict on to the later ones, so a constructor's Gram gate
+also answers the quantum check on the code built from its spec.  The Gram
+matrix is Hermitian, so hermitian_gram sums only its upper triangle.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfi
 
 # the multiplier-norm solver gives up after this many kernel samples
 SOLVER_RETRIES = 100
+# of which at most this many are structured picks; the rest are random
+STRUCTURED_PICKS = 60
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,9 @@ class GrsSpec:
     points: tuple[int, ...]
     multipliers: tuple[int, ...]
     k: int
+    # the first code grs_generator built from this spec; a replaced or
+    # newly built equal spec starts without one
+    _code: LinearCode | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -67,7 +80,8 @@ class LinearCode:
     until then claimed_distance_lb carries the best provable lower bound,
     with the provenance dict saying where the claim comes from.  The
     generator is never reassigned after construction, so
-    verify.dual_containing_check keeps its verdict in _dual_containing.
+    verify.dual_containing_check keeps its verdict in _dual_containing and
+    is_self_orthogonal keeps its own in _self_orthogonal.
     """
 
     field: Field
@@ -76,6 +90,7 @@ class LinearCode:
     claimed_distance_lb: int | None = None
     provenance: dict = dataclass_field(default_factory=dict)
     _dual_containing: bool | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _self_orthogonal: bool | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generator.field is not self.field:
@@ -128,17 +143,31 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
     bound; the verify module promotes it to known_distance after an
     exhaustive enumeration.
+
+    Every call returns a fresh code, since callers rewrite its claims and
+    provenance.  Calls after the first share the first code's generator
+    and its Gram verdict.
     """
     f = spec.field
-    mul, pw = f.mul, f.pow
-    pts, mults = spec.points, spec.multipliers
-    rows = [[mul(v, pw(a, j)) for a, v in zip(pts, mults)] for j in range(spec.k)]
-    return LinearCode(
+    first = spec._code
+    if first is None:
+        mul, pw = f.mul, f.pow
+        pts, mults = spec.points, spec.multipliers
+        rows = [[mul(v, pw(a, j)) for a, v in zip(pts, mults)] for j in range(spec.k)]
+        generator = Matrix(f, rows, cols=spec.n)
+    else:
+        generator = first.generator
+    code = LinearCode(
         field=f,
-        generator=Matrix(f, rows, cols=spec.n),
+        generator=generator,
         claimed_distance_lb=spec.n - spec.k + 1,
         provenance={"construction": "grs", "distance_claim": "mds"},
     )
+    if first is None:
+        object.__setattr__(spec, "_code", code)
+    else:
+        code._self_orthogonal = first._self_orthogonal
+    return code
 
 
 def power_sum(spec: GrsSpec, e: int) -> int:
@@ -154,10 +183,28 @@ def hermitian_gram(code: LinearCode) -> Matrix:
     """The k x k matrix of pairwise Hermitian inner products of generator rows.
 
     All-zero exactly when the code is contained in its Hermitian dual.
+    Entry (i, j) is the sum of g_i g_j^q, so entry (j, i) is its q-th
+    power: only the entries with i <= j are summed, and each one below the
+    diagonal is the conjugate of its mirror image.
     """
-    g = code.generator
-    conj = entrywise_frobenius(g)
-    return Matrix(code.field, [mat_vec(conj, row) for row in g.data], cols=g.rows)
+    f, g = code.field, code.generator
+    k = g.rows
+    conj = [f.conjugate(row) for row in g.data]
+    gram = [[0] * k for _ in range(k)]
+    for i, row in enumerate(g.data):
+        upper = mat_vec(Matrix._trusted(f, conj[i:], g.cols), row)
+        gram[i][i:] = upper
+        for j, x in enumerate(f.conjugate(upper[1:]), i + 1):
+            gram[j][i] = x
+    return Matrix._trusted(f, gram, k)
+
+
+def is_self_orthogonal(code: LinearCode) -> bool:
+    """Whether the Hermitian Gram matrix is zero, decided once per code
+    object and kept in its _self_orthogonal."""
+    if code._self_orthogonal is None:
+        code._self_orthogonal = hermitian_gram(code).is_zero()
+    return code._self_orthogonal
 
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
@@ -182,7 +229,7 @@ def construct_family_A(params: ConstructionParams) -> GrsSpec:
     """
     _check_window("grs-a", params)
     spec = _family_a_spec(field_for_q(params.q), params.a, params.d - 1)
-    if not hermitian_gram(grs_generator(spec)).is_zero():
+    if not is_self_orthogonal(grs_generator(spec)):
         raise NotSelfOrthogonal("family A spec failed its own Gram certificate")
     return spec
 
@@ -222,7 +269,7 @@ def construct_family_B(params: ConstructionParams) -> GrsSpec:
         point_exponent=lambda j: 2 * a * j,
         multiplier_shift=-(m - 3),
     )
-    if not hermitian_gram(grs_generator(spec)).is_zero():
+    if not is_self_orthogonal(grs_generator(spec)):
         raise SolverFailure("family B spec failed its own Gram certificate")
     return spec
 
@@ -246,7 +293,7 @@ def construct_family_C(params: ConstructionParams) -> GrsSpec:
         point_exponent=lambda j: w * j,
         multiplier_shift=1,
     )
-    if not hermitian_gram(grs_generator(spec)).is_zero():
+    if not is_self_orthogonal(grs_generator(spec)):
         raise SolverFailure("family C spec failed its own Gram certificate")
     return spec
 
@@ -347,7 +394,7 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
     if not 1 <= k <= q - 1:
         raise DimensionOutOfRange(f"need 1 <= k <= q - 1 = {q - 1}, got k={k}")
     primal = grs_generator(full_field_spec(field, k))
-    if not hermitian_gram(primal).is_zero():
+    if not is_self_orthogonal(primal):
         raise NotSelfOrthogonal("full-field spec failed its own Gram certificate")
     dual = hermitian_dual(primal)
     dual.claimed_distance_lb = k + 1
@@ -426,7 +473,7 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
                 "distance_claim": "mds",
             },
         )
-        if not hermitian_gram(code).is_zero():
+        if not is_self_orthogonal(code):
             raise NotSelfOrthogonal("extension solver produced a non-certifying code")
         return code
     raise SolverFailure(
@@ -464,7 +511,6 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
     subfield = field.subfield_elements()
     nonzero_sub = subfield[1:]
     norms = [field.norm(alpha) for alpha in points]
-    structured_cap = 60
     if k == q:
         # all power sums below the top vanish over the whole field
         yield [1] * len(points)
@@ -472,7 +518,7 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
         # 1 + lam*N(alpha) + Tr(b*alpha^gamma) stays in the kernel for
         # 2 <= gamma <= q - 1; hunt for a combination with no zero entry
         choices = itertools.product(range(2, q), nonzero_sub, range(1, field.q2))
-        for gamma, lam, b in itertools.islice(choices, structured_cap):
+        for gamma, lam, b in itertools.islice(choices, STRUCTURED_PICKS):
             z = field.scale(b, [field.pow(alpha, gamma) for alpha in points])
             u = field.vadd([1] * len(points), field.scale(lam, norms))
             yield field.vadd(u, field.vadd(z, field.conjugate(z)))
@@ -484,7 +530,7 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
         # for the middle coefficients, never a nested product
         polys = ((1,) + c for c in itertools.product(*[subfield] * (q - k - 1), nonzero_sub))
         rootless = (c for c in polys if all(_poly_eval(field, c, x) for x in subfield))
-        for coeffs in itertools.islice(rootless, structured_cap):
+        for coeffs in itertools.islice(rootless, STRUCTURED_PICKS):
             yield [_poly_eval(field, coeffs, nrm) for nrm in norms]
     rng = random.Random(0x5EED + field.q2 * (k + 1))
     nsub = len(subfield)

@@ -60,6 +60,16 @@ class Matrix:
                     raise DimensionMismatch(f"entry {x} outside field of size {q2}")
 
     @classmethod
+    def _trusted(cls, field: Field, data: list[list[int]], cols: int) -> "Matrix":
+        """A matrix on rows that linalg or grs computed from valid matrices:
+        every entry is already a field element and every row has cols
+        entries, so nothing is copied or checked.  The rows become the
+        matrix's own; the caller keeps no reference it could write through."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows, m.cols, m._echelon = field, data, len(data), cols, None
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -79,13 +89,14 @@ class Matrix:
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix(m.field, [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows)
+    return Matrix._trusted(m.field, [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)], m.rows)
 
 
 def stack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.field is not bottom.field or top.cols != bottom.cols:
         raise DimensionMismatch("stack needs matching fields and widths")
-    return Matrix(top.field, top.data + bottom.data, cols=top.cols)
+    # rows are shared with top and bottom, which no one writes
+    return Matrix._trusted(top.field, top.data + bottom.data, top.cols)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -94,7 +105,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.cols} columns against {b.rows} rows")
     bt = transpose(b)
-    return Matrix(a.field, [mat_vec(bt, row) for row in a.data], cols=b.cols)
+    return Matrix._trusted(a.field, [mat_vec(bt, row) for row in a.data], b.cols)
 
 
 def mat_vec(m: Matrix, v: list[int]) -> list[int]:
@@ -135,7 +146,8 @@ def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     rows, pivots = _eliminate(m)
-    return Matrix(m.field, rows, cols=m.cols), list(pivots)
+    # the cached rows are copied, so a caller writing the result cannot reach the cache
+    return Matrix._trusted(m.field, [list(r) for r in rows], m.cols), list(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -155,18 +167,18 @@ def nullspace(m: Matrix) -> Matrix:
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(rows[r][fc])
         basis.append(v)
-    return Matrix(f, basis, cols=m.cols)
+    return Matrix._trusted(f, basis, m.cols)
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix(m.field, [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.data)], cols=2 * n)
+    aug = Matrix._trusted(m.field, [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(m.data)], 2 * n)
     rows, pivots = _eliminate(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in rows], cols=n)
+    return Matrix._trusted(m.field, [row[n:] for row in rows], n)
 
 
 def entrywise_frobenius(m: Matrix) -> Matrix:
@@ -179,7 +191,7 @@ def entrywise_frobenius(m: Matrix) -> Matrix:
     eliminated itself.
     """
     f = m.field
-    out = Matrix(f, [f.conjugate(row) for row in m.data], cols=m.cols)
+    out = Matrix._trusted(f, [f.conjugate(row) for row in m.data], m.cols)
     if m._echelon is not None:
         rows, pivots = m._echelon
         out._echelon = ([f.conjugate(row) for row in rows], pivots)

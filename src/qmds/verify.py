@@ -1,7 +1,9 @@
 """Independent certification oracles: exact distance by enumeration, distance
 floors by column independence, MDS certification, and the two Hermitian
 duality checks.  Everything here recomputes from the generator matrix and
-never trusts a claim recorded on the code object."""
+never trusts a claim recorded on the code object.  The two duality verdicts
+are kept on the object once decided; a freshly loaded code decides them
+again."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from math import comb
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
-from .grs import LinearCode, hermitian_gram
+from .grs import LinearCode, is_self_orthogonal
 from .linalg import entrywise_frobenius, nullspace, row_space_contains, transpose
 
 DEFAULT_ENUM_CAP = 1 << 22
@@ -209,8 +211,10 @@ def is_mds(
 
 
 def self_orthogonal_check(code: LinearCode) -> bool:
-    """Hermitian Gram matrix identically zero."""
-    return hermitian_gram(code).is_zero()
+    """Hermitian Gram matrix identically zero.  The verdict is kept on the
+    code object, and a GRS code built again from a constructor's spec
+    carries the verdict of the constructor's Gram gate."""
+    return is_self_orthogonal(code)
 
 
 def dual_containing_check(code: LinearCode) -> bool:

@@ -22,6 +22,7 @@ from qmds.errors import (
 )
 from qmds.gf import field_for_q
 from qmds.grs import (
+    STRUCTURED_PICKS,
     ConstructionParams,
     GrsSpec,
     LinearCode,
@@ -37,8 +38,10 @@ from qmds.grs import (
     hermitian_gram,
     power_sum,
     valid_parameter_sets,
+    _extension_candidates,
+    _extension_system,
 )
-from qmds.linalg import Matrix, rank, row_space_contains, stack
+from qmds.linalg import Matrix, mat_vec, nullspace, rank, row_space_contains, stack
 
 
 def naive_min_distance(field, gen):
@@ -271,6 +274,27 @@ def test_extended_gram_zero_small_q():
             primal = extended_self_orthogonal(f, k)
             assert (primal.n, primal.k) == (q * q + 1, k)
             assert hermitian_gram(primal).is_zero()
+
+
+@pytest.mark.parametrize("q, k", [(3, 2), (5, 2), (5, 5)])
+def test_extension_random_draws_lie_in_the_kernel(q, k):
+    # one case per structured branch (k = q - 1, polynomial, k = q); every
+    # branch yields at most STRUCTURED_PICKS picks, so the draws from there
+    # on are the seeded random kernel samples
+    f = field_for_q(q)
+    points = list(f.elements())
+    system = _extension_system(f, k, points)
+    kernel = nullspace(system)
+
+    def draws():
+        candidates = _extension_candidates(f, k, points, kernel)
+        return list(itertools.islice(candidates, STRUCTURED_PICKS, STRUCTURED_PICKS + 20))
+
+    first = draws()
+    assert first == draws()
+    assert len({tuple(u) for u in first}) > 1
+    for u in first:
+        assert not any(mat_vec(system, u))
 
 
 def test_extended_dual_parameters():

@@ -130,6 +130,21 @@ def test_entrywise_frobenius_fixes_subfield_matrices():
     assert entrywise_frobenius(entrywise_frobenius(big)) == big
 
 
+@pytest.mark.parametrize(
+    "data, cols",
+    [
+        ([[1, 2], [3]], None),  # ragged
+        ([[1, 2]], 3),  # disagrees with the explicit width
+        ([], None),  # zero rows and no width
+        ([[0, 9]], None),  # past GF(9)
+        ([[-1, 0]], None),
+    ],
+)
+def test_public_constructor_refuses_bad_data(data, cols):
+    with pytest.raises(errors.DimensionMismatch):
+        Matrix(field_new(3), data, cols=cols)
+
+
 def test_row_equivalence_under_invertible_left_factor():
     rng = random.Random(17)
     f = field_new(3)

@@ -8,7 +8,9 @@ kernel, inverse, row equivalence, containment) is recomputed here from the
 oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529).
 GF(529) is above the add-table size, so it covers addition through Zech
 logarithms.  Products and Hermitian Gram matrices, which both run through
-mat_vec, are checked against written-out sums.
+mat_vec, are checked against written-out sums, and the Gram matrices of
+random GRS codes over GF(9), GF(25), GF(49) and GF(529) entry by entry
+against power sums.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import SingularMatrix
-from qmds.gf import field_new
-from qmds.grs import LinearCode, hermitian_gram
+from qmds.gf import field_for_q, field_new
+from qmds.grs import GrsSpec, LinearCode, grs_generator, hermitian_gram, power_sum
 from qmds.linalg import (
     Matrix,
     _eliminate,
@@ -33,6 +35,7 @@ from qmds.linalg import (
 )
 
 FIELDS = [field_new(3), field_new(5), field_new(3, 2), field_new(23)]
+GRS_FIELDS = [field_for_q(q) for q in (3, 5, 7, 23)]
 
 # fixed example sequence, so every run of the suite checks the same matrices
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=80)
@@ -191,6 +194,16 @@ def product_pairs(draw):
     return draw(matrices(field=f, rows=r, cols=inner)), draw(matrices(field=f, rows=inner, cols=c))
 
 
+@st.composite
+def grs_specs(draw):
+    """A GrsSpec of length at most 8 over GF(9), GF(25), GF(49) or GF(529)."""
+    f = draw(st.sampled_from(GRS_FIELDS))
+    n = draw(st.integers(1, 8))
+    points = draw(st.lists(st.integers(0, f.q2 - 1), min_size=n, max_size=n, unique=True))
+    mults = draw(st.lists(st.integers(1, f.q2 - 1), min_size=n, max_size=n))
+    return GrsSpec(field=f, points=tuple(points), multipliers=tuple(mults), k=draw(st.integers(1, n)))
+
+
 # -- properties ------------------------------------------------------------------
 
 
@@ -211,6 +224,15 @@ def test_hermitian_gram_matches_the_written_out_sum(m):
     gram = hermitian_gram(LinearCode(field=m.field, generator=m))
     assert (gram.rows, gram.cols) == (m.rows, m.rows)
     assert gram.data == naive_hermitian_gram(m.field, m.data)
+
+
+@PROPERTY
+@given(grs_specs())
+def test_hermitian_gram_entries_are_power_sums(spec):
+    # <g_i, g_j>_H = sum of N(v) a^(i + q j): power_sum is the independent side
+    q = spec.field.q
+    gram = hermitian_gram(grs_generator(spec))
+    assert gram.data == [[power_sum(spec, i + q * j) for j in range(spec.k)] for i in range(spec.k)]
 
 
 @PROPERTY

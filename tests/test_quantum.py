@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from qmds import grs, linalg
 from qmds.errors import (
     DimensionOutOfRange,
     NotDualContaining,
@@ -13,7 +16,9 @@ from qmds.errors import (
 )
 from qmds.gf import field_for_q
 from qmds.grs import (
+    GRS_FAMILIES,
     ConstructionParams,
+    GrsSpec,
     LinearCode,
     construct_family_A,
     construct_family_B,
@@ -21,6 +26,7 @@ from qmds.grs import (
     construct_full_field,
     grs_generator,
     hermitian_dual,
+    valid_parameter_sets,
 )
 from qmds.linalg import Matrix
 from qmds.quantum import (
@@ -64,9 +70,51 @@ def test_headline_saturating_codes():
 
 
 def test_mds_route_rejects_non_self_orthogonal():
-    dc = construct_full_field(field_for_q(3), 2)
-    with pytest.raises(NotSelfOrthogonal):
-        quantum_mds_from_self_orthogonal(dc)
+    f = field_for_q(3)
+    hand_built = LinearCode(field=f, generator=Matrix(f, [[1, 0, 0]], cols=3), claimed_distance_lb=3)
+    for code in (construct_full_field(f, 2), hand_built):
+        with pytest.raises(NotSelfOrthogonal):
+            quantum_mds_from_self_orthogonal(code)
+
+
+@pytest.mark.parametrize("family", sorted(GRS_FAMILIES))
+def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypatch):
+    ctor = GRS_FAMILIES[family][0]
+    params = valid_parameter_sets(family, 7)[-1]
+    grams, eliminated = [], []
+    gram, eliminate = grs.hermitian_gram, linalg._eliminate
+
+    def counting_gram(code):
+        grams.append(code)
+        return gram(code)
+
+    def counting_eliminate(m):
+        if m._echelon is None:
+            eliminated.append([list(row) for row in m.data])
+        return eliminate(m)
+
+    monkeypatch.setattr(grs, "hermitian_gram", counting_gram)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    code = grs_generator(ctor(params))
+    record = quantum_mds_from_self_orthogonal(code)
+    assert (record.n, record.k, record.d) == (code.n, code.n - 2 * code.k, code.k + 1)
+    assert len(grams) == 1
+    assert eliminated.count(code.generator.data) == 1
+    # the constructor's code and this one are distinct objects on one generator
+    (first,) = grams
+    assert first is not code and first.generator is code.generator
+    code.claimed_distance_lb = 1
+    code.provenance["note"] = "rewritten"
+    assert first.claimed_distance_lb == code.n - code.k + 1
+    assert "note" not in first.provenance
+
+
+def test_a_replaced_or_equal_spec_carries_no_verdict():
+    spec = construct_family_A(ConstructionParams(3, 1, 1, 3))
+    assert grs_generator(spec)._self_orthogonal is True
+    for other in (replace(spec), GrsSpec(spec.field, spec.points, spec.multipliers, spec.k)):
+        assert other == spec and hash(other) == hash(spec) and repr(other) == repr(spec)
+        assert grs_generator(other)._self_orthogonal is None
 
 
 def test_mds_route_requires_distance_certificate():
