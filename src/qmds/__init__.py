@@ -16,6 +16,7 @@ from .grs import (
     grs_generator,
     hermitian_dual,
     hermitian_gram,
+    is_self_orthogonal,
     valid_parameter_sets,
 )
 from .linalg import Matrix
@@ -41,7 +42,6 @@ from .verify import (
     is_mds,
     min_distance_at_least,
     min_distance_exact,
-    self_orthogonal_check,
 )
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "hermitian_dual",
     "hermitian_gram",
     "is_mds",
+    "is_self_orthogonal",
     "matrix_product",
     "min_distance_at_least",
     "min_distance_exact",
@@ -76,7 +77,6 @@ __all__ = [
     "mpc_dual",
     "pair_construction",
     "quantum_mds_from_self_orthogonal",
-    "self_orthogonal_check",
     "singleton_check",
     "table1",
     "theorem_mp7",

@@ -5,6 +5,9 @@ Code files are canonical JSON (sorted keys, two-space indent, trailing
 newline), so identical flags always produce byte-identical output.  The
 verify subcommand is claims-based: each check certifies what the file
 says about itself and reports "skipped" for properties it never claimed.
+This module only reads and writes: it parses flags, files and
+QMDS_MAX_ENUM, and leaves every check, and the choice of oracle behind
+it, to verify.run_checks.
 """
 
 from __future__ import annotations
@@ -15,19 +18,15 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import cache
-from math import comb
 
 from .errors import (
     BadDimension,
     CongruenceViolated,
-    EnumerationTooLarge,
     FieldTooLarge,
     FileMalformed,
     OutputUnwritable,
     QmdsError,
     VerificationFailure,
-    WorkBudgetExceeded,
 )
 from .gf import SIZE_CAP, Field, field_for_q
 from .grs import (
@@ -47,16 +46,7 @@ from .quantum import (
     singleton_check,
     table1,
 )
-from .verify import (
-    DEFAULT_ENUM_CAP,
-    CheckResult,
-    VerificationReport,
-    dual_containing_check,
-    enumeration_classes,
-    min_distance_at_least,
-    min_distance_exact,
-    self_orthogonal_check,
-)
+from .verify import CHECKS, DEFAULT_ENUM_CAP, CheckResult, VerificationReport, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -208,8 +198,7 @@ def _claims(orthogonality: str | None, code: LinearCode) -> dict:
 
 def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     """Construction-time re-check of the orthogonality claim, by the same
-    runner that verify uses for it."""
-    report = VerificationReport(target=provenance["construction"])
+    run_checks that verify uses for it."""
     claim = provenance["claims"]["orthogonality"]
     if claim is None:
         check = CheckResult(
@@ -219,10 +208,10 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
             detail="forced construction carries no orthogonality claim",
         )
     else:
-        runner = _check_gram if claim == "self-orthogonal" else _check_dual_containing
-        check = replace(runner(code, claim, None, None, None), detail="construction-time self-certification")
-    report.checks.append(check)
-    return report.to_dict()
+        name = "gram" if claim == "self-orthogonal" else "dual-containing"
+        [check] = run_checks(code, (name,), claim).checks
+        check = replace(check, detail="construction-time self-certification")
+    return VerificationReport(target=provenance["construction"], checks=[check]).to_dict()
 
 
 def _require(cond: bool, message: str) -> None:
@@ -243,144 +232,11 @@ def cmd_verify(args) -> int:
             cap = int(raw)
         except ValueError:
             raise BadDimension(f"QMDS_MAX_ENUM must be an integer, got {raw!r}") from None
-    report = run_checks(code, args.check, cap)
+    orthogonality = code.provenance.get("claims", {}).get("orthogonality")
+    names = CHECKS if args.check == "all" else (args.check,)
+    report = run_checks(code, names, orthogonality, cap)
     sys.stdout.write(canonical_json(report.to_dict()))
     return 0 if report.overall == "pass" else VerificationFailure.exit_code
-
-
-def run_checks(code: LinearCode, which: str, cap: int = DEFAULT_ENUM_CAP) -> VerificationReport:
-    orthogonality = code.provenance.get("claims", {}).get("orthogonality")
-    report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
-    names = ("gram", "dual-containing", "min-distance", "mds") if which == "all" else (which,)
-    # the distance and MDS checks share one run of each oracle; a refusal
-    # (EnumerationTooLarge, WorkBudgetExceeded) comes before any work and is
-    # not cached
-    exact = cache(lambda: min_distance_exact(code, cap=cap))
-    at_least = cache(lambda w: min_distance_at_least(code, w))
-    for name in names:
-        report.checks.append(_CHECK_RUNNERS[name](code, orthogonality, cap, exact, at_least))
-    return report
-
-
-def _check_gram(code, orthogonality, cap, exact, at_least) -> CheckResult:
-    if orthogonality != "self-orthogonal":
-        return CheckResult(
-            name="gram",
-            verdict="skipped",
-            method="hermitian gram matrix",
-            detail="file does not claim self-orthogonality",
-        )
-    ok = self_orthogonal_check(code)
-    return CheckResult(
-        name="gram",
-        verdict="pass" if ok else "fail",
-        method="hermitian gram matrix",
-        # the k^2 estimate code files have always carried, though
-        # hermitian_gram sums only the k(k + 1)/2 entries with i <= j
-        work_count=code.k * code.k,
-        detail="gram matrix is zero" if ok else "gram matrix has a nonzero entry",
-    )
-
-
-def _check_dual_containing(code, orthogonality, cap, exact, at_least) -> CheckResult:
-    if orthogonality != "dual-containing":
-        return CheckResult(
-            name="dual-containing",
-            verdict="skipped",
-            method="rank of stacked generators",
-            detail="file does not claim dual containment",
-        )
-    ok = dual_containing_check(code)
-    return CheckResult(
-        name="dual-containing",
-        verdict="pass" if ok else "fail",
-        method="rank of stacked generators",
-        work_count=code.n,
-        detail="hermitian dual is contained" if ok else "hermitian dual escapes the code",
-    )
-
-
-def _check_min_distance(code, orthogonality, cap, exact, at_least) -> CheckResult:
-    exact_claim = code.known_distance
-    floor = code.distance_claim
-    if floor is None:
-        return CheckResult(
-            name="min-distance",
-            verdict="skipped",
-            method="none",
-            detail="file carries no distance claim",
-        )
-    try:
-        d = exact()
-    except EnumerationTooLarge as too_large:
-        try:
-            # no nonzero word outweighs its length, so a claim past n + 1 is
-            # refuted outright; the floor oracle takes w - 1 <= n only
-            ok = floor <= code.n + 1 and at_least(floor)
-        except WorkBudgetExceeded as over:
-            return CheckResult(
-                name="min-distance",
-                verdict="skipped",
-                method="column-independence floor",
-                detail=f"{too_large}; {over}",
-            )
-        return CheckResult(
-            name="min-distance",
-            verdict="pass" if ok else "fail",
-            method="column-independence floor (EnumerationTooLarge for exact search)",
-            work_count=comb(code.n, floor - 1) if floor > 1 else 0,
-            detail=f"d >= {floor} {'certified' if ok else 'refuted'}; {too_large}",
-        )
-    if exact_claim is not None:
-        ok = d == exact_claim
-        detail = f"exact d = {d}, claimed d = {exact_claim}"
-    else:
-        ok = d >= floor
-        detail = f"exact d = {d}, claimed d >= {floor}"
-    return CheckResult(
-        name="min-distance",
-        verdict="pass" if ok else "fail",
-        method="exhaustive message enumeration",
-        work_count=enumeration_classes(code),
-        detail=detail,
-    )
-
-
-def _check_mds(code, orthogonality, cap, exact, at_least) -> CheckResult:
-    w = code.n - code.k + 1
-    if code.distance_claim != w:
-        return CheckResult(
-            name="mds",
-            verdict="skipped",
-            method="none",
-            detail="file does not claim an MDS distance",
-        )
-    enumerable = code.k and code.field.q2**code.k <= cap
-    try:
-        # Singleton pins d from above, so the floor alone settles d = w
-        ok = exact() == w if enumerable else at_least(w)
-    except WorkBudgetExceeded as over:
-        return CheckResult(
-            name="mds",
-            verdict="skipped",
-            method="column-independence floor",
-            detail=str(over),
-        )
-    return CheckResult(
-        name="mds",
-        verdict="pass" if ok else "fail",
-        method="exhaustive message enumeration" if enumerable else "column-independence floor",
-        work_count=enumeration_classes(code) if enumerable else comb(code.n, w - 1) if w > 1 else 0,
-        detail=f"d = n - k + 1 = {w}" if ok else f"d falls short of n - k + 1 = {w}",
-    )
-
-
-_CHECK_RUNNERS = {
-    "gram": _check_gram,
-    "dual-containing": _check_dual_containing,
-    "min-distance": _check_min_distance,
-    "mds": _check_mds,
-}
 
 
 # -- table ------------------------------------------------------------------------
@@ -478,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--check",
         required=True,
-        choices=["gram", "dual-containing", "min-distance", "mds", "all"],
+        choices=[*CHECKS, "all"],
     )
     v.add_argument("--max-enum", dest="max_enum", type=int, help="enumeration cap override")
     v.set_defaults(func=cmd_verify)

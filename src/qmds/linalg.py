@@ -61,7 +61,7 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, field: Field, data: list[list[int]], cols: int) -> "Matrix":
-        """A matrix on rows that linalg or grs computed from valid matrices:
+        """A matrix on rows that linalg, grs or mpc computed from valid matrices:
         every entry is already a field element and every row has cols
         entries, so nothing is copied or checked.  The rows become the
         matrix's own; the caller keeps no reference it could write through."""

@@ -81,7 +81,9 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     for arow, code in zip(mix.data, spec.codes):
         for grow in code.generator.data:
             rows.append([x for aij in arow for x in f.scale(aij, grow)])
-    gen = Matrix(f, rows, cols=mix.cols * m)
+    # every entry is a scaled entry of a valid generator, and MpcSpec gives
+    # every ingredient the one length m
+    gen = Matrix._trusted(f, rows, mix.cols * m)
     deltas = mixer_prefix_distances(mix)
     bound = min((c.distance_claim or 1) * de for c, de in zip(spec.codes, deltas))
     return LinearCode(
@@ -185,6 +187,11 @@ def ladder_shape(q: int, d: int, variant: int) -> tuple[int, int]:
     return n, n + 2 - d - (d + 1) // 2
 
 
+def ladder_ceiling(q: int, variant: int) -> int:
+    """The largest design distance the variant certifies at q."""
+    return q + LADDER_VARIANTS[variant][3]
+
+
 def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     """Dual-containing [2n', ...] code pairing a design-distance ceil(d/2)
     ingredient with a design-distance d one of the same length n'.
@@ -198,12 +205,12 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
         raise BadDimension(f"variant must be 1..6, got {variant}")
     if q < 3 or q % 2 == 0:
         raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
-    kind, parity, _, ceiling = LADDER_VARIANTS[variant]
+    parity = LADDER_VARIANTS[variant][1]
     if d % 2 != parity:
         raise ParityMismatch(f"variant {variant} needs {'even' if parity == 0 else 'odd'} d, got {d}")
     if d < 2:
         raise DistanceOutOfRange("design distance starts at 2")
-    dmax = q + ceiling
+    dmax = ladder_ceiling(q, variant)
     in_range = d <= dmax
     if not in_range and not force:
         raise DistanceOutOfRange(

@@ -16,9 +16,9 @@ from .errors import (
     NotSelfOrthogonal,
     VerificationFailure,
 )
-from .grs import LinearCode
-from .mpc import LADDER_VARIANTS, ladder_shape, mp6_ladder
-from .verify import dual_containing_check, self_orthogonal_check
+from .grs import LinearCode, is_self_orthogonal
+from .mpc import LADDER_VARIANTS, ladder_ceiling, ladder_shape, mp6_ladder
+from .verify import dual_containing_check
 
 
 @dataclass
@@ -82,7 +82,7 @@ def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> 
 def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
     """[[n, n - 2k, k + 1]]_q from a self-orthogonal MDS [n, k] code over
     GF(q^2); saturates the quantum Singleton bound identically."""
-    if not self_orthogonal_check(code):
+    if not is_self_orthogonal(code):
         raise NotSelfOrthogonal("ancestor is not Hermitian self-orthogonal")
     n, k = code.n, code.k
     mds_distance = n - k + 1
@@ -114,8 +114,8 @@ def mp7_shape(q: int, d: int, variant: int) -> tuple[int, int]:
 
 def mp7_in_range(q: int, d: int, variant: int) -> bool:
     """Whether (q, d) sits inside the variant's certified window."""
-    _, parity, _, ceiling = LADDER_VARIANTS[variant]
-    return d % 2 == parity and 2 <= d <= q + ceiling
+    parity = LADDER_VARIANTS[variant][1]
+    return d % 2 == parity and 2 <= d <= ladder_ceiling(q, variant)
 
 
 def theorem_mp7(q: int, d: int, variant: int, force: bool = False) -> QuantumParams:
@@ -156,7 +156,7 @@ def _formula_only(q: int, d: int, variant: int) -> QuantumParams:
     n, k = mp7_shape(q, d, variant)
     if k < 0:
         raise DimensionOutOfRange(f"variant {variant} at q={q}, d={d} has quantum dimension 2k - n = {k}")
-    dmax = q + LADDER_VARIANTS[variant][3]
+    dmax = ladder_ceiling(q, variant)
     return QuantumParams(
         q=q,
         n=n,

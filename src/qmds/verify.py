@@ -3,12 +3,19 @@ floors by column independence, MDS certification, and the two Hermitian
 duality checks.  Everything here recomputes from the generator matrix and
 never trusts a claim recorded on the code object.  The two duality verdicts
 are kept on the object once decided; a freshly loaded code decides them
-again."""
+again.
+
+run_checks is the one place a file's claims become check results, for
+`qmds verify` and for the certificate `qmds construct` writes.  Its distance
+and MDS checks take one route, which is_mds takes too: enumerate when the
+q^(2k) messages fit the cap, else test the column floor, else report the
+check skipped."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from math import comb
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
@@ -196,25 +203,15 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
     return all(map(any, vectors)) and (s == 1 or walk(vectors, s))
 
 
-def is_mds(
-    code: LinearCode,
-    cap: int = DEFAULT_ENUM_CAP,
-    budget: int = DEFAULT_WORK_BUDGET,
-) -> bool:
-    """Certified d = n - k + 1.  Uses full enumeration when it fits the cap,
-    otherwise the column-independence floor (Singleton pins d from above,
-    so the floor alone settles it).  Budget overruns propagate."""
-    w = code.n - code.k + 1
-    if code.k and code.field.q2**code.k <= cap:
-        return min_distance_exact(code, cap=cap) == w
-    return min_distance_at_least(code, w, budget=budget)
-
-
-def self_orthogonal_check(code: LinearCode) -> bool:
-    """Hermitian Gram matrix identically zero.  The verdict is kept on the
-    code object, and a GRS code built again from a constructor's spec
-    carries the verdict of the constructor's Gram gate."""
-    return is_self_orthogonal(code)
+def is_mds(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    """Certified d = n - k + 1, by the route the verify checks take: full
+    enumeration when it fits the cap, otherwise the column-independence
+    floor (Singleton pins d from above, so the floor alone settles it).
+    Budget overruns propagate."""
+    _, ok, _, refusals = _distance_route(code, code.n - code.k + 1, cap)
+    if ok is None:
+        raise refusals[-1]
+    return ok
 
 
 def dual_containing_check(code: LinearCode) -> bool:
@@ -224,3 +221,102 @@ def dual_containing_check(code: LinearCode) -> bool:
         g = code.generator  # the kernel of its conjugate spans the Hermitian dual
         code._dual_containing = row_space_contains(g, nullspace(entrywise_frobenius(g)))
     return code._dual_containing
+
+
+# -- claims checking --------------------------------------------------------------
+
+CHECKS = ("gram", "dual-containing", "min-distance", "mds")
+_ENUMERATION = "exhaustive message enumeration"
+
+# what one check found: (ok, method, work_count, detail), ok None when skipped
+_Outcome = tuple[bool | None, str, int, str]
+
+
+def run_checks(
+    code: LinearCode, names: tuple[str, ...], orthogonality: str | None, cap: int = DEFAULT_ENUM_CAP
+) -> VerificationReport:
+    """Run the named checks (from CHECKS) against what the code's file
+    claims: its orthogonality, and the distance claim on the code object.
+    A check whose property is not claimed reports skipped.  The distance and
+    MDS checks share one run of _distance_route, so a code is enumerated,
+    or floor-checked, at most once."""
+    report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
+    route = cache(lambda: _distance_route(code, code.distance_claim, cap))
+    for name in names:
+        if name == "gram":
+            ok, method, work_count, detail = _gram(code, orthogonality == "self-orthogonal")
+        elif name == "dual-containing":
+            ok, method, work_count, detail = _dual_containing(code, orthogonality == "dual-containing")
+        elif name == "min-distance":
+            ok, method, work_count, detail = _min_distance(code, route)
+        else:
+            ok, method, work_count, detail = _mds(code, route)
+        verdict = "skipped" if ok is None else "pass" if ok else "fail"
+        report.checks.append(CheckResult(name, verdict, method, work_count, detail))
+    return report
+
+
+def _gram(code: LinearCode, claimed: bool) -> _Outcome:
+    method = "hermitian gram matrix"
+    if not claimed:
+        return None, method, 0, "file does not claim self-orthogonality"
+    ok = is_self_orthogonal(code)
+    # the k^2 estimate code files have always carried, though
+    # hermitian_gram sums only the k(k + 1)/2 entries with i <= j
+    return ok, method, code.k * code.k, "gram matrix is zero" if ok else "gram matrix has a nonzero entry"
+
+
+def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
+    method = "rank of stacked generators"
+    if not claimed:
+        return None, method, 0, "file does not claim dual containment"
+    ok = dual_containing_check(code)
+    return ok, method, code.n, "hermitian dual is contained" if ok else "hermitian dual escapes the code"
+
+
+def _distance_route(code: LinearCode, w: int, cap: int) -> tuple[int | None, bool | None, int, list]:
+    """The one choice of distance oracle for a claim d >= w, as (d, ok,
+    work_count, refusals).  When the q^(2k) messages fit the cap, d is the
+    enumerated distance and refusals is empty.  Otherwise d is None, the
+    column floor decides ok, and refusals holds the EnumerationTooLarge;
+    when the floor is over its work budget too, ok is None and the
+    WorkBudgetExceeded follows in refusals.  The zero code raises
+    BadDimension."""
+    try:
+        d = min_distance_exact(code, cap=cap)
+    except EnumerationTooLarge as too_large:
+        try:
+            # no nonzero word outweighs its length, so a claim past n + 1 is
+            # refuted outright; the floor oracle takes w - 1 <= n only
+            ok = w <= code.n + 1 and min_distance_at_least(code, w)
+        except WorkBudgetExceeded as over:
+            return None, None, 0, [too_large, over]
+        return None, ok, comb(code.n, w - 1) if w > 1 else 0, [too_large]
+    return d, d >= w, enumeration_classes(code), []
+
+
+def _min_distance(code: LinearCode, route) -> _Outcome:
+    floor, exact_claim = code.distance_claim, code.known_distance
+    if floor is None:
+        return None, "none", 0, "file carries no distance claim"
+    d, ok, work_count, refusals = route()
+    if ok is None:
+        return None, "column-independence floor", 0, "; ".join(map(str, refusals))
+    if d is None:
+        method = "column-independence floor (EnumerationTooLarge for exact search)"
+        return ok, method, work_count, f"d >= {floor} {'certified' if ok else 'refuted'}; {refusals[0]}"
+    if exact_claim is not None:
+        return d == exact_claim, _ENUMERATION, work_count, f"exact d = {d}, claimed d = {exact_claim}"
+    return ok, _ENUMERATION, work_count, f"exact d = {d}, claimed d >= {floor}"
+
+
+def _mds(code: LinearCode, route) -> _Outcome:
+    w = code.n - code.k + 1
+    if code.distance_claim != w:
+        return None, "none", 0, "file does not claim an MDS distance"
+    # Singleton pins d <= w from above, so d >= w settles d = w
+    d, ok, work_count, refusals = route()
+    if ok is None:
+        return None, "column-independence floor", 0, str(refusals[-1])
+    method = _ENUMERATION if d is not None else "column-independence floor"
+    return ok, method, work_count, f"d = n - k + 1 = {w}" if ok else f"d falls short of n - k + 1 = {w}"

@@ -9,6 +9,7 @@ import pytest
 
 import qmds.verify
 from qmds.cli import main
+from qmds.gf import field_for_q
 from qmds.grs import valid_parameter_sets
 from qmds.quantum import theorem_mp7
 
@@ -434,3 +435,57 @@ def test_distance_claim_beyond_length_fails(tmp_path, capsys, cap):
     assert rc == 3, err
     check = json.loads(out)["checks"][0]
     assert check["verdict"] == "fail"
+
+
+def test_zero_code_gets_one_answer_from_every_distance_check(tmp_path, capsys):
+    # a [8, 0] code claiming d >= 9 = n - k + 1: the min-distance and mds
+    # checks both take the enumerator, which refuses the zero code
+    f = field_for_q(3)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "field": {"p": f.p, "t": f.t, "modulus": list(f.modulus)},
+        "code": {"n": 8, "k": 0, "generator": []},
+        "provenance": {"claims": {"claimed_distance_lb": 9}},
+    }))
+    errors = []
+    for check in ("min-distance", "mds", "all"):
+        rc, out, err = run_cli(["verify", "--in", str(path), "--check", check], capsys)
+        assert rc == 2 and out == "", check
+        errors.append(json.loads(err))
+    assert errors[0]["error"] == "BadDimension"
+    assert errors == [errors[0]] * 3
+
+
+@pytest.mark.parametrize(
+    "flags, cap, enumerations, floors",
+    [
+        (["--family", "grs-a", "--q", "3", "--a", "1", "--d", "3"], [], 1, []),
+        (["--family", "grs-a", "--q", "3", "--a", "1", "--d", "3"], ["--max-enum", "10"], 0, [7]),
+        (["--family", "mp7", "--q", "5", "--d", "4", "--variant", "1"], [], 0, [4]),
+    ],
+)
+def test_verify_all_runs_each_distance_oracle_once(
+    tmp_path, capsys, monkeypatch, flags, cap, enumerations, floors
+):
+    # the [8, 2] grs-a file claims d = 7 = n - k + 1, so both distance checks
+    # need its distance; the [52, 48] mp7 file claims d >= 4 and no MDS
+    path = construct(tmp_path, capsys, "c.json", *flags)
+    walks, floor_ws = [], []
+    real_walk, real_floor = qmds.verify._min_weight, qmds.verify.min_distance_at_least
+
+    def counting_walk(f, rows):
+        walks.append(len(rows))
+        return real_walk(f, rows)
+
+    def counting_floor(code, w, *args, **kwargs):
+        floor_ws.append(w)
+        return real_floor(code, w, *args, **kwargs)
+
+    monkeypatch.setattr(qmds.verify, "_min_weight", counting_walk)
+    monkeypatch.setattr(qmds.verify, "min_distance_at_least", counting_floor)
+    rc, out, _ = run_cli(["verify", "--in", str(path), "--check", "all", *cap], capsys)
+    assert rc == 0
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert verdicts["min-distance"] == "pass"
+    assert (len(walks), floor_ws) == (enumerations, floors)

@@ -1,11 +1,13 @@
-"""Layering: only qmds.gf reads the tables of a Field, and importing the
-command-line front end loads no process pool.
+"""Layering: only qmds.gf reads the tables of a Field, the command-line
+front end chooses no oracle, and importing it loads no process pool.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
 table and Zech logarithms is made in one place.  The private attributes of
 a live Field are the tables, so a table added later is covered without
-editing this test.
+editing this test.  Likewise qmds.verify.run_checks alone turns a claim
+into a check result, so the CLI imports none of the oracles or the
+refusals that steer the choice between them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,29 @@ def test_only_gf_reads_field_tables():
         if isinstance(node, ast.Attribute) and node.attr in TABLES
     ]
     assert not reads, reads
+
+
+ORACLES = {
+    "min_distance_exact",
+    "min_distance_at_least",
+    "enumeration_classes",
+    "dual_containing_check",
+    "is_self_orthogonal",
+    "EnumerationTooLarge",
+    "WorkBudgetExceeded",
+}
+
+
+def test_cli_imports_no_oracle():
+    path = PACKAGE / "cli.py"
+    imported = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.rsplit(".", 1)[-1] in ORACLES
+    ]
+    assert not imported, imported
 
 
 def test_cli_import_loads_no_process_pool():

@@ -19,6 +19,7 @@ from qmds.grs import (
     full_field_spec,
     grs_generator,
     hermitian_dual,
+    is_self_orthogonal,
 )
 from qmds.linalg import Matrix, rank
 from qmds.verify import (
@@ -29,7 +30,6 @@ from qmds.verify import (
     is_mds,
     min_distance_at_least,
     min_distance_exact,
-    self_orthogonal_check,
 )
 
 
@@ -175,11 +175,11 @@ def test_is_mds_on_duals():
 def test_hermitian_checks():
     f = field_for_q(3)
     so = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
-    assert self_orthogonal_check(so)
+    assert is_self_orthogonal(so)
     assert not dual_containing_check(so)  # k=2 < n/2
     dc = construct_full_field(f, 2)
     assert dual_containing_check(dc)
-    assert not self_orthogonal_check(dc)
+    assert not is_self_orthogonal(dc)
 
 
 def test_duality_consistency():
@@ -190,7 +190,7 @@ def test_duality_consistency():
         construct_full_field(field_for_q(3), 2),
     ]
     for code in cases:
-        assert self_orthogonal_check(code) == dual_containing_check(hermitian_dual(code))
+        assert is_self_orthogonal(code) == dual_containing_check(hermitian_dual(code))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -205,7 +205,7 @@ def test_gram_gate_equals_the_ladder_ingredient_verdict(q):
         verdicts = set()
         for k in range(1, 2 * q + 1):
             code = grs_generator(spec_of(f, k))
-            gram = self_orthogonal_check(code)
+            gram = is_self_orthogonal(code)
             assert gram == dual_containing_check(hermitian_dual(code)), (q, k)
             verdicts.add(gram)
         assert verdicts == {True, False}

@@ -17,6 +17,11 @@ subsets that extend it; over GF(529) (Zech sums) and GF(9) (add table) it
 is compared with testing every subset on its own with the earlier
 basis-building version, which works element by element through the
 field's methods.
+
+`run_checks` reaches both oracles by one route: enumerate when q^(2k) fits
+the cap, else test the column floor.  With caps on both sides of q^(2k),
+its min-distance and mds verdicts on random distance claims, and `is_mds`,
+must agree with the naive distance over GF(4), GF(9) and GF(25).
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ from qmds.gf import field_new
 from qmds.grs import LinearCode
 from qmds.linalg import Matrix, rank
 from qmds.mpc import mixer_prefix_distances
-from qmds.verify import _subsets_independent, min_distance_at_least, min_distance_exact
+from qmds.verify import (
+    _subsets_independent,
+    is_mds,
+    min_distance_at_least,
+    min_distance_exact,
+    run_checks,
+)
 
 from test_verify import naive_min_distance
 
@@ -155,3 +166,38 @@ def test_independent_matches_basis_building_oracle(inputs):
     )
     assert _subsets_independent(f, vectors, s) == expected
     assert vectors == before  # columns are copied before they are reduced
+
+
+@st.composite
+def claimed_codes(draw):
+    """A code over GF(4), GF(9) or GF(25) with a known or lower-bound
+    distance claim, often the MDS one n - k + 1 and sometimes past n + 1,
+    and a cap that admits its q^(2k) messages or falls one short."""
+    code = draw(codes(SMALL_FIELDS[:3]))
+    claim = draw(st.one_of(st.just(code.n - code.k + 1), st.integers(0, code.n + 2)))
+    if draw(st.booleans()):
+        code.known_distance = claim
+    else:
+        code.claimed_distance_lb = claim
+    cap = code.field.q2**code.k - draw(st.sampled_from([0, 1]))
+    return code, cap
+
+
+@PROPERTY
+@given(claimed_codes())
+def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
+    code, cap = inputs
+    d = naive_min_distance(code.field, code.generator)
+    claim, w = code.distance_claim, code.n - code.k + 1
+    enumerated = cap >= code.field.q2**code.k
+    distance, mds = run_checks(code, ("min-distance", "mds"), None, cap).checks
+    # past the cap only d >= claim is certified, even for an exact claim
+    holds = d == claim if enumerated and code.known_distance is not None else d >= claim
+    assert distance.verdict == ("pass" if holds else "fail"), (d, claim)
+    assert distance.method.startswith("exhaustive") == enumerated
+    if claim == w:
+        assert mds.verdict == ("pass" if d == w else "fail")
+        assert mds.method.startswith("exhaustive") == enumerated
+    else:
+        assert mds.verdict == "skipped"
+    assert is_mds(code, cap) == (d == w)
