@@ -102,8 +102,8 @@ def load_code_file(path: str) -> LinearCode:
             raise FileMalformed(f"unknown orthogonality claim {claims['orthogonality']!r}")
         code.provenance = provenance
         known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
-        code.known_distance = None if known is None else _integer(known)
-        code.claimed_distance_lb = None if lb is None else _integer(lb)
+        code.known_distance = None if known is None else _distance(known)
+        code.claimed_distance_lb = None if lb is None else _distance(lb)
     except FileMalformed:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -117,6 +117,14 @@ def _integer(x) -> int:
     """A JSON integer as is; int() would round 1.5, parse "3" and read true as 1."""
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _distance(x) -> int:
+    """A distance claim: a JSON integer of at least 1, the least weight a
+    nonzero word can have; a lower claim says nothing and would always pass."""
+    if _integer(x) < 1:
+        raise FileMalformed(f"distance claim {x} is below 1")
     return x
 
 

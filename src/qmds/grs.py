@@ -8,7 +8,7 @@ certificate.
 
 Each fact is decided once.  A GrsSpec keeps the first code grs_generator
 built from it, and later calls hand out fresh codes on that code's
-generator, whose echelon form is then already known.  is_self_orthogonal
+generator, whose full row rank is then already certified.  is_self_orthogonal
 keeps its Gram verdict on the code object, and grs_generator passes the
 first code's verdict on to the later ones, so a constructor's Gram gate
 also answers the quantum check on the code built from its spec.  The Gram

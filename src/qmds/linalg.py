@@ -11,7 +11,14 @@ field is read here.
 
 Each matrix is eliminated at most once: its reduced row echelon form is
 kept on the instance, and rank, kernel, containment and row equivalence
-are all read off that one result.
+are all read off that one result.  Full row rank may instead be proved
+without eliminating: on a matrix not yet eliminated with 0 < 2 rows <= cols,
+rank first eliminates a copy of the leading rows x rows block alone, and a
+nonsingular block certifies rank = rows.  That shape is the one of a
+Hermitian self-orthogonal generator (2k <= n), which nothing downstream
+eliminates; a dual-containing generator (2k >= n) is eliminated in full
+anyway, so it never pays for the block first.  The verdict is kept on the
+instance too, and the block's form is never stored as the echelon form.
 """
 
 from __future__ import annotations
@@ -32,14 +39,16 @@ class Matrix:
     Zero-row matrices are legal (kernels of injective maps, generators of
     zero-dimensional codes) and carry an explicit column count.  The
     reduced row echelon form is computed from data on first use and kept
-    in _echelon; it is never serialized.
+    in _echelon, and a full row rank proved on the leading minor is kept in
+    _full_rank; neither is ever serialized.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_echelon")
+    __slots__ = ("field", "rows", "cols", "data", "_echelon", "_full_rank")
 
     def __init__(self, field: Field, data: list[list[int]], cols: int | None = None):
         self.field = field
         self._echelon: tuple[list[list[int]], list[int]] | None = None
+        self._full_rank: bool | None = None
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
         if self.rows:
@@ -66,7 +75,8 @@ class Matrix:
         entries, so nothing is copied or checked.  The rows become the
         matrix's own; the caller keeps no reference it could write through."""
         m = cls.__new__(cls)
-        m.field, m.data, m.rows, m.cols, m._echelon = field, data, len(data), cols, None
+        m.field, m.data, m.rows, m.cols = field, data, len(data), cols
+        m._echelon = m._full_rank = None
         return m
 
     @classmethod
@@ -151,7 +161,30 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
+    """The row rank.  A matrix not yet eliminated with 0 < 2 rows <= cols is
+    first tried on its leading minor, once per matrix; only when that minor
+    is singular is the matrix eliminated in full."""
+    if m._full_rank is None and m._echelon is None and 0 < 2 * m.rows <= m.cols:
+        m._full_rank = _leading_minor_nonsingular(m)
+    if m._full_rank:
+        return m.rows
     return len(_eliminate(m)[1])
+
+
+def _leading_minor_nonsingular(m: Matrix) -> bool:
+    """Whether the leading rows x rows block is nonsingular, by forward
+    elimination of a copy of that block alone."""
+    k = m.rows
+    rows = [row[:k] for row in m.data]
+    for c in range(k):
+        pivot_row = next((i for i in range(c, k) if rows[i][c]), None)
+        if pivot_row is None:
+            return False
+        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        # clear_column folds the pivot in itself, so the pivot row is not
+        # normalized; only the rows below it are reduced
+        m.field.clear_column(rows[c:], rows[c], c)
+    return True
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -186,15 +219,15 @@ def entrywise_frobenius(m: Matrix) -> Matrix:
 
     Conjugation is a field automorphism: it keeps every zero where it is
     and every unit pivot at 1, so applied to m's echelon form it yields,
-    step for step, the echelon form of the result.  When m has been
-    eliminated, that form is carried over and the result is never
-    eliminated itself.
+    step for step, the echelon form of the result.  So m is eliminated
+    (once, as ever) and its form carried over, and the result is never
+    eliminated itself: a caller taking the kernel of the conjugate and then
+    reading m's own echelon form pays for one elimination, not two.
     """
     f = m.field
+    rows, pivots = _eliminate(m)
     out = Matrix._trusted(f, [f.conjugate(row) for row in m.data], m.cols)
-    if m._echelon is not None:
-        rows, pivots = m._echelon
-        out._echelon = ([f.conjugate(row) for row in rows], pivots)
+    out._echelon = ([f.conjugate(row) for row in rows], pivots)
     return out
 
 

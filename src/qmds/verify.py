@@ -241,7 +241,7 @@ def run_checks(
     MDS checks share one run of _distance_route, so a code is enumerated,
     or floor-checked, at most once."""
     report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
-    route = cache(lambda: _distance_route(code, code.distance_claim, cap))
+    route = cache(lambda: _distance_route(code, code.distance_claim, cap, code.known_distance is not None))
     for name in names:
         if name == "gram":
             ok, method, work_count, detail = _gram(code, orthogonality == "self-orthogonal")
@@ -274,40 +274,52 @@ def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
     return ok, method, code.n, "hermitian dual is contained" if ok else "hermitian dual escapes the code"
 
 
-def _distance_route(code: LinearCode, w: int, cap: int) -> tuple[int | None, bool | None, int, list]:
-    """The one choice of distance oracle for a claim d >= w, as (d, ok,
-    work_count, refusals).  When the q^(2k) messages fit the cap, d is the
-    enumerated distance and refusals is empty.  Otherwise d is None, the
-    column floor decides ok, and refusals holds the EnumerationTooLarge;
-    when the floor is over its work budget too, ok is None and the
-    WorkBudgetExceeded follows in refusals.  The zero code raises
+def _distance_route(
+    code: LinearCode, w: int, cap: int, exact: bool = False
+) -> tuple[int | None, bool | None, int, list]:
+    """The one choice of distance oracle for a claim d >= w, or d = w when
+    exact, as (d, ok, work_count, refusals).  When the q^(2k) messages fit
+    the cap, d is the enumerated distance and refusals is empty.  Otherwise
+    d is None, the column floor decides ok, and refusals holds the
+    EnumerationTooLarge.  An exact claim takes two floor tests, d >= w and
+    d >= w + 1, and holds when the first passes and the second fails; a test
+    that refutes the claim decides it even when the other is over its work
+    budget.  When no test refutes it and one is over budget, ok is None and
+    each WorkBudgetExceeded follows in refusals.  The zero code raises
     BadDimension."""
     try:
         d = min_distance_exact(code, cap=cap)
     except EnumerationTooLarge as too_large:
-        try:
-            # no nonzero word outweighs its length, so a claim past n + 1 is
-            # refuted outright; the floor oracle takes w - 1 <= n only
-            ok = w <= code.n + 1 and min_distance_at_least(code, w)
-        except WorkBudgetExceeded as over:
-            return None, None, 0, [too_large, over]
-        return None, ok, comb(code.n, w - 1) if w > 1 else 0, [too_large]
-    return d, d >= w, enumeration_classes(code), []
+        refusals, work_count = [too_large], 0
+        for b in (w, w + 1) if exact else (w,):
+            try:
+                # no nonzero word outweighs its length, so a claim past n + 1
+                # is refuted outright; the floor oracle takes b - 1 <= n only
+                holds = b <= code.n + 1 and min_distance_at_least(code, b)
+            except WorkBudgetExceeded as over:
+                refusals.append(over)
+                continue
+            work_count += comb(code.n, b - 1) if b > 1 else 0
+            if holds != (b == w):  # d < w, or an exact claim with d > w
+                return None, False, work_count, refusals[:1]
+        if len(refusals) > 1:
+            return None, None, 0, refusals
+        return None, True, work_count, refusals
+    return d, d == w if exact else d >= w, enumeration_classes(code), []
 
 
 def _min_distance(code: LinearCode, route) -> _Outcome:
-    floor, exact_claim = code.distance_claim, code.known_distance
-    if floor is None:
+    w = code.distance_claim
+    if w is None:
         return None, "none", 0, "file carries no distance claim"
+    claim = f"d >= {w}" if code.known_distance is None else f"d = {w}"
     d, ok, work_count, refusals = route()
     if ok is None:
         return None, "column-independence floor", 0, "; ".join(map(str, refusals))
     if d is None:
         method = "column-independence floor (EnumerationTooLarge for exact search)"
-        return ok, method, work_count, f"d >= {floor} {'certified' if ok else 'refuted'}; {refusals[0]}"
-    if exact_claim is not None:
-        return d == exact_claim, _ENUMERATION, work_count, f"exact d = {d}, claimed d = {exact_claim}"
-    return ok, _ENUMERATION, work_count, f"exact d = {d}, claimed d >= {floor}"
+        return ok, method, work_count, f"{claim} {'certified' if ok else 'refuted'}; {refusals[0]}"
+    return ok, _ENUMERATION, work_count, f"exact d = {d}, claimed {claim}"
 
 
 def _mds(code: LinearCode, route) -> _Outcome:

@@ -154,10 +154,11 @@ def test_malformed_files_exit_4(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)[0] == 4
 
-    # a distance claim is null or a JSON integer: true is not the integer 1,
-    # and 7.5 or "7" must not be dropped as if the file claimed nothing
+    # a distance claim is null or a JSON integer of at least 1: true is not
+    # the integer 1, 7.5 or "7" must not be dropped as if the file claimed
+    # nothing, and a claim of 0 or -3 no code could fail
     for claim in ("known_distance", "claimed_distance_lb"):
-        for value in (True, 7.5, "7"):
+        for value in (True, 7.5, "7", 0, -3):
             payload = json.loads(good.read_text())
             payload["provenance"]["claims"][claim] = value
             bad.write_text(json.dumps(payload))
@@ -435,6 +436,75 @@ def test_distance_claim_beyond_length_fails(tmp_path, capsys, cap):
     assert rc == 3, err
     check = json.loads(out)["checks"][0]
     assert check["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-enum", "10"]])
+@pytest.mark.parametrize("known, verdict", [(2, "fail"), (6, "fail"), (7, "pass"), (8, "fail")])
+def test_exact_distance_claim_does_not_depend_on_the_cap(tmp_path, capsys, cap, known, verdict):
+    # [8, 2] code with d = 7; under a cap of 10 its 81 messages are not
+    # enumerated, and the floor must pin d from both sides: d >= w holds
+    # and d >= w + 1 fails
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(path.read_text())
+    payload["provenance"]["claims"]["known_distance"] = known
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["verify", "--in", str(path), "--check", "min-distance", *cap], capsys)
+    assert rc == (0 if verdict == "pass" else 3), err
+    (check,) = json.loads(out)["checks"]
+    assert check["verdict"] == verdict
+    assert ("floor" in check["method"]) == bool(cap)
+
+
+def test_exact_distance_claim_over_the_floor_budget_is_skipped(tmp_path, capsys):
+    # [48, 4] over GF(49), d = 45: both floor tests of the exact claim 44 are
+    # over the work budget, as is the lower one of 45; d >= 46 fails by
+    # Singleton at no cost, which refutes the claim 46 outright
+    path = construct(tmp_path, capsys, "big.json", "--family", "grs-a", "--q", "7", "--a", "1", "--d", "5")
+    for known, verdict in ((44, "skipped"), (45, "skipped"), (46, "fail")):
+        payload = json.loads(path.read_text())
+        payload["provenance"]["claims"]["known_distance"] = known
+        edited = tmp_path / f"known{known}.json"
+        edited.write_text(json.dumps(payload))
+        rc, out, _ = run_cli(["verify", "--in", str(edited), "--check", "min-distance"], capsys)
+        (check,) = json.loads(out)["checks"]
+        assert (rc, check["verdict"]) == (3 if verdict == "fail" else 0, verdict), known
+        if verdict == "skipped":
+            assert "exceeds the budget" in check["detail"]
+
+
+def write_code_file(path, f, generator, **claims):
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "field": {"p": f.p, "t": f.t, "modulus": list(f.modulus)},
+        "code": {"n": len(generator[0]), "k": len(generator), "generator": generator},
+        "provenance": {"claims": {"orthogonality": "self-orthogonal", **claims}},
+    }))
+
+
+def test_a_singular_leading_minor_changes_no_verdict(tmp_path, capsys):
+    # two disjoint all-ones blocks span a Hermitian self-orthogonal [6, 2, 3]
+    # code over GF(9), since 1 + 1 + 1 = 0; the column order (0, 1, 3, 2, 4, 5)
+    # makes the leading 2 x 2 minor singular, so rank falls back to a full
+    # elimination, and every verdict must stay what the block order gives
+    f = field_for_q(3)
+    plain, permuted = tmp_path / "plain.json", tmp_path / "permuted.json"
+    write_code_file(plain, f, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], claimed_distance_lb=3)
+    write_code_file(permuted, f, [[1, 1, 0, 1, 0, 0], [0, 0, 1, 0, 1, 1]], claimed_distance_lb=3)
+    for cap in ([], ["--max-enum", "10"]):
+        reports = []
+        for path in (plain, permuted):
+            rc, out, err = run_cli(["verify", "--in", str(path), "--check", "all", *cap], capsys)
+            assert rc == 0, err
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+        verdicts = {c["name"]: c["verdict"] for c in reports[0]["checks"]}
+        assert verdicts == {"gram": "pass", "dual-containing": "skipped", "min-distance": "pass", "mds": "skipped"}
+
+    # dependent rows leave every minor singular, and the file is refused
+    write_code_file(permuted, f, [[1, 1, 0, 1, 0, 0], [2, 2, 0, 2, 0, 0]], claimed_distance_lb=3)
+    rc, out, err = run_cli(["verify", "--in", str(permuted), "--check", "all"], capsys)
+    assert (rc, out) == (4, "")
+    assert json.loads(err)["error"] == "FileMalformed"
 
 
 def test_zero_code_gets_one_answer_from_every_distance_check(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qmds import errors
+from qmds import errors, linalg
 from qmds.gf import field_new
 from qmds.linalg import (
     Matrix,
@@ -17,6 +17,7 @@ from qmds.linalg import (
     nullspace,
     rank,
     row_equivalent,
+    row_space_contains,
     rref,
     stack,
     subfield_nullvector,
@@ -118,6 +119,26 @@ def test_rref_is_idempotent_and_pivots_sorted():
         assert piv == sorted(piv)
         r2, piv2 = rref(r)
         assert r2 == r and piv2 == piv
+
+
+def test_a_wide_matrix_and_its_conjugate_share_one_elimination(monkeypatch):
+    # rank proves full row rank of a wide matrix on its leading minor, so the
+    # kernel of its conjugate then needs an elimination; taking it through
+    # entrywise_frobenius eliminates the matrix itself and carries the form
+    # across, so containment against it reads that one form
+    f = field_new(5)
+    g = Matrix(f, [[f.pow(f.exp(i), j) for i in range(8)] for j in range(3)], cols=8)
+    filled, eliminate = [], linalg._eliminate
+
+    def counting(m):
+        if m._echelon is None:
+            filled.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert rank(g) == 3 and filled == []
+    row_space_contains(g, nullspace(entrywise_frobenius(g)))
+    assert filled == [g]
 
 
 def test_entrywise_frobenius_fixes_subfield_matrices():

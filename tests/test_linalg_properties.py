@@ -5,7 +5,9 @@ The elimination oracle is plain Gauss-Jordan elimination through the
 field's method calls (add, mul, neg, inv), with no cache and no table
 lookups.  Every question linalg answers from its cached echelon form (rank,
 kernel, inverse, row equivalence, containment) is recomputed here from the
-oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529).
+oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529);
+so is the rank that rank proves on a wide matrix's leading minor, with
+full-rank matrices whose leading minor is singular among the inputs.
 GF(529) is above the add-table size, so it covers addition through Zech
 logarithms.  Products and Hermitian Gram matrices, which both run through
 mat_vec, are checked against written-out sums, and the Gram matrices of
@@ -166,6 +168,21 @@ def matrices(draw, field=None, rows=None, cols=None, max_dim=6):
 
 
 @st.composite
+def window_matrices(draw):
+    """A matrix of up to 5 rows, wide (2 rows <= cols) half the time.  Half
+    the wide draws of 2 rows or more put a leading block of rank below rows
+    beside random columns: full rank as a rule, on a singular leading minor."""
+    f = draw(st.sampled_from(FIELDS))
+    r = draw(st.integers(0, 5))
+    c = draw(st.integers(max(1, 2 * r), 12) if draw(st.booleans()) else st.integers(1, 6))
+    if r > 1 and 2 * r <= c and draw(st.booleans()):
+        lead = matmul(draw(matrices(field=f, rows=r, cols=r - 1)), draw(matrices(field=f, rows=r - 1, cols=r)))
+        rest = draw(matrices(field=f, rows=r, cols=c - r))
+        return Matrix(f, [a + b for a, b in zip(lead.data, rest.data)], cols=c)
+    return draw(matrices(field=f, rows=r, cols=c))
+
+
+@st.composite
 def matrix_pairs(draw):
     """(a, b) of the same shape; b is often a row recombination of a."""
     a = draw(matrices())
@@ -280,6 +297,21 @@ def test_cached_second_call_repeats_the_first(m):
     second = (rank(m), nullspace(m).data, rref(m)[0].data, list(rref(m)[1]))
     assert first == second
     assert _eliminate(m) == naive_eliminate(m.field, m.data, m.cols)
+
+
+@PROPERTY
+@given(window_matrices())
+def test_rank_on_the_leading_minor_matches_full_elimination(m):
+    full = _eliminate(Matrix(m.field, m.data, cols=m.cols))
+    assert rank(m) == len(full[1]) == naive_rank(m)
+    # a proved leading minor is never kept as the echelon form; a singular
+    # one leaves the full form behind
+    assert m._echelon is None or m._echelon == full
+    if 0 < 2 * m.rows <= m.cols and len(full[1]) < m.rows:
+        assert m._echelon == full
+    assert rank(m) == len(full[1])
+    assert nullspace(m).data == naive_nullspace(m)
+    assert rref(m)[0].data == full[0]
 
 
 @PROPERTY

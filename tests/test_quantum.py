@@ -14,7 +14,7 @@ from qmds.errors import (
     NotSelfOrthogonal,
     VerificationFailure,
 )
-from qmds.gf import field_for_q
+from qmds.gf import Field, field_for_q
 from qmds.grs import (
     GRS_FAMILIES,
     ConstructionParams,
@@ -99,7 +99,9 @@ def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypa
     record = quantum_mds_from_self_orthogonal(code)
     assert (record.n, record.k, record.d) == (code.n, code.n - 2 * code.k, code.k + 1)
     assert len(grams) == 1
-    assert eliminated.count(code.generator.data) == 1
+    # full row rank is proved on the leading minor, so the generator is
+    # never eliminated on this path
+    assert eliminated.count(code.generator.data) == 0
     # the constructor's code and this one are distinct objects on one generator
     (first,) = grams
     assert first is not code and first.generator is code.generator
@@ -107,6 +109,47 @@ def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypa
     code.provenance["note"] = "rewritten"
     assert first.claimed_distance_lb == code.n - code.k + 1
     assert "note" not in first.provenance
+
+
+def counting_clear_column(monkeypatch) -> list[list[int]]:
+    """Patch Field.clear_column to record, per call, the width of every row
+    it is handed, the pivot row last."""
+    calls, clear_column = [], Field.clear_column
+
+    def counting(self, rows, prow, c):
+        calls.append([len(r) for r in rows] + [len(prow)])
+        return clear_column(self, rows, prow, c)
+
+    monkeypatch.setattr(Field, "clear_column", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_family_a_rank_check_clears_at_most_k_columns_of_width_k(q, monkeypatch):
+    # family A solves no kernel system, so every clear_column call from the
+    # constructor's code to the caller's record is the generator's rank check
+    params = valid_parameter_sets("grs-a", q)[-1]
+    calls = counting_clear_column(monkeypatch)
+    spec = construct_family_A(params)
+    code = grs_generator(spec)
+    quantum_mds_from_self_orthogonal(code)
+    assert 0 < len(calls) <= spec.k
+    assert {w for widths in calls for w in widths} == {spec.k}
+
+
+@pytest.mark.parametrize("family", sorted(GRS_FAMILIES))
+def test_a_shared_generator_is_rank_checked_once(family, monkeypatch):
+    # replace drops the kept code, so the first grs_generator call below
+    # builds the generator again, outside the kernel solve of families B and C
+    spec = replace(GRS_FAMILIES[family][0](valid_parameter_sets(family, 7)[-1]))
+    calls = counting_clear_column(monkeypatch)
+    first = grs_generator(spec)
+    count = len(calls)
+    later = grs_generator(spec)
+    quantum_mds_from_self_orthogonal(later)
+    assert later.generator is first.generator
+    assert 0 < count <= spec.k and len(calls) == count
+    assert {w for widths in calls for w in widths} == {spec.k}
 
 
 def test_a_replaced_or_equal_spec_carries_no_verdict():

@@ -19,8 +19,9 @@ basis-building version, which works element by element through the
 field's methods.
 
 `run_checks` reaches both oracles by one route: enumerate when q^(2k) fits
-the cap, else test the column floor.  With caps on both sides of q^(2k),
-its min-distance and mds verdicts on random distance claims, and `is_mds`,
+the cap, else test the column floor (twice for an exact claim w, at w and
+w + 1).  With caps on both sides of q^(2k), its min-distance and mds
+verdicts on random distance claims, exact or lower bounds, and `is_mds`,
 must agree with the naive distance over GF(4), GF(9) and GF(25).
 """
 
@@ -191,8 +192,8 @@ def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
     claim, w = code.distance_claim, code.n - code.k + 1
     enumerated = cap >= code.field.q2**code.k
     distance, mds = run_checks(code, ("min-distance", "mds"), None, cap).checks
-    # past the cap only d >= claim is certified, even for an exact claim
-    holds = d == claim if enumerated and code.known_distance is not None else d >= claim
+    # an exact claim is checked as one on either side of the cap
+    holds = d == claim if code.known_distance is not None else d >= claim
     assert distance.verdict == ("pass" if holds else "fail"), (d, claim)
     assert distance.method.startswith("exhaustive") == enumerated
     if claim == w:
