@@ -15,10 +15,15 @@ Addition runs on Zech logarithms, zech[i] = log(1 + omega^i), so that
 a + b = omega^(log a + zech[log b - log a]) for nonzero a, b; adding one
 changes only the constant digit, so the table is one pass over the powers.
 Fields of at most _TABLE_CAP elements also get a full q^2 x q^2 addition
-table, built from the Zech one, since one lookup beats a Zech sum.  Only
-this module reads the tables: other modules call the element methods or the
-vector kernels (scale, vadd, vdiv, dot, conjugate, clear_column), each of
-which picks the addition table or Zech once per call.
+table, built from the Zech one, since one lookup beats a Zech sum.  Single
+sums, vadd and clear_column use the addition table where there is one and
+Zech logarithms past it.  There dot sums in packed digits instead: each
+power of omega is also stored with its 2t base-p digits in separate 32-bit
+slots of one int, so a whole inner product is one integer sum of those,
+reduced slot by slot mod p at the end.  Only this module reads the tables:
+other modules call the element methods or the vector kernels (scale, vmul,
+vadd, vdiv, dot, conjugate, clear_column), each of which picks its way of
+adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
@@ -28,8 +33,10 @@ Convention used throughout the package: 0^0 == 1.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
     FieldTooLarge,
     NonPrimeCharacteristic,
@@ -40,8 +47,11 @@ from .errors import (
 
 SIZE_CAP = 1 << 16
 
-# fields up to this size also get a full q^2 x q^2 addition table
+# fields up to this size also get a full q^2 x q^2 addition table; larger
+# ones get the packed-digit tables that dot sums in
 _TABLE_CAP = 512
+# width of one digit's slot in a packed element
+_SLOT = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -112,6 +122,14 @@ class Field:
         self._add = None  # so that add() sums through Zech while the table is built
         if q2 <= _TABLE_CAP:
             self._add = [[self.add(a, b) for b in range(q2)] for a in range(q2)]
+        else:
+            # _pexp[l] is omega^l with its digits in separate slots, over two
+            # periods like exp, then a zero tail; _plog is log with zero sent
+            # to 2 * order, so every sum of two _plog entries that involves
+            # zero lands in the tail
+            slots = [sum(x // p**i % p << _SLOT * i for i in range(2 * t)) for x in exp[:order]]
+            self._pexp = slots + slots + [0] * (2 * order + 1)
+            self._plog = [2 * order] + log[1:]
 
     # -- ring operations ------------------------------------------------------
 
@@ -166,7 +184,7 @@ class Field:
             raise ZeroInput("log of zero")
         return self._log[a]
 
-    # -- vector kernels: each chooses the addition table or Zech once ---------
+    # -- vector kernels: each chooses how to add once per call ---------------
 
     def scale(self, c: int, v: list[int]) -> list[int]:
         """c * v."""
@@ -175,6 +193,11 @@ class Field:
         exp, log = self._exp, self._log
         lc = log[c]
         return [exp[lc + log[x]] if x else 0 for x in v]
+
+    def vmul(self, u: list[int], v: list[int]) -> list[int]:
+        """u_i * v_i for every i."""
+        exp, log = self._exp, self._log
+        return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(u, v)]
 
     def vdiv(self, u: list[int], v: list[int]) -> list[int]:
         """u_i / v_i for every i; v has no zero entry."""
@@ -202,7 +225,14 @@ class Field:
         return out
 
     def dot(self, u: list[int], v: list[int]) -> int:
-        """sum of u_i v_i."""
+        """sum of u_i v_i.
+
+        Past the addition table the products are summed in packed digits:
+        each slot gains at most p - 1 per term, so no slot carries into the
+        next while len(u) * (p - 1) < 2^32, which every u shorter than 2^24
+        entries meets in every field under the size cap.  A longer u is
+        refused with DimensionMismatch.
+        """
         exp, log, addtab = self._exp, self._log, self._add
         if addtab is not None:
             acc = 0
@@ -210,17 +240,17 @@ class Field:
                 if x and y:
                     acc = addtab[acc][exp[log[x] + log[y]]]
             return acc
-        zech, order = self._zech, self.q2 - 1
-        la = -1  # log of the running sum, -1 while the sum is zero
-        for x, y in zip(u, v):
-            if x and y:
-                lt = (log[x] + log[y]) % order
-                if la < 0:
-                    la = lt
-                else:
-                    z = zech[lt - la]
-                    la = (la + z) % order if z >= 0 else -1
-        return exp[la] if la >= 0 else 0
+        p = self.p
+        if len(u) * (p - 1) >= 1 << _SLOT:
+            raise DimensionMismatch(f"{len(u)} terms could overflow a {_SLOT}-bit digit slot")
+        plog = self._plog.__getitem__
+        s = sum(map(self._pexp.__getitem__, map(add, map(plog, u), map(plog, v))))
+        acc, unit, mask = 0, 1, (1 << _SLOT) - 1
+        while s:
+            acc += (s & mask) % p * unit
+            s >>= _SLOT
+            unit *= p
+        return acc
 
     def clear_column(self, rows: list[list[int]], prow: list[int], c: int) -> None:
         """Subtract from every row other than prow the multiple of prow that

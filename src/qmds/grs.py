@@ -140,6 +140,10 @@ class ConstructionParams:
 def grs_generator(spec: GrsSpec) -> LinearCode:
     """The code with rows (v_1 a_1^j, ..., v_n a_n^j) for j = 0..k-1.
 
+    Row 0 is the multipliers and each later row is the one before times
+    the points, entry by entry, so no power is taken; a point 0 keeps v in
+    row 0 and 0 after it, the 0^0 = 1 convention.
+
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
     bound; the verify module promotes it to known_distance after an
     exhaustive enumeration.
@@ -151,9 +155,9 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     f = spec.field
     first = spec._code
     if first is None:
-        mul, pw = f.mul, f.pow
-        pts, mults = spec.points, spec.multipliers
-        rows = [[mul(v, pw(a, j)) for a, v in zip(pts, mults)] for j in range(spec.k)]
+        rows = [list(spec.multipliers)]
+        while len(rows) < spec.k:
+            rows.append(f.vmul(rows[-1], spec.points))
         generator = Matrix(f, rows, cols=spec.n)
     else:
         generator = first.generator
@@ -457,11 +461,10 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
             continue  # the extension coordinate would need norm zero
         eta = field.norm_preimage(field.neg(top))
         mults = [field.norm_preimage(x) for x in u]
-        rows = []
-        for j in range(k):
-            row = [field.mul(v, field.pow(alpha, j)) for alpha, v in zip(points, mults)]
-            row.append(eta if j == k - 1 else 0)
-            rows.append(row)
+        rows = [mults]
+        while len(rows) < k:
+            rows.append(field.vmul(rows[-1], points))
+        rows = [row + [0] for row in rows[:-1]] + [rows[-1] + [eta]]
         code = LinearCode(
             field=field,
             generator=Matrix(field, rows, cols=q2 + 1),

@@ -85,9 +85,17 @@ def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: i
     k = gen.rows
     if k == 0:
         raise BadDimension("the zero code has no nonzero codewords")
-    if f.q2**k > cap:
-        raise EnumerationTooLarge(f"q^2k = {f.q2 ** k} messages exceed the cap of {cap}")
+    messages = f.q2**k
+    if messages > cap:
+        count = _count(messages, f"{f.q2}^{k}")
+        raise EnumerationTooLarge(f"q^2k = {count} messages exceed the cap of {cap}")
     return _min_weight(f, gen.data)
+
+
+def _count(value: int, formula: str) -> str:
+    """value in decimal, or the formula for it once the decimal form would
+    pass 30 digits: Python refuses to print an int of more than 4300."""
+    return str(value) if value < 10**30 else formula
 
 
 def _min_weight(f: Field, rows: list[list[int]]) -> int:
@@ -161,7 +169,8 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
         return False
     cost = comb(n, w - 1) * (w - 1) ** 3
     if cost > budget:
-        raise WorkBudgetExceeded(f"estimated work {cost} exceeds the budget {budget}")
+        count = _count(cost, f"C({n}, {w - 1})*{w - 1}^3")
+        raise WorkBudgetExceeded(f"estimated work {count} exceeds the budget {budget}")
     cols = transpose(nullspace(code.generator)).data
     return _subsets_independent(code.field, cols, w - 1)
 

@@ -22,6 +22,7 @@ from qmds.errors import (
 )
 from qmds.gf import field_for_q
 from qmds.grs import (
+    GRS_FAMILIES,
     STRUCTURED_PICKS,
     ConstructionParams,
     GrsSpec,
@@ -228,6 +229,25 @@ def test_gram_power_sum_equivalence_smoke():
         assert gram_zero == sums_zero
         agree += 1
     assert agree == 40
+
+
+@pytest.mark.parametrize("q", [3, 9, 23, 25])
+def test_generator_rows_equal_the_naive_powers(q):
+    """grs_generator builds each row as the one before times the points;
+    the rows must be the v * a^j of the definition, 0^0 = 1 included."""
+    f = field_for_q(q)
+    specs = [
+        GRS_FAMILIES[family][0](max(valid_parameter_sets(family, q), key=lambda params: params.d))
+        for family in GRS_FAMILIES
+    ]
+    specs.append(full_field_spec(f, q - 1))  # point 0 first, k >= 2 rows
+    assert specs[-1].points[0] == 0
+    for spec in specs:
+        naive = [
+            [f.mul(v, f.pow(a, j)) for a, v in zip(spec.points, spec.multipliers)]
+            for j in range(spec.k)
+        ]
+        assert grs_generator(spec).generator.data == naive
 
 
 def test_full_field_gram_all_k():

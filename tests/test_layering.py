@@ -3,8 +3,9 @@ front end chooses no oracle, and importing it loads no process pool.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
-table and Zech logarithms is made in one place.  The private attributes of
-a live Field are the tables, so a table added later is covered without
+table, Zech logarithms and packed digits is made in one place.  The private
+attributes of a live Field are the tables, taken from one field on each
+side of the addition-table cap, so a table added later is covered without
 editing this test.  Likewise qmds.verify.run_checks alone turns a claim
 into a check result, so the CLI imports none of the oracles or the
 refusals that steer the choice between them.
@@ -21,11 +22,12 @@ import qmds
 from qmds.gf import field_for_q
 
 PACKAGE = Path(qmds.__file__).resolve().parent
-TABLES = {name for name in vars(field_for_q(3)) if name.startswith("_")}
+# GF(9) has an addition table and GF(529) the packed-digit tables instead
+TABLES = {name for q in (3, 23) for name in vars(field_for_q(q)) if name.startswith("_")}
 
 
 def test_only_gf_reads_field_tables():
-    assert {"_exp", "_log", "_add"} <= TABLES
+    assert {"_exp", "_log", "_add", "_pexp", "_plog"} <= TABLES
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "gf.py")
     assert modules
     reads = [

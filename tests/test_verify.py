@@ -8,7 +8,7 @@ import random
 import pytest
 
 from qmds.errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
-from qmds.gf import field_for_q
+from qmds.gf import field_for_q, field_new
 from qmds.grs import (
     ConstructionParams,
     LinearCode,
@@ -30,6 +30,7 @@ from qmds.verify import (
     is_mds,
     min_distance_at_least,
     min_distance_exact,
+    run_checks,
 )
 
 
@@ -151,6 +152,39 @@ def test_distance_floor_budget(monkeypatch):
     with pytest.raises(WorkBudgetExceeded):
         min_distance_at_least(code, 4, budget=1)
     assert not min_distance_at_least(code, 8)
+
+
+def test_huge_counts_are_written_as_formulas():
+    # up to 30 digits a count is printed in decimal, as it always was
+    f = field_for_q(3)
+    with pytest.raises(EnumerationTooLarge, match=r"q\^2k = 282429536481 messages exceed"):
+        min_distance_exact(LinearCode(field=f, generator=Matrix.identity(f, 12)))
+    code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
+    with pytest.raises(WorkBudgetExceeded, match=r"estimated work 1512 exceeds the budget 1$"):
+        min_distance_at_least(code, 4, budget=1)
+    # a longer one as the power or product it comes from; the [16000, 1]
+    # estimate has about 4800 digits, past what Python prints
+    wide = LinearCode(field=f, generator=Matrix(f, [[1] * 16000]))
+    with pytest.raises(WorkBudgetExceeded) as over:
+        min_distance_at_least(wide, 8000)
+    assert str(over.value) == "estimated work C(16000, 7999)*7999^3 exceeds the budget 100000000"
+
+
+def test_min_distance_past_printable_counts_is_skipped():
+    # [I | I] over GF(251^2) with k = 900 has 63001^900 messages, a
+    # 4321-digit count, and its MDS claim is over the floor budget
+    f = field_new(251)
+    k = 900
+    rows = [[0] * (2 * k) for _ in range(k)]
+    for i, row in enumerate(rows):
+        row[i] = row[k + i] = 1
+    code = LinearCode(field=f, generator=Matrix(f, rows, cols=2 * k), claimed_distance_lb=k + 1)
+    (check,) = run_checks(code, ("min-distance",), None).checks
+    assert (check.verdict, check.work_count) == ("skipped", 0)
+    assert check.detail == (
+        "q^2k = 63001^900 messages exceed the cap of 4194304; "
+        "estimated work C(1800, 900)*900^3 exceeds the budget 100000000"
+    )
 
 
 def test_is_mds():
