@@ -26,6 +26,7 @@ from .errors import (
     FileMalformed,
     OutputUnwritable,
     QmdsError,
+    UsageError,
     VerificationFailure,
 )
 from .gf import SIZE_CAP, Field, field_for_q
@@ -314,8 +315,18 @@ def _odd_prime_powers(q_max: int) -> list[int]:
 # -- entry point ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit 2, so
+    a bad command line gets the one JSON error object like every other
+    failure.  Subparsers are built from this class too; --help still
+    prints and exits 0."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmds",
         description="Construct, verify, and tabulate Hermitian self-orthogonal "
         "GRS and matrix-product codes and their quantum descendants.",
@@ -358,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except QmdsError as e:
         sys.stderr.write(

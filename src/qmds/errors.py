@@ -156,3 +156,11 @@ class FileMalformed(QmdsError):
 
 class OutputUnwritable(QmdsError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+
+class UsageError(QmdsError):
+    """A flag the CLI does not know, or a missing or malformed value."""

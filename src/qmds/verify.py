@@ -9,7 +9,10 @@ run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  Its distance
 and MDS checks take one route, which is_mds takes too: enumerate when the
 q^(2k) messages fit the cap, else test the column floor, else report the
-check skipped."""
+check skipped.  The floor tests d >= w on the w - 1 subsets of the
+parity-check columns; an MDS claim on a code with k < n - k is tested on
+the k-subsets of the generator's columns instead, which are independent
+exactly when the code is MDS."""
 
 from __future__ import annotations
 
@@ -153,10 +156,23 @@ def enumeration_classes(code: LinearCode) -> int:
 
 def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_BUDGET) -> bool:
     """True exactly when d >= w: every (w-1)-subset of parity-check columns
-    must be linearly independent.  The work estimate C(n, w-1) (w-1)^3,
-    one elimination per subset, is checked against the budget before
-    starting.  It bounds the prefix-sharing walk's work from above and is
-    kept as it was, so every pass or refusal stays the same."""
+    must be linearly independent.
+
+    An MDS claim, w - 1 = n - k, with 0 < k < n - k is tested on the
+    smaller side instead: d = n - k + 1 exactly when every k columns of the
+    generator are independent (MacWilliams-Sloane, ch. 11).  A nonzero
+    codeword of weight at most n - k vanishes on some k coordinates S, so
+    its message is a nonzero kernel vector of the k x k block G_S; and
+    since the generator has full row rank, a nonzero kernel vector of a
+    singular G_S gives a nonzero codeword that vanishes on S.  Both sides
+    walk the same C(n, k) subsets, and the generator's are k-dimensional.
+    At k = 0 the generator has no columns worth testing, so the parity
+    side stays.
+
+    The work estimate C(n, w-1) (w-1)^3, one elimination per subset, is
+    checked against the budget before starting.  It bounds either walk's
+    work from above and is kept as it was, so every pass or refusal stays
+    the same."""
     n = code.n
     if w <= 1:
         return True
@@ -171,6 +187,8 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
     if cost > budget:
         count = _count(cost, f"C({n}, {w - 1})*{w - 1}^3")
         raise WorkBudgetExceeded(f"estimated work {count} exceeds the budget {budget}")
+    if w - 1 == r and 0 < code.k < r:
+        return _subsets_independent(code.field, transpose(code.generator).data, code.k)
     cols = transpose(nullspace(code.generator)).data
     return _subsets_independent(code.field, cols, w - 1)
 

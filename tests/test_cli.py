@@ -231,6 +231,37 @@ def test_missing_family_flags_exit_2(tmp_path, capsys):
     assert rc == 2 and "--variant" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--in", "a.json", "--check", "min-distance", "--max-enum", "abc"],
+            "qmds verify: argument --max-enum: invalid int value: 'abc'",
+        ),
+        (["verify", "--in", "a.json"], "qmds verify: the following arguments are required: --check"),
+        (["verify", "--in", "a.json", "--check", "all", "--bogus"], "qmds: unrecognized arguments: --bogus"),
+        (
+            ["construct", "--family", "grs-a", "--q", "x", "--out", "o.json"],
+            "qmds construct: argument --q: invalid int value: 'x'",
+        ),
+    ],
+)
+def test_bad_flags_exit_2_with_one_json_error(capsys, argv, message):
+    # argparse would print its usage text and exit; the CLI reports a bad
+    # command line like any other failure
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "UsageError", "exit_code": 2, "message": message}
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qmds verify") and err == ""
+
+
 def test_construct_mp7_embeds_quantum_record(tmp_path, capsys):
     path = construct(
         tmp_path, capsys, "q.json", "--family", "mp7", "--q", "5", "--d", "4", "--variant", "1"

@@ -13,7 +13,9 @@ from qmds.grs import (
     ConstructionParams,
     LinearCode,
     _family_a_spec,
+    construct_extended,
     construct_family_A,
+    construct_family_B,
     construct_family_C,
     construct_full_field,
     full_field_spec,
@@ -21,10 +23,11 @@ from qmds.grs import (
     hermitian_dual,
     is_self_orthogonal,
 )
-from qmds.linalg import Matrix, rank
+from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.verify import (
     CheckResult,
     VerificationReport,
+    _subsets_independent,
     dual_containing_check,
     enumeration_classes,
     is_mds,
@@ -128,14 +131,17 @@ def test_distance_floor_trivial_and_edge_cases():
 
 def test_distance_floor_walks_99_columns_deep():
     # the [100, 1] all-ones code over GF(121) has d = 100, so every 99 of
-    # its parity-check columns are independent.  The walk recurses once per
-    # chosen column, and its estimate C(100, 99) 99^3 = 9.7e7 fits the
-    # default budget, which keeps any walk about this shallow: r < n, so
+    # its parity-check columns are independent.  min_distance_at_least
+    # settles that MDS claim on the generator's 1-subsets, so the parity
+    # side's walk is called directly: it recurses once per chosen column,
+    # and the estimate C(100, 99) 99^3 = 9.7e7 fits the default budget,
+    # which keeps any walk about this shallow: r < n, so
     # C(n, w-1) (w-1)^3 > (w-1)^4
     f = field_for_q(11)
     code = LinearCode(field=f, generator=Matrix(f, [[1] * 100]))
     assert min_distance_at_least(code, 100)
     assert not min_distance_at_least(code, 101)  # w - 1 past r = 99
+    assert _subsets_independent(f, transpose(nullspace(code.generator)).data, 99)
 
 
 def test_distance_floor_budget(monkeypatch):
@@ -152,6 +158,55 @@ def test_distance_floor_budget(monkeypatch):
     with pytest.raises(WorkBudgetExceeded):
         min_distance_at_least(code, 4, budget=1)
     assert not min_distance_at_least(code, 8)
+
+
+def count_nullspace_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return nullspace(m)
+
+    monkeypatch.setattr("qmds.verify.nullspace", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3))),  # [8, 2]
+        grs_generator(construct_family_B(ConstructionParams(7, 1, 4, 6))),  # [18, 5]
+    ],
+)
+def test_mds_claim_with_k_below_n_minus_k_walks_the_generator(monkeypatch, code):
+    # both are MDS, and k < n - k: every k generator columns are tested,
+    # and no parity-check matrix is computed
+    calls = count_nullspace_calls(monkeypatch)
+    assert min_distance_at_least(code, code.n - code.k + 1)
+    assert is_mds(code, cap=10)
+    code.claimed_distance_lb = code.n - code.k + 1
+    checks = run_checks(code, ("min-distance", "mds"), None, cap=10).checks
+    assert [c.verdict for c in checks] == ["pass", "pass"]
+    assert calls == []
+
+
+def test_mds_claim_with_k_past_n_minus_k_walks_the_parity_checks(monkeypatch):
+    # the [26, 22] extended code over GF(25): its 4-dimensional parity-check
+    # columns are the small side
+    code = construct_extended(field_for_q(5), 4)
+    calls = count_nullspace_calls(monkeypatch)
+    assert is_mds(code)
+    assert calls == [(22, 26)]
+
+
+def test_zero_code_floor_keeps_the_parity_side(monkeypatch):
+    # the [8, 0] generator has no columns to test, so a claim at w = n + 1
+    # is walked on the identity parity-check columns and holds
+    f = field_for_q(3)
+    zero = LinearCode(field=f, generator=Matrix(f, [], cols=8))
+    calls = count_nullspace_calls(monkeypatch)
+    assert min_distance_at_least(zero, 9)
+    assert calls == [(0, 8)]
 
 
 def test_huge_counts_are_written_as_formulas():

@@ -18,6 +18,12 @@ is compared with testing every subset on its own with the earlier
 basis-building version, which works element by element through the
 field's methods.
 
+An MDS claim on a code with k < n - k is walked on the k-subsets of the
+generator's columns instead.  On such codes over GF(4), GF(9), GF(25) and
+GF(529), GRS codes and random ones, some made non-MDS by one repeated or
+combined column, the floor at w = n - k + 1 must agree with the naive distance (the depth-first
+enumerator over GF(529)) and with the parity-check walk called directly.
+
 `run_checks` reaches both oracles by one route: enumerate when q^(2k) fits
 the cap, else test the column floor (twice for an exact claim w, at w and
 w + 1).  With caps on both sides of q^(2k), its min-distance and mds
@@ -29,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds.gf import field_new
 from qmds.grs import LinearCode
-from qmds.linalg import Matrix, rank
+from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.mpc import mixer_prefix_distances
 from qmds.verify import (
     _subsets_independent,
@@ -167,6 +174,56 @@ def test_independent_matches_basis_building_oracle(inputs):
     )
     assert _subsets_independent(f, vectors, s) == expected
     assert vectors == before  # columns are copied before they are reduced
+
+
+@st.composite
+def wide_codes(draw, f, k_max):
+    """A code with 1 <= k < n - k and n <= 3k + 4: a GRS code (columns
+    v (1, a, ..., a^(k-1)) on distinct points a, so MDS) where the field has
+    enough points, else random entries, dense or sparse.  Half the codes
+    get one more column that combines at most k - 1 of the others (a zero
+    column at k = 1, a scaled repeat with one), so that some k columns are
+    dependent and the code is not MDS."""
+    k = draw(st.integers(1, k_max))
+    n = draw(st.integers(2 * k + 1, 3 * k + 4))
+    combine = draw(st.booleans())
+    entry = st.integers(0, f.q2 - 1)
+    if n - combine <= f.q2 and draw(st.booleans()):
+        points = draw(st.lists(entry, min_size=n - combine, max_size=n - combine, unique=True))
+        cols = []
+        for a in points:
+            col = [draw(st.integers(1, f.q2 - 1))]
+            for _ in range(k - 1):
+                col.append(f.mul(col[-1], a))
+            cols.append(col)
+    else:
+        if draw(st.booleans()):
+            entry = st.one_of(st.just(0), entry)
+        column = st.lists(entry, min_size=k, max_size=k)
+        cols = draw(st.lists(column, min_size=n - combine, max_size=n - combine))
+    if combine:
+        combo = [0] * k
+        for v in draw(st.lists(st.sampled_from(cols), max_size=k - 1)):
+            c = draw(entry)
+            combo = [f.add(x, f.mul(c, y)) for x, y in zip(combo, v)]
+        cols.insert(draw(st.integers(0, len(cols))), combo)
+    gen = transpose(Matrix(f, cols, cols=k))
+    assume(rank(gen) == k)
+    return LinearCode(field=f, generator=gen)
+
+
+@pytest.mark.parametrize(
+    "f, k_max", [*SMALL_FIELDS[:3], (GF529, 2)], ids=["GF4", "GF9", "GF25", "GF529"]
+)
+@PROPERTY
+@given(data=st.data())
+def test_mds_floor_on_generator_columns_matches_every_message(f, k_max, data):
+    code = data.draw(wide_codes(f, k_max))
+    r = code.n - code.k
+    oracle = dfs_min_distance if f is GF529 else naive_min_distance
+    mds = oracle(f, code.generator) == r + 1
+    assert min_distance_at_least(code, r + 1) == mds
+    assert _subsets_independent(f, transpose(nullspace(code.generator)).data, r) == mds
 
 
 @st.composite
