@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from .errors import (
     BadDimension,
@@ -29,7 +30,7 @@ from .errors import (
     UsageError,
     VerificationFailure,
 )
-from .gf import SIZE_CAP, Field, field_for_q
+from .gf import SIZE_CAP, field_for_q, field_with_modulus
 from .grs import (
     GRS_FAMILIES,
     ConstructionParams,
@@ -75,7 +76,12 @@ def code_file_payload(code: LinearCode, provenance: dict, certificates: list[dic
 
 
 def load_code_file(path: str) -> LinearCode:
-    """Parse and validate a code file; any defect maps to FileMalformed."""
+    """Parse and validate a code file; any defect maps to FileMalformed.
+
+    The code lands on gf.field_with_modulus's field: the instance shared
+    with every code built in this process when the file names the canonical
+    modulus of a field already built, and a field of its own otherwise.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -87,7 +93,7 @@ def load_code_file(path: str) -> LinearCode:
         if raw["schema_version"] != SCHEMA_VERSION:
             raise FileMalformed(f"unsupported schema_version {raw['schema_version']!r}")
         fld = raw["field"]
-        field = Field(_integer(fld["p"]), _integer(fld["t"]), tuple(map(_integer, fld["modulus"])))
+        field = field_with_modulus(_integer(fld["p"]), _integer(fld["t"]), tuple(map(_integer, fld["modulus"])))
         sec = raw["code"]
         n, k = _integer(sec["n"]), _integer(sec["k"])
         gen = [list(map(_integer, row)) for row in sec["generator"]]
@@ -241,6 +247,9 @@ def cmd_verify(args) -> int:
             cap = int(raw)
         except ValueError:
             raise BadDimension(f"QMDS_MAX_ENUM must be an integer, got {raw!r}") from None
+    if cap < 0:
+        source = "--max-enum" if args.max_enum is not None else "QMDS_MAX_ENUM"
+        raise BadDimension(f"{source} must be at least 0, got {cap}")
     orthogonality = code.provenance.get("claims", {}).get("orthogonality")
     names = CHECKS if args.check == "all" else (args.check,)
     report = run_checks(code, names, orthogonality, cap)
@@ -325,7 +334,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built at the first call and shared by every later
+    one: parsing leaves a parser as it was, so main builds it once per
+    process.  It names each command and binds no function to it; main looks
+    the cmd_ function up at call time, so a later rebinding of one (a test
+    double, a profiler's wrapper) is always the one that runs."""
     parser = _Parser(
         prog="qmds",
         description="Construct, verify, and tabulate Hermitian self-orthogonal "
@@ -346,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--variant", type=int, help="ladder variant 1..6")
     c.add_argument("--force", action="store_true", help="assemble past the certified window")
     c.add_argument("--out", required=True, help="output file path")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="re-run certification oracles on a code file")
     v.add_argument("--in", dest="infile", required=True, help="code file to verify")
@@ -356,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*CHECKS, "all"],
     )
     v.add_argument("--max-enum", dest="max_enum", type=int, help="enumeration cap override")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("table", help="emit parameter tables as CSV or JSON")
     t.add_argument(
@@ -364,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t.add_argument("--q-max", dest="q_max", type=int, default=13)
     t.add_argument("--format", choices=["csv", "json"], default="csv")
-    t.set_defaults(func=cmd_table)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        command = {"construct": cmd_construct, "verify": cmd_verify, "table": cmd_table}[args.command]
+        return command(args)
     except QmdsError as e:
         sys.stderr.write(
             canonical_json({"error": type(e).__name__, "exit_code": e.exit_code, "message": str(e)})

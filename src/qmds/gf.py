@@ -27,12 +27,21 @@ adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
+Fields come from three places.  field_new(p, t) (and field_for_q, which
+factors q and calls it) builds GF(p^(2t)) over the canonical modulus once
+per process and hands that instance back ever after.  field_with_modulus
+takes the modulus a code file names: it hands back field_new's instance
+when that one is built and the modulus is its canonical one, and otherwise
+builds Field(p, t, modulus) afresh, unrecorded.  Matrices over one field
+compare equal only when they share the instance, so a code loaded from a
+file with the canonical modulus meets the codes constructed in the same
+process on the same field.
+
 Convention used throughout the package: 0^0 == 1.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 
 from .errors import (
@@ -86,9 +95,10 @@ def _check_tower(p: int, t: int) -> None:
 class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
-    Instances are immutable and safe to share; build them with field_new()
-    (canonical modulus) or Field(p, t, modulus) (explicit modulus, e.g. when
-    loading a serialized code file).
+    Instances are immutable and safe to share.  Get the canonical one from
+    field_new() or field_for_q(), and the field a serialized code file names
+    from field_with_modulus(); Field(p, t, modulus) builds a new instance on
+    any primitive modulus, which no other code shares.
     """
 
     def __init__(self, p: int, t: int, modulus: list[int], _tables=None):
@@ -360,14 +370,41 @@ def _build_tables(p: int, t: int, modulus: list[int]):
         coeffs[0] = -top * head[0] % p
 
 
-@lru_cache(maxsize=None)
+# the instance field_new built for each (p, t), over the canonical modulus
+_CANONICAL: dict[tuple[int, int], Field] = {}
+
+
 def field_new(p: int, t: int = 1) -> Field:
     """GF(p^(2t)) over the canonical modulus.
 
-    Scans monic degree-2t polynomials in packing order and takes the first
-    one whose residue class of x is primitive.  Cached: repeated calls hand
-    back the same instance, so tables are built once per (p, t).
+    Recorded: repeated calls hand back the same instance however they are
+    spelt (field_new(3) and field_new(3, 1) alike), so tables are built once
+    per (p, t).
     """
+    field = _CANONICAL.get((p, t))
+    if field is None:
+        field = _CANONICAL[p, t] = _canonical_field(p, t)
+    return field
+
+
+def field_with_modulus(p: int, t: int, modulus) -> Field:
+    """GF(p^(2t)) over the given modulus, as a code file names it.
+
+    field_new's instance when field_new has built GF(p^(2t)) and modulus is
+    its canonical one.  Otherwise a new Field(p, t, modulus), validated as
+    ever and not recorded, so moduli from untrusted files hold no memory
+    past their codes; and no canonical field is built here to compare
+    against, since building GF(2^16) alone takes seconds.
+    """
+    field = _CANONICAL.get((p, t))
+    if field is not None and field.modulus == list(modulus):
+        return field
+    return Field(p, t, modulus)
+
+
+def _canonical_field(p: int, t: int) -> Field:
+    """Scans monic degree-2t polynomials in packing order and takes the first
+    one whose residue class of x is primitive."""
     _check_tower(p, t)
     deg = 2 * t
     for packed in range(p**deg):
@@ -385,7 +422,6 @@ def field_new(p: int, t: int = 1) -> Field:
     raise FieldTooLarge(f"no primitive polynomial found for p={p}, t={t}")
 
 
-@lru_cache(maxsize=None)
 def field_for_q(q: int) -> Field:
     """GF(q^2) for a prime power q, factoring q as p^t."""
     if q * q > SIZE_CAP:

@@ -235,7 +235,7 @@ def row_equivalent(a: Matrix, b: Matrix) -> bool:
     """Same row space: the reduced row echelon form is unique for a row
     space, so the pivots and nonzero echelon rows of a and b must agree."""
     if a.field is not b.field or a.cols != b.cols:
-        raise DimensionMismatch("row equivalence needs matching shapes")
+        raise DimensionMismatch("row equivalence needs matching fields and widths")
     rows_a, piv_a = _eliminate(a)
     rows_b, piv_b = _eliminate(b)
     r = len(piv_a)
@@ -251,7 +251,7 @@ def row_space_contains(outer: Matrix, inner: Matrix) -> bool:
     eliminating the stack.
     """
     if outer.field is not inner.field or outer.cols != inner.cols:
-        raise DimensionMismatch("containment needs matching shapes")
+        raise DimensionMismatch("containment needs matching fields and widths")
     rows, pivots = _eliminate(outer)
     rest = [list(v) for v in inner.data]
     for prow, c in zip(rows, pivots):

@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qmds.cli
 import qmds.verify
-from qmds.cli import main
+from qmds.cli import load_code_file, main
 from qmds.gf import field_for_q
-from qmds.grs import valid_parameter_sets
+from qmds.grs import (
+    GRS_FAMILIES,
+    ConstructionParams,
+    construct_extended,
+    construct_full_field,
+    grs_generator,
+    valid_parameter_sets,
+)
+from qmds.linalg import row_space_contains
 from qmds.quantum import theorem_mp7
 
 
@@ -387,6 +400,35 @@ def test_enum_cap_env_and_flag(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["exit_code"] == 2  # exactly one JSON object, no traceback
 
 
+@pytest.mark.parametrize(
+    "flag, env, source",
+    [(["--max-enum", "-1"], None, "--max-enum"), ([], "-3", "QMDS_MAX_ENUM"), (["--max-enum", "-1"], "10", "--max-enum")],
+    ids=["flag", "env", "flag-over-env"],
+)
+def test_negative_enum_cap_exits_2(tmp_path, capsys, monkeypatch, flag, env, source):
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    if env is not None:
+        monkeypatch.setenv("QMDS_MAX_ENUM", env)
+    rc, out, err = run_cli(["verify", "--in", str(path), "--check", "min-distance", *flag], capsys)
+    assert (rc, out) == (2, "")
+    cap = flag[1] if flag else env
+    assert json.loads(err) == {
+        "error": "BadDimension",
+        "exit_code": 2,
+        "message": f"{source} must be at least 0, got {cap}",
+    }
+
+
+def test_zero_enum_cap_never_enumerates(tmp_path, capsys, monkeypatch):
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    for flag, env in ((["--max-enum", "0"], None), ([], "0")):
+        if env is not None:
+            monkeypatch.setenv("QMDS_MAX_ENUM", env)
+        rc, out, _ = run_cli(["verify", "--in", str(path), "--check", "min-distance", *flag], capsys)
+        assert rc == 0
+        assert "column-independence floor" in json.loads(out)["checks"][0]["method"]
+
+
 def test_table_family_sweeps(capsys):
     rc, out, _ = run_cli(["table", "--which", "family-c", "--q-max", "3"], capsys)
     assert rc == 0
@@ -590,3 +632,129 @@ def test_verify_all_runs_each_distance_oracle_once(
     verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
     assert verdicts["min-distance"] == "pass"
     assert (len(walks), floor_ws) == (enumerations, floors)
+
+
+# -- one process, many calls ----------------------------------------------------
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "qmds.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # help text wraps to the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(qmds.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("QMDS_MAX_ENUM", None)
+    monkeypatch.delenv("QMDS_MAX_ENUM", raising=False)
+    out = tmp_path / "c.json"
+    sequence = [
+        ["verify", "--in", str(out), "--check", "all", "--bogus"],
+        ["construct", "--help"],
+        ["construct", "--family", "grs-a", "--q", "5", "--a", "2", "--d", "4", "--out", str(out)],
+        ["verify", "--in", str(out), "--check", "all"],
+    ]
+    here, there = [], []
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as done:  # --help
+            rc = done.code
+        here.append((rc, *capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    out.unlink()
+    for argv in sequence:
+        there.append((*_fresh_process(argv, env), out.read_bytes() if out.exists() else None))
+    assert [r[0] for r in here] == [2, 0, 0, 0]
+    assert here == there
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = qmds.cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "qmds":  # the top-level parser, not a subcommand's
+            built.append(self)
+
+    monkeypatch.setattr(qmds.cli._Parser, "__init__", counting)
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    for _ in range(3):
+        assert run_cli(["verify", "--in", str(path), "--check", "gram"], capsys)[0] == 0
+        assert run_cli(["verify", "--in", str(path), "--check", "gram", "--bogus"], capsys)[0] == 2
+    assert len(built) <= 1
+    assert qmds.cli.build_parser() is qmds.cli.build_parser()
+
+
+def test_a_rebound_command_runs_after_the_parser_is_built(capsys, monkeypatch):
+    assert run_cli(["verify", "--in", "a.json", "--check", "all", "--bogus"], capsys)[0] == 2
+    seen = []
+    monkeypatch.setattr(qmds.cli, "cmd_verify", lambda args: seen.append(args.infile) or 7)
+    assert main(["verify", "--in", "a.json", "--check", "all"]) == 7
+    assert seen == ["a.json"]
+
+
+# -- loaded codes share the canonical field ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags, rebuild",
+    [
+        (
+            ["--family", "grs-a", "--q", "3", "--a", "1", "--d", "3"],
+            lambda f: grs_generator(GRS_FAMILIES["grs-a"][0](ConstructionParams(q=3, a=1, m=1, d=3))),
+        ),
+        (["--family", "full-field", "--q", "3", "--k", "2"], lambda f: construct_full_field(f, 2)),
+        (["--family", "extended", "--q", "3", "--k", "2"], lambda f: construct_extended(f, 2)),
+        (["--family", "mp7", "--q", "3", "--d", "3", "--variant", "2"], None),
+    ],
+    ids=["grs-a", "full-field", "extended", "mp7"],
+)
+def test_canonical_files_load_onto_the_built_field(tmp_path, capsys, flags, rebuild):
+    f = field_for_q(3)
+    code = load_code_file(str(construct(tmp_path, capsys, "c.json", *flags)))
+    assert code.field is f
+    if rebuild is not None:
+        built = rebuild(f)
+        assert code.generator == built.generator
+        assert row_space_contains(code.generator, built.generator)
+        assert row_space_contains(built.generator, code.generator)
+
+
+def test_other_moduli_load_onto_fields_of_their_own(tmp_path, capsys):
+    f = field_for_q(3)
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(good.read_text())
+    bad = tmp_path / "other.json"
+    payload["field"]["modulus"] = [2, 2, 1]
+    bad.write_text(json.dumps(payload))
+    first, second = load_code_file(str(bad)), load_code_file(str(bad))
+    assert first.field.modulus == [2, 2, 1]
+    assert first.field is not f and second.field is not first.field
+
+    payload["field"]["modulus"] = [1, 0, 1]  # x has order 4 in GF(9)
+    bad.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+    assert (rc, out) == (4, "")
+    assert json.loads(err)["error"] == "FileMalformed"
+    assert load_code_file(str(good)).field is f
+
+
+def test_an_unbuilt_large_field_with_a_bad_modulus_exits_4_at_once(tmp_path, capsys):
+    # building the canonical GF(2^16) alone takes seconds; a wrong-length
+    # modulus must be refused without it
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(good.read_text())
+    payload["field"].update({"p": 2, "t": 8, "modulus": [1, 0, 1]})
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 4
+    detail = json.loads(err)
+    assert detail["error"] == "FileMalformed" and "degree 16" in detail["message"]

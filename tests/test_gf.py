@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmds import errors
-from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new
+from qmds import errors, gf
+from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new, field_with_modulus
 
 # ---------------------------------------------------------------------------
 # oracle helpers: schoolbook polynomial arithmetic mod (modulus, p)
@@ -318,6 +318,32 @@ def test_explicit_modulus_roundtrip_and_rejects_nonprimitive():
     assert g.mul(g.omega, g.omega) == f.mul(f.omega, f.omega)
     with pytest.raises(errors.ZeroInput):
         Field(3, 1, [1, 0, 1])  # x^2 + 1 has x of order 4
+
+
+def test_field_new_hands_back_one_instance_however_it_is_called():
+    assert field_new(3) is field_new(3, 1) is field_new(3, t=1) is field_for_q(3)
+    assert field_new(3, 2) is field_for_q(9)
+
+
+def test_field_with_modulus_shares_only_the_canonical_instance(monkeypatch):
+    monkeypatch.setattr(gf, "_CANONICAL", {})
+    canonical = [2, 1, 1]
+    # GF(9) not yet built: a new field each time, and none is recorded
+    first = field_with_modulus(3, 1, canonical)
+    assert field_with_modulus(3, 1, tuple(canonical)) is not first
+    assert gf._CANONICAL == {}
+    f = field_new(3)
+    assert f is not first and f.modulus == canonical
+    assert field_with_modulus(3, 1, canonical) is f
+    assert field_with_modulus(3, 1, tuple(canonical)) is f
+    # another primitive modulus gets a field of its own, never recorded
+    other = field_with_modulus(3, 1, [2, 2, 1])
+    assert other.modulus == [2, 2, 1] and other is not f
+    assert field_with_modulus(3, 1, [2, 2, 1]) is not other
+    assert gf._CANONICAL == {(3, 1): f}
+    with pytest.raises(errors.ZeroInput):
+        field_with_modulus(3, 1, [1, 0, 1])
+    assert field_new(3, 1) is f
 
 
 def test_digit_fallback_field_matches_oracle():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qmds import errors, linalg
-from qmds.gf import field_new
+from qmds.gf import Field, field_new
 from qmds.linalg import (
     Matrix,
     entrywise_frobenius,
@@ -177,6 +177,18 @@ def test_row_equivalence_under_invertible_left_factor():
     b = random_matrix(f, rng, 2, 4)
     with pytest.raises(errors.DimensionMismatch):
         row_equivalent(a, b)
+
+
+def test_equal_shapes_over_two_fields_are_refused_as_a_field_mismatch():
+    # GF(9) on the canonical modulus x^2 + x + 2 and on x^2 + 2x + 2: the
+    # shapes agree, and the message must name the fields that do not
+    canonical, other = field_new(3), Field(3, 1, [2, 2, 1])
+    assert canonical.modulus == [2, 1, 1]
+    a = Matrix(canonical, [[1, 0, 2, 5], [0, 1, 1, 7]])
+    b = Matrix(other, a.data)
+    for op, name in ((row_space_contains, "containment"), (row_equivalent, "row equivalence"), (stack, "stack")):
+        with pytest.raises(errors.DimensionMismatch, match=f"^{name} needs matching fields and widths$"):
+            op(a, b)
 
 
 def test_family_c_kernel_matrix_is_conjugation_stable():
