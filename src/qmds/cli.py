@@ -309,6 +309,8 @@ def cmd_table(args) -> int:
 
 
 def _odd_prime_powers(q_max: int) -> list[int]:
+    if q_max < 3:
+        raise BadDimension(f"--q-max must be at least 3, got {q_max}")
     if q_max * q_max > SIZE_CAP:
         raise FieldTooLarge(f"--q-max {q_max}: q^2 = {q_max}^2 exceeds {SIZE_CAP}")
     out = []

@@ -2,9 +2,10 @@
 
 Generator matrices, the Hermitian self-orthogonality criterion, three
 parametric self-orthogonal families, and the length q^2 / q^2 + 1
-dual-containing realizations.  Constructors verify their own Gram matrix
-before returning, so a successfully constructed object doubles as a
-certificate.
+dual-containing realizations.  The length q^2 + 1 family takes its
+multiplier norms from closed forms that kill the lower power sums, tried
+in a fixed order.  Constructors verify their own Gram matrix before
+returning, so a successfully constructed object doubles as a certificate.
 
 Each fact is decided once.  A GrsSpec keeps the first code grs_generator
 built from it, and later calls hand out fresh codes on that code's
@@ -18,7 +19,6 @@ matrix is Hermitian, so hermitian_gram sums only its upper triangle.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
@@ -36,9 +36,7 @@ from .errors import (
 from .gf import Field, field_for_q
 from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfield_nullvector
 
-# the multiplier-norm solver gives up after this many kernel samples
-SOLVER_RETRIES = 100
-# of which at most this many are structured picks; the rest are random
+# trace-perturbed candidates the extended family tries at k = q - 1
 STRUCTURED_PICKS = 60
 
 
@@ -155,9 +153,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     f = spec.field
     first = spec._code
     if first is None:
-        rows = [list(spec.multipliers)]
-        while len(rows) < spec.k:
-            rows.append(f.vmul(rows[-1], spec.points))
+        rows = _running_product_rows(f, spec.multipliers, spec.points, spec.k)
         generator = Matrix(f, rows, cols=spec.n)
     else:
         generator = first.generator
@@ -172,6 +168,15 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     else:
         code._self_orthogonal = first._self_orthogonal
     return code
+
+
+def _running_product_rows(field: Field, multipliers, points, k: int) -> list[list[int]]:
+    """The k GRS rows v, v*a, v*a^2, ...: each row is the one before times
+    the points, entry by entry."""
+    rows = [list(multipliers)]
+    while len(rows) < k:
+        rows.append(field.vmul(rows[-1], points))
+    return rows
 
 
 def power_sum(spec: GrsSpec, e: int) -> int:
@@ -400,12 +405,18 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
     primal = grs_generator(full_field_spec(field, k))
     if not is_self_orthogonal(primal):
         raise NotSelfOrthogonal("full-field spec failed its own Gram certificate")
+    return _dual_containing_side(primal, "full-field")
+
+
+def _dual_containing_side(primal: LinearCode, construction: str) -> LinearCode:
+    """The Hermitian dual of a self-orthogonal MDS [n, k] code, with its
+    design distance k + 1 and the construction's provenance."""
     dual = hermitian_dual(primal)
-    dual.claimed_distance_lb = k + 1
+    dual.claimed_distance_lb = primal.k + 1
     dual.provenance = {
-        "construction": "full-field",
-        "q": q,
-        "k": k,
+        "construction": construction,
+        "q": primal.field.q,
+        "k": primal.k,
         "distance_claim": "dual-of-mds",
     }
     return dual
@@ -416,16 +427,7 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
 
 def construct_extended(field: Field, k: int) -> LinearCode:
     """Hermitian dual-containing [q^2 + 1, q^2 + 1 - k] code, design distance k + 1."""
-    primal = extended_self_orthogonal(field, k)
-    dual = hermitian_dual(primal)
-    dual.claimed_distance_lb = k + 1
-    dual.provenance = {
-        "construction": "extended",
-        "q": field.q,
-        "k": k,
-        "distance_claim": "dual-of-mds",
-    }
-    return dual
+    return _dual_containing_side(extended_self_orthogonal(field, k), "extended")
 
 
 def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
@@ -433,37 +435,27 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     plus one extension coordinate folded into the top-degree row.
 
     The multiplier norms u_i (GF(q)-valued) must kill every power sum
-    except the top one, whose value the extension coordinate absorbs.  The
-    u vector is drawn from the kernel of that GF(q)-linear system: a few
-    structured kernel members come first (all ones; a root-free polynomial
-    in the norm; a norm-plus-trace perturbation), then seeded random kernel
-    combinations, up to SOLVER_RETRIES draws in total.
+    sum_i u_i a_i^(qj + l), 0 <= j, l < k, except the top one, whose
+    nonzero value the extension coordinate absorbs.  The first closed-form
+    candidate (see _extension_candidates) with no zero entry, a nonzero top
+    sum and a zero Gram matrix gives the code.  At k = q - 1 only
+    STRUCTURED_PICKS candidates are tried, and at q = 19 and q = 27 every
+    one has a zero entry: SolverFailure, inside the range 1 <= k <= q.
     """
     q, q2 = field.q, field.q2
     if not 1 <= k <= q:
         raise DimensionOutOfRange(f"need 1 <= k <= q = {q}, got k={k}")
     points = list(field.elements())
-    system = _extension_system(field, k, points)
-    kernel = nullspace(system)
-    top_exponent = (q + 1) * (k - 1)
-    top_powers = Matrix(field, [[field.pow(alpha, top_exponent) for alpha in points]], cols=q2)
-    draws = 0
-    for u in _extension_candidates(field, k, points, kernel):
-        draws += 1
-        if draws > SOLVER_RETRIES:
-            break
-        if any(x == 0 for x in u):
+    top_powers = [field.pow(alpha, (q + 1) * (k - 1)) for alpha in points]
+    for u in _extension_candidates(field, k, points):
+        if 0 in u:
             continue
-        if any(mat_vec(system, u)):
-            continue  # not actually in the kernel; never trust a candidate
-        (top,) = mat_vec(top_powers, u)
+        top = field.dot(u, top_powers)
         if top == 0:
             continue  # the extension coordinate would need norm zero
-        eta = field.norm_preimage(field.neg(top))
         mults = [field.norm_preimage(x) for x in u]
-        rows = [mults]
-        while len(rows) < k:
-            rows.append(field.vmul(rows[-1], points))
+        rows = _running_product_rows(field, mults, points, k)
+        eta = field.norm_preimage(field.neg(top))
         rows = [row + [0] for row in rows[:-1]] + [rows[-1] + [eta]]
         code = LinearCode(
             field=field,
@@ -476,40 +468,17 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
                 "distance_claim": "mds",
             },
         )
-        if not is_self_orthogonal(code):
-            raise NotSelfOrthogonal("extension solver produced a non-certifying code")
-        return code
-    raise SolverFailure(
-        f"no usable all-nonzero kernel vector within {SOLVER_RETRIES} draws (q={q}, k={k})"
-    )
+        if is_self_orthogonal(code):
+            return code
+    raise SolverFailure(f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})")
 
 
-def _extension_system(field: Field, k: int, points: list[int]) -> Matrix:
-    """The GF(q)-linear constraints on the multiplier norms, two rows per
-    power sum: a GF(q^2) equation with GF(q) unknowns splits along the
-    basis {1, omega}."""
-    f = field
-    q = f.q
-    omega = f.omega
-    inv_denom = f.inv(f.sub(omega, f.frobenius_q(omega)))  # nonzero: omega is outside GF(q)
-    rows = []
-    for j in range(k):
-        for l in range(k):
-            if j == k - 1 and l == k - 1:
-                continue
-            e = q * j + l
-            coeffs = [f.pow(alpha, e) for alpha in points]
-            comp1 = f.scale(inv_denom, f.vadd(coeffs, f.scale(f.neg(1), f.conjugate(coeffs))))
-            comp0 = f.vadd(coeffs, f.scale(f.neg(omega), comp1))
-            rows.append(comp0)
-            rows.append(comp1)
-    return Matrix(f, rows, cols=len(points))
-
-
-def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matrix):
-    """Candidate u vectors: deterministic structured picks, then random
-    kernel samples.  Every yield is (or is believed to be) a kernel member;
-    the caller re-checks membership regardless."""
+def _extension_candidates(field: Field, k: int, points: list[int]):
+    """Closed-form multiplier norms u that kill every power sum but the
+    top one: all ones at k = q, one rootless polynomial in the norm at
+    k <= q - 2, and up to STRUCTURED_PICKS norm-plus-trace perturbations at
+    k = q - 1.  A yield may still have a zero entry or a zero top sum; the
+    caller skips those."""
     q = field.q
     subfield = field.subfield_elements()
     nonzero_sub = subfield[1:]
@@ -518,31 +487,22 @@ def _extension_candidates(field: Field, k: int, points: list[int], kernel: Matri
         # all power sums below the top vanish over the whole field
         yield [1] * len(points)
     elif k == q - 1:
-        # 1 + lam*N(alpha) + Tr(b*alpha^gamma) stays in the kernel for
-        # 2 <= gamma <= q - 1; hunt for a combination with no zero entry
+        # 1 + lam*N(alpha) + Tr(b*alpha^gamma) kills the lower power sums
+        # for 2 <= gamma <= q - 1; hunt for a combination with no zero entry
         choices = itertools.product(range(2, q), nonzero_sub, range(1, field.q2))
         for gamma, lam, b in itertools.islice(choices, STRUCTURED_PICKS):
             z = field.scale(b, [field.pow(alpha, gamma) for alpha in points])
             u = field.vadd([1] * len(points), field.scale(lam, norms))
             yield field.vadd(u, field.vadd(z, field.conjugate(z)))
     else:
-        # a polynomial P of exact degree q - k with P(0) = 1 and no root in
-        # GF(q), applied to the point norms, is a kernel member whose top
-        # power sum equals minus its leading coefficient.  product() stores
-        # each argument whole, so it gets q - k - 1 copies of the subfield
-        # for the middle coefficients, never a nested product
+        # the first P of exact degree q - k >= 2 with P(0) = 1 and no root in
+        # GF(q), applied to the point norms: no entry is zero and the top
+        # power sum is minus P's leading coefficient.  product() stores each
+        # argument whole, so it gets q - k - 1 copies of the subfield for the
+        # middle coefficients, never a nested product
         polys = ((1,) + c for c in itertools.product(*[subfield] * (q - k - 1), nonzero_sub))
-        rootless = (c for c in polys if all(_poly_eval(field, c, x) for x in subfield))
-        for coeffs in itertools.islice(rootless, STRUCTURED_PICKS):
-            yield [_poly_eval(field, coeffs, nrm) for nrm in norms]
-    rng = random.Random(0x5EED + field.q2 * (k + 1))
-    nsub = len(subfield)
-    while True:
-        u = [0] * len(points)
-        for row in kernel.data:
-            c = subfield[rng.randrange(nsub)]
-            u = field.vadd(u, field.scale(c, row))
-        yield u
+        coeffs = next(c for c in polys if all(_poly_eval(field, c, x) for x in subfield))
+        yield [_poly_eval(field, coeffs, nrm) for nrm in norms]
 
 
 def _poly_eval(field: Field, coeffs, x: int) -> int:

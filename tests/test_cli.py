@@ -364,6 +364,27 @@ def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry)
     assert decided == [((23, 26), 1), ((25, 26), 1), ((48, 52), 1)]
 
 
+def test_grs_a_with_a_below_its_minimum_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    flags = ["--family", "grs-a", "--q", "5", "--a", "0", "--d", "3", "--out", str(out)]
+    rc, _, err = run_cli(["construct", *flags], capsys)
+    assert rc == 2 and not out.exists()
+    assert json.loads(err)["error"] == "CongruenceViolated"
+
+
+def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
+    # every trace-perturbed candidate at q = 19, k = q - 1 has a zero entry
+    out = tmp_path / "x.json"
+    flags = ["--family", "extended", "--q", "19", "--k", "18", "--out", str(out)]
+    rc, stdout, err = run_cli(["construct", *flags], capsys)
+    assert (rc, stdout) == (3, "") and not out.exists()
+    assert json.loads(err) == {
+        "error": "SolverFailure",
+        "exit_code": 3,
+        "message": "no closed-form multiplier candidate gives a self-orthogonal code (q=19, k=18)",
+    }
+
+
 def test_unforced_out_of_range_mp6_exits_2(tmp_path, capsys):
     rc, _, err = run_cli(
         ["construct", "--family", "mp6", "--q", "3", "--d", "4", "--variant", "5",
@@ -452,6 +473,17 @@ def test_table_q_max_past_the_field_cap_is_refused_at_once(capsys, q_max):
     assert time.perf_counter() - start < 1
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "FieldTooLarge"
+
+
+@pytest.mark.parametrize("q_max", ["-300", "-5", "1", "2"])
+def test_table_q_max_below_3_is_refused(capsys, q_max):
+    rc, out, err = run_cli(["table", "--which", "family-a", "--q-max", q_max], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BadDimension",
+        "exit_code": 2,
+        "message": f"--q-max must be at least 3, got {q_max}",
+    }
 
 
 def test_table_output_is_deterministic(capsys):

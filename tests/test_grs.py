@@ -23,7 +23,6 @@ from qmds.errors import (
 from qmds.gf import field_for_q
 from qmds.grs import (
     GRS_FAMILIES,
-    STRUCTURED_PICKS,
     ConstructionParams,
     GrsSpec,
     LinearCode,
@@ -40,9 +39,8 @@ from qmds.grs import (
     power_sum,
     valid_parameter_sets,
     _extension_candidates,
-    _extension_system,
 )
-from qmds.linalg import Matrix, mat_vec, nullspace, rank, row_space_contains, stack
+from qmds.linalg import Matrix, rank, row_space_contains, stack
 
 
 def naive_min_distance(field, gen):
@@ -296,25 +294,27 @@ def test_extended_gram_zero_small_q():
             assert hermitian_gram(primal).is_zero()
 
 
-@pytest.mark.parametrize("q, k", [(3, 2), (5, 2), (5, 5)])
-def test_extension_random_draws_lie_in_the_kernel(q, k):
-    # one case per structured branch (k = q - 1, polynomial, k = q); every
-    # branch yields at most STRUCTURED_PICKS picks, so the draws from there
-    # on are the seeded random kernel samples
+@pytest.mark.parametrize("q, k", [(3, 2), (5, 3), (7, 7)])
+def test_extension_candidates_kill_every_lower_power_sum(q, k):
+    # one q per branch: k = q - 1 (trace perturbations), k <= q - 2 (a
+    # rootless polynomial in the norm), k = q (all ones)
     f = field_for_q(q)
     points = list(f.elements())
-    system = _extension_system(f, k, points)
-    kernel = nullspace(system)
-
-    def draws():
-        candidates = _extension_candidates(f, k, points, kernel)
-        return list(itertools.islice(candidates, STRUCTURED_PICKS, STRUCTURED_PICKS + 20))
-
-    first = draws()
-    assert first == draws()
-    assert len({tuple(u) for u in first}) > 1
-    for u in first:
-        assert not any(mat_vec(system, u))
+    candidates = list(_extension_candidates(f, k, points))
+    assert candidates
+    for u in candidates:
+        assert all(f.in_subfield(x) for x in u)
+        for j in range(k):
+            for l in range(k):
+                if (j, l) == (k - 1, k - 1):
+                    continue
+                acc = 0
+                for x, alpha in zip(u, points):
+                    term = x
+                    for _ in range(q * j + l):
+                        term = f.mul(term, alpha)
+                    acc = f.add(acc, term)
+                assert acc == 0, (u, j, l)
 
 
 def test_extended_dual_parameters():
@@ -421,3 +421,10 @@ def test_valid_parameter_sets_match_the_paper():
         for family in ("grs-a", "grs-b", "grs-c"):
             got = [(p.a, p.m, p.d) for p in valid_parameter_sets(family, q)]
             assert got == paper_parameter_sets(family, q), (family, q)
+
+
+def test_valid_parameter_sets_refuses_unknown_families_and_even_q():
+    with pytest.raises(BadDimension):
+        valid_parameter_sets("grs-d", 5)
+    with pytest.raises(EvenCharacteristic):
+        valid_parameter_sets("grs-a", 4)

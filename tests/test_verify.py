@@ -253,6 +253,13 @@ def test_is_mds():
     assert is_mds(full)  # [n, n, 1]
 
 
+def test_is_mds_past_the_cap_and_the_floor_budget_raises():
+    # [81, 76] over GF(81): too many messages to enumerate, and about 3.2e9
+    # column-subset steps for the floor
+    with pytest.raises(WorkBudgetExceeded):
+        is_mds(construct_full_field(field_for_q(9), 5))
+
+
 def test_is_mds_on_duals():
     # duals of MDS codes are MDS; [9,7] is past the enumeration comfort zone
     # for naive tooling but fine here
