@@ -15,7 +15,9 @@ Addition runs on Zech logarithms, zech[i] = log(1 + omega^i), so that
 a + b = omega^(log a + zech[log b - log a]) for nonzero a, b; adding one
 changes only the constant digit, so the table is one pass over the powers.
 Fields of at most _TABLE_CAP elements also get a full q^2 x q^2 addition
-table, built from the Zech one, since one lookup beats a Zech sum.  Single
+table, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
+the packing whatever the modulus, so that table is filled digit by digit
+from runs of one list of the q^2 elements (see _addition_table).  Single
 sums, vadd and clear_column use the addition table where there is one and
 Zech logarithms past it.  There dot sums in packed digits instead: each
 power of omega is also stored with its 2t base-p digits in separate 32-bit
@@ -42,6 +44,7 @@ Convention used throughout the package: 0^0 == 1.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 
 from .errors import (
@@ -129,10 +132,10 @@ class Field:
         log_minus_one = log[p - 1]  # the element p - 1 is -1
         self._neg = [0] + [exp[log[x] + log_minus_one] for x in range(1, q2)]
         self._conj = [0] + [exp[log[x] * q % order] for x in range(1, q2)]
-        self._add = None  # so that add() sums through Zech while the table is built
         if q2 <= _TABLE_CAP:
-            self._add = [[self.add(a, b) for b in range(q2)] for a in range(q2)]
+            self._add = _addition_table(p, q2)
         else:
+            self._add = None
             # _pexp[l] is omega^l with its digits in separate slots, over two
             # periods like exp, then a zero tail; _plog is log with zero sent
             # to 2 * order, so every sum of two _plog entries that involves
@@ -333,6 +336,28 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, t={self.t}, modulus={self.modulus})"
+
+
+def _addition_table(p: int, size: int) -> list[list[int]]:
+    """The table of a + b for all a, b < size, a power of p, where the sum
+    is digit-wise mod p in base p.
+
+    With a = a0 + p A and b = b0 + p B, a + b has low digit (a0 + b0) % p
+    and high part A + B.  So row a is row A of the table one digit shorter,
+    each entry h of it replaced by the p sums with high part h: the elements
+    p h, ..., p h + p - 1 rotated left by a0.  Every cell is an int of the
+    one list of elements, so the table holds size ints however many cells
+    it has.
+    """
+    elements = list(range(size))
+    if size == p:
+        return [elements[a:] + elements[:a] for a in range(p)]
+    high = _addition_table(p, size // p)
+    runs = [
+        [elements[lo + a0 : lo + p] + elements[lo : lo + a0] for lo in range(0, size, p)]
+        for a0 in range(p)
+    ]
+    return [list(chain.from_iterable(map(runs[a % p].__getitem__, high[a // p]))) for a in range(size)]
 
 
 def _build_tables(p: int, t: int, modulus: list[int]):

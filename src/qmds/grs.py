@@ -38,6 +38,10 @@ from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfi
 
 # trace-perturbed candidates the extended family tries at k = q - 1
 STRUCTURED_PICKS = 60
+# most cells, (n - k) * n, of the Hermitian dual a full-field or extended code
+# is built as: every k at q = 64 (at most 4096 * 4097 cells) fits, and no k
+# at q = 67 (2.0e7 cells) or above does
+DUAL_CELL_CAP = 17_000_000
 
 
 @dataclass(frozen=True)
@@ -402,10 +406,19 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
     q = field.q
     if not 1 <= k <= q - 1:
         raise DimensionOutOfRange(f"need 1 <= k <= q - 1 = {q - 1}, got k={k}")
+    _check_dual_cells(field.q2, k)
     primal = grs_generator(full_field_spec(field, k))
     if not is_self_orthogonal(primal):
         raise NotSelfOrthogonal("full-field spec failed its own Gram certificate")
     return _dual_containing_side(primal, "full-field")
+
+
+def _check_dual_cells(n: int, k: int) -> None:
+    """Refuse a length-n code whose [n, n - k] Hermitian dual would have more
+    than DUAL_CELL_CAP cells; called before either code is built."""
+    cells = (n - k) * n
+    if cells > DUAL_CELL_CAP:
+        raise DimensionOutOfRange(f"the [{n}, {n - k}] dual would have {cells} cells, over {DUAL_CELL_CAP}")
 
 
 def _dual_containing_side(primal: LinearCode, construction: str) -> LinearCode:
@@ -427,6 +440,7 @@ def _dual_containing_side(primal: LinearCode, construction: str) -> LinearCode:
 
 def construct_extended(field: Field, k: int) -> LinearCode:
     """Hermitian dual-containing [q^2 + 1, q^2 + 1 - k] code, design distance k + 1."""
+    _check_dual_cells(field.q2 + 1, k)
     return _dual_containing_side(extended_self_orthogonal(field, k), "extended")
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import qmds.cli
+import qmds.grs
 import qmds.verify
 from qmds.cli import load_code_file, main
 from qmds.gf import field_for_q
@@ -383,6 +384,23 @@ def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
         "exit_code": 3,
         "message": "no closed-form multiplier candidate gives a self-orthogonal code (q=19, k=18)",
     }
+
+
+@pytest.mark.parametrize("family,k", [("full-field", 1), ("extended", 3)])
+def test_oversized_dual_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch, family, k):
+    # at q = 128 either dual would hold about 2.7e8 cells; the cap refuses
+    # it before any elimination, so the dual is never reached
+    def unreachable(code):
+        raise AssertionError("the Hermitian dual was built")
+
+    monkeypatch.setattr(qmds.grs, "hermitian_dual", unreachable)
+    out = tmp_path / "x.json"
+    flags = ["--family", family, "--q", "128", "--k", str(k), "--out", str(out)]
+    rc, stdout, err = run_cli(["construct", *flags], capsys)
+    assert (rc, stdout) == (2, "") and not out.exists()
+    error = json.loads(err)
+    assert error["error"] == "DimensionOutOfRange" and error["exit_code"] == 2
+    assert str(qmds.grs.DUAL_CELL_CAP) in error["message"]
 
 
 def test_unforced_out_of_range_mp6_exits_2(tmp_path, capsys):

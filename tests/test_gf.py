@@ -363,6 +363,54 @@ def test_digit_fallback_field_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the addition table, on every tower under _TABLE_CAP
+
+TABLE_TOWERS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)] + [(p, 1) for p in (5, 7, 11, 13, 17, 19)]
+
+
+def test_table_towers_are_every_tower_under_the_cap():
+    primes = [p for p in range(2, _TABLE_CAP) if all(p % d for d in range(2, p))]
+    towers = [(p, t) for p in primes for t in range(1, 10) if p ** (2 * t) <= _TABLE_CAP]
+    assert sorted(towers) == TABLE_TOWERS
+
+
+@pytest.mark.parametrize("p,t", TABLE_TOWERS)
+def test_addition_table_matches_digit_oracle_exhaustively(p, t):
+    f = field_new(p, t)
+    assert len(f._add) == f.q2
+    for a, row in enumerate(f._add):
+        assert row == [oracle_add(f, a, b) for b in range(f.q2)]
+
+
+@pytest.mark.parametrize("p,t", TABLE_TOWERS)
+def test_addition_table_rows_are_permutations(p, t):
+    f = field_new(p, t)
+    elements = list(range(f.q2))
+    assert all(sorted(row) == elements for row in f._add)
+
+
+@pytest.mark.parametrize("p,t", TABLE_TOWERS)
+def test_addition_table_shares_one_int_per_element(p, t):
+    # a fresh int per cell would cost about 7 MB over q = 13, 17 and 19
+    f = field_new(p, t)
+    assert len({id(x) for row in f._add for x in row}) <= f.q2
+
+
+@pytest.mark.parametrize("p,t", [(3, 2), (19, 1)])
+def test_addition_table_does_not_depend_on_the_modulus(p, t):
+    f = field_new(p, t)
+    deg = 2 * t
+    # the first primitive modulus after the canonical one in packing order
+    for packed in range(index_of_poly(f.modulus[:deg], p) + 1, p**deg):
+        try:
+            g = Field(p, t, poly_of_index(packed, p, deg) + [1])
+        except errors.ZeroInput:
+            continue
+        break
+    assert g.modulus != f.modulus and g._log != f._log
+    assert g._add == f._add
+
+# ---------------------------------------------------------------------------
 # element methods and vector kernels against the oracles, on fields on both
 # sides of _TABLE_CAP, including p = 2 and t > 1
 

@@ -38,6 +38,7 @@ from qmds.grs import (
     hermitian_gram,
     power_sum,
     valid_parameter_sets,
+    _check_dual_cells,
     _extension_candidates,
 )
 from qmds.linalg import Matrix, rank, row_space_contains, stack
@@ -265,6 +266,17 @@ def test_full_field_duals():
     dual = construct_full_field(f, 1)
     assert (dual.n, dual.k) == (9, 8)
     assert dual.claimed_distance_lb == 2
+
+
+def test_dual_cell_cap_admits_q64_and_refuses_q67():
+    # n = q^2 for full-field and q^2 + 1 for extended; the dual's (n - k) n
+    # cells fall as k grows, so k = 1 is the largest at q = 64 and k = q the
+    # smallest at q = 67
+    for n in (64**2, 64**2 + 1):
+        _check_dual_cells(n, 1)
+    for n in (67**2, 67**2 + 1):
+        with pytest.raises(DimensionOutOfRange):
+            _check_dual_cells(n, 67)
 
 
 def test_full_field_primal_distance_eight():
