@@ -13,11 +13,9 @@ it, to verify.run_checks.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import lru_cache
 
 from .errors import (
@@ -35,6 +33,7 @@ from .grs import (
     GRS_FAMILIES,
     ConstructionParams,
     LinearCode,
+    _require_odd_q,
     construct_extended,
     construct_full_field,
     grs_generator,
@@ -156,10 +155,17 @@ def _build(args) -> tuple[LinearCode, dict]:
     if family in GRS_FAMILIES:
         _require(args.a is not None, f"--a is required for {family}")
         _require(args.d is not None, f"--d is required for {family}")
-        ctor, _, divide, a_min, _, _ = GRS_FAMILIES[family]
+        ctor, congruence, divide, a_min, _, _ = GRS_FAMILIES[family]
         if args.a < a_min:
             raise CongruenceViolated(f"{family} needs a >= {a_min}, got {args.a}")
-        m, _ = divide(q, args.a)
+        _require_odd_q(q)
+        # m is derived, so the refusal names only the q and a given; at
+        # q >= 3 a zero remainder leaves m >= 1
+        m, rest = divide(q, args.a)
+        if rest:
+            raise CongruenceViolated(
+                f"{family} needs q = {congruence} for some integer m >= 1, got q={q}, a={args.a}"
+            )
         code = grs_generator(ctor(ConstructionParams(q=q, a=args.a, m=m, d=args.d)))
         return code, {
             "construction": family,
@@ -224,8 +230,10 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
         )
     else:
         name = "gram" if claim == "self-orthogonal" else "dual-containing"
-        [check] = run_checks(code, (name,), claim).checks
-        check = replace(check, detail="construction-time self-certification")
+        [ran] = run_checks(code, (name,), claim).checks
+        check = CheckResult(
+            ran.name, ran.verdict, ran.method, ran.work_count, "construction-time self-certification"
+        )
     return VerificationReport(target=provenance["construction"], checks=[check]).to_dict()
 
 
@@ -302,6 +310,8 @@ def cmd_table(args) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(rows))
     else:
+        import csv  # only this command writes CSV, so other commands skip the import
+
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -19,7 +19,6 @@ matrix is Hermitian, so hermitian_gram sums only its upper triangle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
     BadDimension,
@@ -44,21 +43,23 @@ STRUCTURED_PICKS = 60
 DUAL_CELL_CAP = 17_000_000
 
 
-@dataclass(frozen=True)
 class GrsSpec:
-    """Evaluation data for a GRS code: points, column multipliers, dimension."""
+    """Evaluation data for a GRS code: points, column multipliers, dimension.
 
-    field: Field
-    points: tuple[int, ...]
-    multipliers: tuple[int, ...]
-    k: int
-    # the first code grs_generator built from this spec; a replaced or
-    # newly built equal spec starts without one
-    _code: LinearCode | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    Treat instances as immutable.  Equality, hashing and repr look at the
+    field, points, multipliers and k only, never at the kept code.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "multipliers", tuple(self.multipliers))
+    __slots__ = ("field", "points", "multipliers", "k", "_code")
+
+    def __init__(self, field: Field, points, multipliers, k: int):
+        self.field = field
+        self.points = tuple(points)
+        self.multipliers = tuple(multipliers)
+        self.k = k
+        # the first code grs_generator built from this spec; a newly built
+        # equal spec starts without one
+        self._code: LinearCode | None = None
         n = len(self.points)
         if len(set(self.points)) != n:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
@@ -69,12 +70,28 @@ class GrsSpec:
         if not 1 <= self.k <= n:
             raise BadDimension(f"dimension {self.k} outside 1..{n}")
 
+    def _key(self) -> tuple:
+        return self.field, self.points, self.multipliers, self.k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"GrsSpec(field={self.field!r}, points={self.points!r}, "
+            f"multipliers={self.multipliers!r}, k={self.k!r})"
+        )
+
     @property
     def n(self) -> int:
         return len(self.points)
 
 
-@dataclass
 class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
@@ -86,18 +103,34 @@ class LinearCode:
     is_self_orthogonal keeps its own in _self_orthogonal.
     """
 
-    field: Field
-    generator: Matrix
-    known_distance: int | None = None
-    claimed_distance_lb: int | None = None
-    provenance: dict = dataclass_field(default_factory=dict)
-    _dual_containing: bool | None = dataclass_field(default=None, init=False, repr=False, compare=False)
-    _self_orthogonal: bool | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    __slots__ = (
+        "field",
+        "generator",
+        "known_distance",
+        "claimed_distance_lb",
+        "provenance",
+        "_dual_containing",
+        "_self_orthogonal",
+    )
 
-    def __post_init__(self):
-        if self.generator.field is not self.field:
+    def __init__(
+        self,
+        field: Field,
+        generator: Matrix,
+        known_distance: int | None = None,
+        claimed_distance_lb: int | None = None,
+        provenance: dict | None = None,
+    ):
+        self.field = field
+        self.generator = generator
+        self.known_distance = known_distance
+        self.claimed_distance_lb = claimed_distance_lb
+        self.provenance = {} if provenance is None else provenance
+        self._dual_containing: bool | None = None
+        self._self_orthogonal: bool | None = None
+        if generator.field is not field:
             raise DimensionMismatch("generator matrix lives in a different field")
-        if rank(self.generator) != self.generator.rows:
+        if rank(generator) != generator.rows:
             raise BadDimension("generator rows are linearly dependent")
 
     @property
@@ -117,25 +150,27 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q2}))"
 
 
-@dataclass(frozen=True)
+def _require_odd_q(q: int) -> None:
+    """Refuse a q that is not odd and at least 3."""
+    if q < 3 or q % 2 == 0:
+        raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
+
+
 class ConstructionParams:
-    """(q, a, m, d) for the parametric families.
+    """(q, a, m, d) for the parametric families.  Treat instances as immutable.
 
     Family-specific congruences between q, a and m live in GRS_FAMILIES;
     only shape sanity lives here.
     """
 
-    q: int
-    a: int
-    m: int
-    d: int
+    __slots__ = ("q", "a", "m", "d")
 
-    def __post_init__(self):
-        if self.q < 3 or self.q % 2 == 0:
-            raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {self.q}")
-        if self.a < 0 or self.m < 1:
-            raise CongruenceViolated(f"bad divisor parameters a={self.a}, m={self.m}")
-        if self.d < 2:
+    def __init__(self, q: int, a: int, m: int, d: int):
+        self.q, self.a, self.m, self.d = q, a, m, d
+        _require_odd_q(q)
+        if a < 0 or m < 1:
+            raise CongruenceViolated(f"bad divisor parameters a={a}, m={m}")
+        if d < 2:
             raise DistanceOutOfRange("design distance starts at 2")
 
 
@@ -168,7 +203,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
         provenance={"construction": "grs", "distance_claim": "mds"},
     )
     if first is None:
-        object.__setattr__(spec, "_code", code)
+        spec._code = code
     else:
         code._self_orthogonal = first._self_orthogonal
     return code
@@ -370,8 +405,7 @@ def valid_parameter_sets(family: str, q: int) -> list[ConstructionParams]:
     family is one of "grs-a", "grs-b", "grs-c".  The congruence fixes m once
     step(a) divides q - shift, and d sweeps the certified window.
     """
-    if q < 3 or q % 2 == 0:
-        raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
+    _require_odd_q(q)
     if family not in GRS_FAMILIES:
         raise BadDimension(f"unknown family {family!r}")
     _, _, divide, a_min, m_min, d_max = GRS_FAMILIES[family]

@@ -4,8 +4,6 @@ distance ladder built on top of it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadDimension,
     DistanceOutOfRange,
@@ -38,15 +36,17 @@ from .linalg import (
 from .verify import _min_weight, dual_containing_check
 
 
-@dataclass(frozen=True)
 class MpcSpec:
-    """Ingredient codes plus the s x l mixer that interleaves them."""
+    """Ingredient codes plus the s x l mixer that interleaves them.
 
-    codes: tuple[LinearCode, ...]
-    mixer: Matrix
+    Treat instances as immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "codes", tuple(self.codes))
+    __slots__ = ("codes", "mixer")
+
+    def __init__(self, codes, mixer: Matrix):
+        self.codes = tuple(codes)
+        self.mixer = mixer
         if not self.codes:
             raise BadDimension("need at least one ingredient code")
         f = self.codes[0].field

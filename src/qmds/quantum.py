@@ -7,8 +7,6 @@ Both check their hypothesis, reusing a verdict the code already carries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .errors import (
     DimensionOutOfRange,
     NotDualContaining,
@@ -21,7 +19,6 @@ from .mpc import LADDER_VARIANTS, ladder_ceiling, ladder_shape, mp6_ladder
 from .verify import dual_containing_check
 
 
-@dataclass
 class QuantumParams:
     """[[n, k, d]]_q with provenance.
 
@@ -30,13 +27,15 @@ class QuantumParams:
     carries enough detail to reconstruct where the record came from.
     """
 
-    q: int
-    n: int
-    k: int
-    d: int
-    d_is_exact: bool
-    mds: bool
-    ancestor: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("q", "n", "k", "d", "d_is_exact", "mds", "ancestor")
+
+    def __init__(
+        self, q: int, n: int, k: int, d: int, d_is_exact: bool, mds: bool, ancestor: dict | None = None
+    ):
+        self.q, self.n, self.k, self.d = q, n, k, d
+        self.d_is_exact = d_is_exact
+        self.mds = mds
+        self.ancestor = {} if ancestor is None else ancestor
 
 
 def singleton_check(params: QuantumParams) -> str:

@@ -17,7 +17,6 @@ exactly when the code is MDS."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from math import comb
 
@@ -30,16 +29,17 @@ DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_WORK_BUDGET = 10**8
 
 
-@dataclass
 class CheckResult:
-    name: str
-    verdict: str  # "pass" | "fail" | "skipped"
-    method: str
-    work_count: int = 0
-    detail: str = ""
+    __slots__ = ("name", "verdict", "method", "work_count", "detail")
+
+    def __init__(self, name: str, verdict: str, method: str, work_count: int = 0, detail: str = ""):
+        self.name = name
+        self.verdict = verdict  # "pass" | "fail" | "skipped"
+        self.method = method
+        self.work_count = work_count
+        self.detail = detail
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a batch of checks against one code.
 
@@ -47,8 +47,11 @@ class VerificationReport:
     the report; only an explicit "fail" verdict does.
     """
 
-    target: str
-    checks: list[CheckResult] = dataclass_field(default_factory=list)
+    __slots__ = ("target", "checks")
+
+    def __init__(self, target: str, checks: list[CheckResult] | None = None):
+        self.target = target
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:

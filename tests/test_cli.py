@@ -373,6 +373,35 @@ def test_grs_a_with_a_below_its_minimum_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "CongruenceViolated"
 
 
+def refused_a(tmp_path, capsys, family, q, a):
+    out = tmp_path / "x.json"
+    flags = ["--family", family, "--q", str(q), "--a", str(a), "--d", "3", "--out", str(out)]
+    rc, stdout, err = run_cli(["construct", *flags], capsys)
+    assert (rc, stdout) == (2, "") and not out.exists()
+    return json.loads(err)  # exactly one JSON object
+
+
+@pytest.mark.parametrize(
+    "family,congruence",
+    [("grs-a", "2am + 1"), ("grs-b", "2am - 1"), ("grs-c", "(2a + 1)m - 1")],
+)
+def test_an_a_past_q_is_refused_without_a_derived_m(tmp_path, capsys, family, congruence):
+    assert refused_a(tmp_path, capsys, family, 5, 7) == {
+        "error": "CongruenceViolated",
+        "exit_code": 2,
+        "message": f"{family} needs q = {congruence} for some integer m >= 1, got q=5, a=7",
+    }
+
+
+def test_an_a_that_leaves_a_remainder_is_refused_without_a_derived_m(tmp_path, capsys):
+    # 2a = 4 does not divide q - 1 = 6; m = 1 is the quotient, not a given
+    assert refused_a(tmp_path, capsys, "grs-a", 7, 2) == {
+        "error": "CongruenceViolated",
+        "exit_code": 2,
+        "message": "grs-a needs q = 2am + 1 for some integer m >= 1, got q=7, a=2",
+    }
+
+
 def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
     # every trace-perturbed candidate at q = 19, k = q - 1 has a zero entry
     out = tmp_path / "x.json"

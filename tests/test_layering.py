@@ -1,5 +1,6 @@
 """Layering: only qmds.gf reads the tables of a Field, the command-line
-front end chooses no oracle, and importing it loads no process pool.
+front end chooses no oracle, and importing it loads no process pool and
+no dataclasses.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -16,6 +17,7 @@ from __future__ import annotations
 import ast
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import qmds
@@ -62,12 +64,24 @@ def test_cli_imports_no_oracle():
     assert not imported, imported
 
 
-def test_cli_import_loads_no_process_pool():
-    # a fresh interpreter, so modules other tests import do not count; -I
-    # ignores PYTHONPATH, so the package's parent directory goes on sys.path
-    probe = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qmds.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
+@cache
+def modules_after_cli_import() -> frozenset[str]:
+    """sys.modules of a fresh interpreter that has imported qmds.cli.
+
+    A fresh interpreter, so modules other tests import do not count; -I
+    ignores PYTHONPATH, so the package's parent directory goes on sys.path.
+    """
+    probe = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qmds.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stdout
+    return frozenset(out.stdout.split())
+
+
+def test_cli_import_loads_no_process_pool():
+    pools = sorted(m for m in modules_after_cli_import() if m.split(".")[0] in ("concurrent", "multiprocessing"))
+    assert pools == [], pools
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # each command is a fresh process, so what the import loads it pays
+    # every time; dataclasses pulls in inspect, and with it ast and dis
+    assert not {"dataclasses", "inspect"} & modules_after_cli_import()
