@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .errors import (
     BadDimension,
-    CongruenceViolated,
     FieldTooLarge,
     FileMalformed,
     OutputUnwritable,
@@ -31,11 +30,10 @@ from .errors import (
 from .gf import SIZE_CAP, field_for_q, field_with_modulus
 from .grs import (
     GRS_FAMILIES,
-    ConstructionParams,
     LinearCode,
-    _require_odd_q,
     construct_extended,
     construct_full_field,
+    family_params,
     grs_generator,
     valid_parameter_sets,
 )
@@ -155,21 +153,11 @@ def _build(args) -> tuple[LinearCode, dict]:
     if family in GRS_FAMILIES:
         _require(args.a is not None, f"--a is required for {family}")
         _require(args.d is not None, f"--d is required for {family}")
-        ctor, congruence, divide, a_min, _, _ = GRS_FAMILIES[family]
-        if args.a < a_min:
-            raise CongruenceViolated(f"{family} needs a >= {a_min}, got {args.a}")
-        _require_odd_q(q)
-        # m is derived, so the refusal names only the q and a given; at
-        # q >= 3 a zero remainder leaves m >= 1
-        m, rest = divide(q, args.a)
-        if rest:
-            raise CongruenceViolated(
-                f"{family} needs q = {congruence} for some integer m >= 1, got q={q}, a={args.a}"
-            )
-        code = grs_generator(ctor(ConstructionParams(q=q, a=args.a, m=m, d=args.d)))
+        params = family_params(family, q, args.a, args.d)
+        code = grs_generator(GRS_FAMILIES[family][0](params))
         return code, {
             "construction": family,
-            "parameters": {"q": q, "a": args.a, "m": m, "d": args.d},
+            "parameters": {"q": q, "a": args.a, "m": params.m, "d": args.d},
             "claims": _claims("self-orthogonal", code),
         }
     if family in ("full-field", "extended"):

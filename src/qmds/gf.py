@@ -14,8 +14,8 @@ itself and exp/log tables fall out of the primitivity check for free.
 Addition runs on Zech logarithms, zech[i] = log(1 + omega^i), so that
 a + b = omega^(log a + zech[log b - log a]) for nonzero a, b; adding one
 changes only the constant digit, so the table is one pass over the powers.
-Fields of at most _TABLE_CAP elements also get a full q^2 x q^2 addition
-table, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
+Fields of at most _TABLE_CAP elements get a full q^2 x q^2 addition table
+instead, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
 the packing whatever the modulus, so that table is filled digit by digit
 from runs of one list of the q^2 elements (see _addition_table).  Single
 sums, vadd and clear_column use the addition table where there is one and
@@ -126,9 +126,6 @@ class Field:
         self._exp = exp = exp + exp
         self._log = log
         self.omega = p  # the residue class of x
-        # 1 + omega^i differs from omega^i in the constant digit only;
-        # -1 marks the i with omega^i = -1
-        self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
         log_minus_one = log[p - 1]  # the element p - 1 is -1
         self._neg = [0] + [exp[log[x] + log_minus_one] for x in range(1, q2)]
         self._conj = [0] + [exp[log[x] * q % order] for x in range(1, q2)]
@@ -136,6 +133,9 @@ class Field:
             self._add = _addition_table(p, q2)
         else:
             self._add = None
+            # 1 + omega^i differs from omega^i in the constant digit only;
+            # -1 marks the i with omega^i = -1
+            self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
             # _pexp[l] is omega^l with its digits in separate slots, over two
             # periods like exp, then a zero tail; _plog is log with zero sent
             # to 2 * order, so every sum of two _plog entries that involves

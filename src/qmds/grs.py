@@ -159,8 +159,8 @@ def _require_odd_q(q: int) -> None:
 class ConstructionParams:
     """(q, a, m, d) for the parametric families.  Treat instances as immutable.
 
-    Family-specific congruences between q, a and m live in GRS_FAMILIES;
-    only shape sanity lives here.
+    Family-specific congruences between q, a and m live in GRS_FAMILIES,
+    and family_params derives m from them; only shape sanity lives here.
     """
 
     __slots__ = ("q", "a", "m", "d")
@@ -275,11 +275,7 @@ def construct_family_A(params: ConstructionParams) -> GrsSpec:
     Points run through the powers of omega^a; multipliers repeat a block of
     doubled powers.  The spec is checked against the Gram oracle.
     """
-    _check_window("grs-a", params)
-    spec = _family_a_spec(field_for_q(params.q), params.a, params.d - 1)
-    if not is_self_orthogonal(grs_generator(spec)):
-        raise NotSelfOrthogonal("family A spec failed its own Gram certificate")
-    return spec
+    return _gated_family("grs-a", params, NotSelfOrthogonal, _family_a_spec, a=params.a)
 
 
 def _family_a_spec(field: Field, a: int, k: int) -> GrsSpec:
@@ -304,22 +300,12 @@ def construct_family_B(params: ConstructionParams) -> GrsSpec:
     matrix of omega powers; points are the powers of omega^(2a) whose
     exponents avoid the multiples of q + 1.
     """
-    _check_window("grs-b", params)
-    q, a, m, d = params.q, params.a, params.m, params.d
-    field = field_for_q(q)
-    spec = _kernel_family_spec(
-        field,
-        m,
-        d - 1,
-        # the factor a makes each row a sum over a full coset when the power
-        # sums are regrouped; for a = 1 or m <= 3 it changes nothing
-        row_exponent=lambda i, j: 2 * a * j * ((i - 1) * (q - 1) + m - 3),
-        point_exponent=lambda j: 2 * a * j,
-        multiplier_shift=-(m - 3),
-    )
-    if not is_self_orthogonal(grs_generator(spec)):
-        raise SolverFailure("family B spec failed its own Gram certificate")
-    return spec
+    q, a, m = params.q, params.a, params.m
+    # the factor a makes each row a sum over a full coset when the power
+    # sums are regrouped; for a = 1 or m <= 3 it changes nothing
+    return _gated_family("grs-b", params, SolverFailure, _kernel_family_spec, m=m,
+                         row_exponent=lambda i, j: 2 * a * j * ((i - 1) * (q - 1) + m - 3),
+                         point_exponent=lambda j: 2 * a * j, multiplier_shift=-(m - 3))
 
 
 def construct_family_C(params: ConstructionParams) -> GrsSpec:
@@ -328,21 +314,21 @@ def construct_family_C(params: ConstructionParams) -> GrsSpec:
     Same kernel-vector pipeline as family B with its own exponent pattern;
     a = 0 is allowed and gives the length q^2 - q family.
     """
-    _check_window("grs-c", params)
-    q, a, m, d = params.q, params.a, params.m, params.d
-    w = 2 * a + 1
-    field = field_for_q(q)
-    spec = _kernel_family_spec(
-        field,
-        m,
-        d - 1,
-        # same coset-regrouping factor as family B, here 2a + 1
-        row_exponent=lambda i, j: w * (i * (q - 1) - 1) * j,
-        point_exponent=lambda j: w * j,
-        multiplier_shift=1,
-    )
+    q, w = params.q, 2 * params.a + 1
+    # same coset-regrouping factor as family B, here 2a + 1
+    return _gated_family("grs-c", params, SolverFailure, _kernel_family_spec, m=params.m,
+                         row_exponent=lambda i, j: w * (i * (q - 1) - 1) * j,
+                         point_exponent=lambda j: w * j, multiplier_shift=1)
+
+
+def _gated_family(family: str, params: ConstructionParams, failure: type, build, **shape) -> GrsSpec:
+    """The spec build(field, k=d - 1, **shape) on GF(q^2): refused before it
+    is built when params are outside the family's window, and with failure
+    after when its Gram matrix is not zero."""
+    _check_window(family, params)
+    spec = build(field_for_q(params.q), k=params.d - 1, **shape)
     if not is_self_orthogonal(grs_generator(spec)):
-        raise SolverFailure("family C spec failed its own Gram certificate")
+        raise failure(f"family {family[-1].upper()} spec failed its own Gram certificate")
     return spec
 
 
@@ -386,6 +372,13 @@ GRS_FAMILIES = {
 }
 
 
+def _family(family: str) -> tuple:
+    """The GRS_FAMILIES row of a family name, or BadDimension."""
+    if family not in GRS_FAMILIES:
+        raise BadDimension(f"unknown family {family!r}")
+    return GRS_FAMILIES[family]
+
+
 def _check_window(family: str, params: ConstructionParams) -> None:
     """Refuse (q, a, m, d) outside the family's congruence and distance window."""
     _, congruence, divide, a_min, m_min, d_max = GRS_FAMILIES[family]
@@ -399,6 +392,22 @@ def _check_window(family: str, params: ConstructionParams) -> None:
         raise DistanceOutOfRange(f"{name} supports 2 <= d <= {d_max(a, m)}, got d={d}")
 
 
+def family_params(family: str, q: int, a: int, d: int) -> ConstructionParams:
+    """(q, a, m, d) with m derived from the named family's congruence.
+
+    A refused a is named with the q given, never with a derived m; at
+    q >= 3 a zero remainder leaves m >= 1.  The constructor checks the rest.
+    """
+    _, congruence, divide, a_min, _, _ = _family(family)
+    if a < a_min:
+        raise CongruenceViolated(f"{family} needs a >= {a_min}, got {a}")
+    _require_odd_q(q)
+    m, rest = divide(q, a)
+    if rest:
+        raise CongruenceViolated(f"{family} needs q = {congruence} for some integer m >= 1, got q={q}, a={a}")
+    return ConstructionParams(q=q, a=a, m=m, d=d)
+
+
 def valid_parameter_sets(family: str, q: int) -> list[ConstructionParams]:
     """Every (a, m, d) the named family accepts at this q, ordered by (a, d).
 
@@ -406,9 +415,7 @@ def valid_parameter_sets(family: str, q: int) -> list[ConstructionParams]:
     step(a) divides q - shift, and d sweeps the certified window.
     """
     _require_odd_q(q)
-    if family not in GRS_FAMILIES:
-        raise BadDimension(f"unknown family {family!r}")
-    _, _, divide, a_min, m_min, d_max = GRS_FAMILIES[family]
+    _, _, divide, a_min, m_min, d_max = _family(family)
     out = []
     for a in range(a_min, q + 1):
         m, rest = divide(q, a)
@@ -487,8 +494,10 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     nonzero value the extension coordinate absorbs.  The first closed-form
     candidate (see _extension_candidates) with no zero entry, a nonzero top
     sum and a zero Gram matrix gives the code.  At k = q - 1 only
-    STRUCTURED_PICKS candidates are tried, and at q = 19 and q = 27 every
-    one has a zero entry: SolverFailure, inside the range 1 <= k <= q.
+    STRUCTURED_PICKS candidates are tried: at q = 19 and q = 27 every one
+    has a zero entry, and no even q tried (2, 4, 8, 16) gets a code either,
+    so these raise SolverFailure inside the range 1 <= k <= q.  At q = 2,
+    k = 1 every norm is 1, and the top sum of the four ones is 0.
     """
     q, q2 = field.q, field.q2
     if not 1 <= k <= q:

@@ -19,6 +19,7 @@ from .gf import Field, field_for_q
 from .grs import (
     LinearCode,
     _family_a_spec,
+    _require_odd_q,
     construct_extended,
     euclidean_dual,
     full_field_spec,
@@ -192,6 +193,12 @@ def ladder_ceiling(q: int, variant: int) -> int:
     return q + LADDER_VARIANTS[variant][3]
 
 
+def ladder_in_window(q: int, d: int, variant: int) -> bool:
+    """Whether d has the variant's parity and 2 <= d <= its ceiling at q:
+    the window in which mp6_ladder certifies its output unforced."""
+    return d % 2 == LADDER_VARIANTS[variant][1] and 2 <= d <= ladder_ceiling(q, variant)
+
+
 def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     """Dual-containing [2n', ...] code pairing a design-distance ceil(d/2)
     ingredient with a design-distance d one of the same length n'.
@@ -203,18 +210,17 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     """
     if variant not in LADDER_VARIANTS:
         raise BadDimension(f"variant must be 1..6, got {variant}")
-    if q < 3 or q % 2 == 0:
-        raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
+    _require_odd_q(q)
     parity = LADDER_VARIANTS[variant][1]
     if d % 2 != parity:
         raise ParityMismatch(f"variant {variant} needs {'even' if parity == 0 else 'odd'} d, got {d}")
     if d < 2:
         raise DistanceOutOfRange("design distance starts at 2")
-    dmax = ladder_ceiling(q, variant)
-    in_range = d <= dmax
+    in_range = ladder_in_window(q, d, variant)
     if not in_range and not force:
         raise DistanceOutOfRange(
-            f"variant {variant} certifies 2 <= d <= {dmax}; d={d} requires force and loses the certificate"
+            f"variant {variant} certifies 2 <= d <= {ladder_ceiling(q, variant)}; "
+            f"d={d} requires force and loses the certificate"
         )
     field = field_for_q(q)
     c1 = _ladder_ingredient(field, variant, (d + 1) // 2)

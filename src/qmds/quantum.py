@@ -15,7 +15,7 @@ from .errors import (
     VerificationFailure,
 )
 from .grs import LinearCode, is_self_orthogonal
-from .mpc import LADDER_VARIANTS, ladder_ceiling, ladder_shape, mp6_ladder
+from .mpc import ladder_ceiling, ladder_in_window, ladder_shape, mp6_ladder
 from .verify import dual_containing_check
 
 
@@ -23,29 +23,30 @@ class QuantumParams:
     """[[n, k, d]]_q with provenance.
 
     d_is_exact distinguishes a true minimum distance from a certified lower
-    bound; mds records saturation of the quantum Singleton bound.  ancestor
-    carries enough detail to reconstruct where the record came from.
+    bound; ancestor carries enough detail to reconstruct where the record
+    came from.  A record above the quantum Singleton bound 2d <= n - k + 2
+    signals an upstream bug and is refused with VerificationFailure.
     """
 
-    __slots__ = ("q", "n", "k", "d", "d_is_exact", "mds", "ancestor")
+    __slots__ = ("q", "n", "k", "d", "d_is_exact", "ancestor")
 
-    def __init__(
-        self, q: int, n: int, k: int, d: int, d_is_exact: bool, mds: bool, ancestor: dict | None = None
-    ):
+    def __init__(self, q: int, n: int, k: int, d: int, d_is_exact: bool, ancestor: dict | None = None):
         self.q, self.n, self.k, self.d = q, n, k, d
         self.d_is_exact = d_is_exact
-        self.mds = mds
         self.ancestor = {} if ancestor is None else ancestor
+        if 2 * d > n - k + 2:
+            raise VerificationFailure(f"[[{n}, {k}, {d}]]_{q} violates the quantum Singleton bound")
+
+    @property
+    def mds(self) -> bool:
+        """Whether the record saturates the quantum Singleton bound."""
+        return 2 * self.d == self.n - self.k + 2
 
 
 def singleton_check(params: QuantumParams) -> str:
-    """'saturated' when 2d = n - k + 2, 'strict' when below, 'violated' when
-    above.  'violated' signals an upstream bug; nothing here emits one."""
-    lhs = 2 * params.d
-    rhs = params.n - params.k + 2
-    if lhs == rhs:
-        return "saturated"
-    return "strict" if lhs < rhs else "violated"
+    """'saturated' when 2d = n - k + 2, else 'strict'; QuantumParams
+    refuses a record above the bound."""
+    return "saturated" if params.mds else "strict"
 
 
 def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> QuantumParams:
@@ -64,18 +65,14 @@ def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> 
             f"distance claim {distance_lb} exceeds the ancestor's certificate {carried}"
         )
     n, kq = code.n, 2 * code.k - code.n
-    params = QuantumParams(
+    return QuantumParams(
         q=code.field.q,
         n=n,
         k=kq,
         d=distance_lb,
         d_is_exact=False,
-        mds=2 * distance_lb == n - kq + 2,
         ancestor={"classical": [n, code.k], "construction": "hermitian", "source": dict(code.provenance)},
     )
-    if singleton_check(params) == "violated":
-        raise VerificationFailure("claimed distance violates the quantum Singleton bound")
-    return params
 
 
 def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
@@ -87,18 +84,14 @@ def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
     mds_distance = n - k + 1
     if code.known_distance != mds_distance and code.claimed_distance_lb != mds_distance:
         raise NotMds("ancestor carries no MDS distance certificate")
-    params = QuantumParams(
+    return QuantumParams(
         q=code.field.q,
         n=n,
         k=n - 2 * k,
         d=k + 1,
         d_is_exact=True,
-        mds=True,
         ancestor={"classical": [n, k, mds_distance], "construction": "hermitian-mds", "source": dict(code.provenance)},
     )
-    # 2(k+1) = n - (n-2k) + 2 identically
-    assert singleton_check(params) == "saturated"
-    return params
 
 
 # -- the paired-ladder quantum family ---------------------------------------------
@@ -111,10 +104,8 @@ def mp7_shape(q: int, d: int, variant: int) -> tuple[int, int]:
     return n, 2 * k - n
 
 
-def mp7_in_range(q: int, d: int, variant: int) -> bool:
-    """Whether (q, d) sits inside the variant's certified window."""
-    parity = LADDER_VARIANTS[variant][1]
-    return d % 2 == parity and 2 <= d <= ladder_ceiling(q, variant)
+# whether (q, d) sits inside the variant's certified window, as mp6_ladder decides it
+mp7_in_range = ladder_in_window
 
 
 def theorem_mp7(q: int, d: int, variant: int, force: bool = False) -> QuantumParams:
@@ -144,8 +135,6 @@ def ladder_quantum_record(classical: LinearCode, q: int, d: int, variant: int) -
         params.ancestor["construction_checks"] = classical.provenance.get("forced_checks", {})
     params.ancestor.update({"family": f"mp7-v{variant}", "q": q, "d": d, "variant": variant})
     assert (params.n, params.k) == mp7_shape(q, d, variant)
-    if singleton_check(params) == "violated":
-        raise VerificationFailure("ladder output violates the quantum Singleton bound")
     return params
 
 
@@ -162,7 +151,6 @@ def _formula_only(q: int, d: int, variant: int) -> QuantumParams:
         k=k,
         d=d,
         d_is_exact=False,
-        mds=2 * d == n - k + 2,
         ancestor={
             "family": f"mp7-v{variant}",
             "q": q,

@@ -403,16 +403,18 @@ def test_an_a_that_leaves_a_remainder_is_refused_without_a_derived_m(tmp_path, c
 
 
 def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
-    # every trace-perturbed candidate at q = 19, k = q - 1 has a zero entry
+    # every trace-perturbed candidate at q = 19, k = q - 1 has a zero entry,
+    # and at even q, here 4, none gives a code either
     out = tmp_path / "x.json"
-    flags = ["--family", "extended", "--q", "19", "--k", "18", "--out", str(out)]
-    rc, stdout, err = run_cli(["construct", *flags], capsys)
-    assert (rc, stdout) == (3, "") and not out.exists()
-    assert json.loads(err) == {
-        "error": "SolverFailure",
-        "exit_code": 3,
-        "message": "no closed-form multiplier candidate gives a self-orthogonal code (q=19, k=18)",
-    }
+    for q, k in ((19, 18), (4, 3)):
+        flags = ["--family", "extended", "--q", str(q), "--k", str(k), "--out", str(out)]
+        rc, stdout, err = run_cli(["construct", *flags], capsys)
+        assert (rc, stdout) == (3, "") and not out.exists()
+        assert json.loads(err) == {
+            "error": "SolverFailure",
+            "exit_code": 3,
+            "message": f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})",
+        }
 
 
 @pytest.mark.parametrize("family,k", [("full-field", 1), ("extended", 3)])
@@ -821,6 +823,26 @@ def test_other_moduli_load_onto_fields_of_their_own(tmp_path, capsys):
     assert (rc, out) == (4, "")
     assert json.loads(err)["error"] == "FileMalformed"
     assert load_code_file(str(good)).field is f
+
+
+@pytest.mark.parametrize(
+    "change,reason",
+    [
+        ({"t": 0}, "t = 0 must be positive"),
+        ({"modulus": [5, 2, 1]}, "reduced mod p"),  # p + 2
+        ({"modulus": [-1, 2, 1]}, "reduced mod p"),
+    ],
+)
+def test_a_tower_or_modulus_the_field_refuses_exits_4(tmp_path, capsys, change, reason):
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(good.read_text())
+    payload["field"].update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+    assert (rc, out) == (4, "")
+    detail = json.loads(err)  # exactly one JSON object
+    assert detail["error"] == "FileMalformed" and reason in detail["message"]
 
 
 def test_an_unbuilt_large_field_with_a_bad_modulus_exits_4_at_once(tmp_path, capsys):

@@ -346,6 +346,13 @@ def test_field_with_modulus_shares_only_the_canonical_instance(monkeypatch):
     assert field_new(3, 1) is f
 
 
+def test_zech_logs_are_built_only_past_the_addition_table():
+    # add, vadd and clear_column read Zech logs only where there is no table
+    for q in (3, 5, 19, 23, 25):
+        f = field_for_q(q)
+        assert hasattr(f, "_zech") == (f._add is None) == (f.q2 > _TABLE_CAP), q
+
+
 def test_digit_fallback_field_matches_oracle():
     # q^2 = 841 is above the dense-table threshold, so addition runs on Zech
     # logarithms; the oracle adds digit by digit

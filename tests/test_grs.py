@@ -14,10 +14,12 @@ import pytest
 from qmds.errors import (
     BadDimension,
     CongruenceViolated,
+    DimensionMismatch,
     DimensionOutOfRange,
     DistanceOutOfRange,
     DuplicatePoints,
     EvenCharacteristic,
+    QmdsError,
     ZeroMultiplier,
 )
 from qmds.gf import field_for_q
@@ -32,6 +34,7 @@ from qmds.grs import (
     construct_family_C,
     construct_full_field,
     extended_self_orthogonal,
+    family_params,
     full_field_spec,
     grs_generator,
     hermitian_dual,
@@ -374,6 +377,18 @@ def test_hermitian_dual_properties():
     assert row_space_contains(dual.generator, fam.generator)
 
 
+@pytest.mark.parametrize("a, m", [(-1, 1), (1, 0)])
+def test_construction_params_refuse_a_negative_a_or_an_m_below_one(a, m):
+    with pytest.raises(CongruenceViolated, match="bad divisor parameters"):
+        ConstructionParams(q=3, a=a, m=m, d=2)
+
+
+def test_a_generator_over_another_field_is_refused():
+    f, other = field_for_q(3), field_for_q(5)
+    with pytest.raises(DimensionMismatch):
+        LinearCode(field=f, generator=Matrix.identity(other, 2))
+
+
 def test_spec_validation_errors():
     f = field_for_q(3)
     with pytest.raises(DuplicatePoints):
@@ -440,3 +455,21 @@ def test_valid_parameter_sets_refuses_unknown_families_and_even_q():
         valid_parameter_sets("grs-d", 5)
     with pytest.raises(EvenCharacteristic):
         valid_parameter_sets("grs-a", 4)
+
+
+@pytest.mark.parametrize("family", sorted(GRS_FAMILIES))
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_family_params_then_the_constructor_accept_exactly_the_valid_sets(q, family):
+    # family_params owns the congruence and the constructor the window, so
+    # every a and d around them lands on valid_parameter_sets and no more
+    valid = {(p.a, p.m, p.d) for p in valid_parameter_sets(family, q)}
+    built = set()
+    for a in range(q + 2):
+        for d in range(1, max(d for _, _, d in valid) + 2):
+            try:
+                params = family_params(family, q, a, d)
+                GRS_FAMILIES[family][0](params)
+            except QmdsError:
+                continue
+            built.add((params.a, params.m, params.d))
+    assert built == valid

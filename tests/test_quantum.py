@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from qmds import grs, linalg
+from qmds import grs, linalg, mpc
 from qmds.errors import (
     DimensionOutOfRange,
     NotDualContaining,
     NotMds,
     NotSelfOrthogonal,
+    QmdsError,
     VerificationFailure,
 )
 from qmds.gf import Field, field_for_q
@@ -27,6 +28,7 @@ from qmds.grs import (
     valid_parameter_sets,
 )
 from qmds.linalg import Matrix
+from qmds.mpc import LADDER_VARIANTS, mp6_ladder
 from qmds.quantum import (
     QuantumParams,
     TABLE1_LAYOUT,
@@ -46,9 +48,10 @@ def table_rows():
 
 
 def test_singleton_classification():
-    assert singleton_check(QuantumParams(3, 6, 2, 3, True, True)) == "saturated"
-    assert singleton_check(QuantumParams(3, 20, 14, 3, False, False)) == "strict"
-    assert singleton_check(QuantumParams(3, 5, 5, 2, False, False)) == "violated"
+    assert singleton_check(QuantumParams(3, 6, 2, 3, True)) == "saturated"
+    assert singleton_check(QuantumParams(3, 20, 14, 3, False)) == "strict"
+    with pytest.raises(VerificationFailure):
+        QuantumParams(3, 5, 5, 2, False)
 
 
 def test_headline_saturating_codes():
@@ -235,6 +238,26 @@ def test_ladder_closed_forms_symbolically():
     assert not mp7_in_range(5, 8, 5)
     assert not mp7_in_range(5, 3, 1)  # wrong parity
     assert not mp7_in_range(5, 1, 2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_mp7_in_range_is_the_window_an_unforced_ladder_gets_past(monkeypatch, q):
+    class PastTheRefusals(Exception):
+        pass
+
+    def no_ingredient(field, variant, dprime):
+        raise PastTheRefusals
+
+    monkeypatch.setattr(mpc, "_ladder_ingredient", no_ingredient)
+    for variant in LADDER_VARIANTS:
+        for d in range(q + 4):
+            try:
+                mp6_ladder(q, d, variant)
+            except PastTheRefusals:
+                passed = True
+            except QmdsError:
+                passed = False
+            assert passed == mp7_in_range(q, d, variant), (variant, d)
 
 
 def test_ladder_forced_is_formula_only():
