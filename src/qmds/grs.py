@@ -35,8 +35,6 @@ from .errors import (
 from .gf import Field, field_for_q
 from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfield_nullvector
 
-# trace-perturbed candidates the extended family tries at k = q - 1
-STRUCTURED_PICKS = 60
 # most cells, (n - k) * n, of the Hermitian dual a full-field or extended code
 # is built as: every k at q = 64 (at most 4096 * 4097 cells) fits, and no k
 # at q = 67 (2.0e7 cells) or above does
@@ -96,9 +94,10 @@ class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
     known_distance is only ever set once an exact enumeration certifies it;
-    until then claimed_distance_lb carries the best provable lower bound,
-    with the provenance dict saying where the claim comes from.  The
-    generator is never reassigned after construction, so
+    until then claimed_distance_lb carries the best provable lower bound.
+    provenance starts empty; only a ladder (whether it was certified) and a
+    loaded code file (its provenance section) fill it in.  The generator is
+    never reassigned after construction, so
     verify.dual_containing_check keeps its verdict in _dual_containing and
     is_self_orthogonal keeps its own in _self_orthogonal.
     """
@@ -119,13 +118,12 @@ class LinearCode:
         generator: Matrix,
         known_distance: int | None = None,
         claimed_distance_lb: int | None = None,
-        provenance: dict | None = None,
     ):
         self.field = field
         self.generator = generator
         self.known_distance = known_distance
         self.claimed_distance_lb = claimed_distance_lb
-        self.provenance = {} if provenance is None else provenance
+        self.provenance: dict = {}
         self._dual_containing: bool | None = None
         self._self_orthogonal: bool | None = None
         if generator.field is not field:
@@ -185,9 +183,9 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     bound; the verify module promotes it to known_distance after an
     exhaustive enumeration.
 
-    Every call returns a fresh code, since callers rewrite its claims and
-    provenance.  Calls after the first share the first code's generator
-    and its Gram verdict.
+    Every call returns a fresh code, since callers rewrite its claims.
+    Calls after the first share the first code's generator and its Gram
+    verdict.
     """
     f = spec.field
     first = spec._code
@@ -196,12 +194,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
         generator = Matrix(f, rows, cols=spec.n)
     else:
         generator = first.generator
-    code = LinearCode(
-        field=f,
-        generator=generator,
-        claimed_distance_lb=spec.n - spec.k + 1,
-        provenance={"construction": "grs", "distance_claim": "mds"},
-    )
+    code = LinearCode(field=f, generator=generator, claimed_distance_lb=spec.n - spec.k + 1)
     if first is None:
         spec._code = code
     else:
@@ -257,13 +250,11 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
     """Generator of {x : <x, c>_H = 0 for every codeword c}; dimension n - k."""
-    ker = nullspace(entrywise_frobenius(code.generator))
-    return LinearCode(field=code.field, generator=ker, provenance={"construction": "hermitian-dual"})
+    return LinearCode(field=code.field, generator=nullspace(entrywise_frobenius(code.generator)))
 
 
 def euclidean_dual(code: LinearCode) -> LinearCode:
-    ker = nullspace(code.generator)
-    return LinearCode(field=code.field, generator=ker, provenance={"construction": "euclidean-dual"})
+    return LinearCode(field=code.field, generator=nullspace(code.generator))
 
 
 # -- the three parametric families ---------------------------------------------
@@ -451,7 +442,7 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
     primal = grs_generator(full_field_spec(field, k))
     if not is_self_orthogonal(primal):
         raise NotSelfOrthogonal("full-field spec failed its own Gram certificate")
-    return _dual_containing_side(primal, "full-field")
+    return _mds_dual(primal)
 
 
 def _check_dual_cells(n: int, k: int) -> None:
@@ -462,17 +453,11 @@ def _check_dual_cells(n: int, k: int) -> None:
         raise DimensionOutOfRange(f"the [{n}, {n - k}] dual would have {cells} cells, over {DUAL_CELL_CAP}")
 
 
-def _dual_containing_side(primal: LinearCode, construction: str) -> LinearCode:
-    """The Hermitian dual of a self-orthogonal MDS [n, k] code, with its
-    design distance k + 1 and the construction's provenance."""
+def _mds_dual(primal: LinearCode) -> LinearCode:
+    """The Hermitian dual of an MDS [n, k] code, with design distance k + 1:
+    the dual of an MDS code is MDS, whether or not it contains its own dual."""
     dual = hermitian_dual(primal)
     dual.claimed_distance_lb = primal.k + 1
-    dual.provenance = {
-        "construction": construction,
-        "q": primal.field.q,
-        "k": primal.k,
-        "distance_claim": "dual-of-mds",
-    }
     return dual
 
 
@@ -482,7 +467,7 @@ def _dual_containing_side(primal: LinearCode, construction: str) -> LinearCode:
 def construct_extended(field: Field, k: int) -> LinearCode:
     """Hermitian dual-containing [q^2 + 1, q^2 + 1 - k] code, design distance k + 1."""
     _check_dual_cells(field.q2 + 1, k)
-    return _dual_containing_side(extended_self_orthogonal(field, k), "extended")
+    return _mds_dual(extended_self_orthogonal(field, k))
 
 
 def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
@@ -493,11 +478,9 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     sum_i u_i a_i^(qj + l), 0 <= j, l < k, except the top one, whose
     nonzero value the extension coordinate absorbs.  The first closed-form
     candidate (see _extension_candidates) with no zero entry, a nonzero top
-    sum and a zero Gram matrix gives the code.  At k = q - 1 only
-    STRUCTURED_PICKS candidates are tried: at q = 19 and q = 27 every one
-    has a zero entry, and no even q tried (2, 4, 8, 16) gets a code either,
-    so these raise SolverFailure inside the range 1 <= k <= q.  At q = 2,
-    k = 1 every norm is 1, and the top sum of the four ones is 0.
+    sum and a zero Gram matrix gives the code.  At k = q - 1 an even q has
+    no candidate and raises SolverFailure inside the range 1 <= k <= q;
+    every odd q under DUAL_CELL_CAP gets a code.
     """
     q, q2 = field.q, field.q2
     if not 1 <= k <= q:
@@ -514,17 +497,7 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
         rows = _running_product_rows(field, mults, points, k)
         eta = field.norm_preimage(field.neg(top))
         rows = [row + [0] for row in rows[:-1]] + [rows[-1] + [eta]]
-        code = LinearCode(
-            field=field,
-            generator=Matrix(field, rows, cols=q2 + 1),
-            claimed_distance_lb=q2 + 2 - k,
-            provenance={
-                "construction": "extended-self-orthogonal",
-                "q": q,
-                "k": k,
-                "distance_claim": "mds",
-            },
-        )
+        code = LinearCode(field, Matrix(field, rows, cols=q2 + 1), claimed_distance_lb=q2 + 2 - k)
         if is_self_orthogonal(code):
             return code
     raise SolverFailure(f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})")
@@ -533,8 +506,9 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
 def _extension_candidates(field: Field, k: int, points: list[int]):
     """Closed-form multiplier norms u that kill every power sum but the
     top one: all ones at k = q, one rootless polynomial in the norm at
-    k <= q - 2, and up to STRUCTURED_PICKS norm-plus-trace perturbations at
-    k = q - 1.  A yield may still have a zero entry or a zero top sum; the
+    k <= q - 2, and the norm-plus-trace perturbations
+    u_b = 1 + N(alpha) + Tr(b alpha^2), b = 1 .. q^2 - 1, at k = q - 1 for
+    odd q.  A yield may still have a zero entry or a zero top sum; the
     caller skips those."""
     q = field.q
     subfield = field.subfield_elements()
@@ -544,13 +518,16 @@ def _extension_candidates(field: Field, k: int, points: list[int]):
         # all power sums below the top vanish over the whole field
         yield [1] * len(points)
     elif k == q - 1:
-        # 1 + lam*N(alpha) + Tr(b*alpha^gamma) kills the lower power sums
-        # for 2 <= gamma <= q - 1; hunt for a combination with no zero entry
-        choices = itertools.product(range(2, q), nonzero_sub, range(1, field.q2))
-        for gamma, lam, b in itertools.islice(choices, STRUCTURED_PICKS):
-            z = field.scale(b, [field.pow(alpha, gamma) for alpha in points])
-            u = field.vadd([1] * len(points), field.scale(lam, norms))
-            yield field.vadd(u, field.vadd(z, field.conjugate(z)))
+        # 1 + N(alpha) + Tr(b*alpha^2) kills the lower power sums.  At even q
+        # every b has a root: with c^2 = b and x^2 = N(c), x in GF(q), the
+        # point alpha = x/c has N(alpha) = 1 and Tr(b*alpha^2) = Tr(x)^2 = 0
+        if field.p == 2:
+            return
+        base = field.vadd([1] * len(points), norms)
+        squares = field.vmul(points, points)
+        for b in range(1, field.q2):
+            z = field.scale(b, squares)
+            yield field.vadd(base, field.vadd(z, field.conjugate(z)))
     else:
         # the first P of exact degree q - k >= 2 with P(0) = 1 and no root in
         # GF(q), applied to the point norms: no entry is zero and the top

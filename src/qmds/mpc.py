@@ -19,6 +19,7 @@ from .gf import Field, field_for_q
 from .grs import (
     LinearCode,
     _family_a_spec,
+    _mds_dual,
     _require_odd_q,
     construct_extended,
     euclidean_dual,
@@ -87,12 +88,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     gen = Matrix._trusted(f, rows, mix.cols * m)
     deltas = mixer_prefix_distances(mix)
     bound = min((c.distance_claim or 1) * de for c, de in zip(spec.codes, deltas))
-    return LinearCode(
-        field=f,
-        generator=gen,
-        claimed_distance_lb=bound,
-        provenance={"construction": "matrix-product"},
-    )
+    return LinearCode(field=f, generator=gen, claimed_distance_lb=bound)
 
 
 def mixer_prefix_distances(mixer: Matrix) -> list[int]:
@@ -108,9 +104,7 @@ def mpc_dual(spec: MpcSpec) -> LinearCode:
     if spec.mixer.rows != spec.mixer.cols:
         raise RankDeficientMixer("the dual identity needs a square nonsingular mixer")
     duals = tuple(euclidean_dual(c) for c in spec.codes)
-    out = matrix_product(MpcSpec(codes=duals, mixer=transpose(inverse(spec.mixer))))
-    out.provenance = {"construction": "matrix-product-dual"}
-    return out
+    return matrix_product(MpcSpec(codes=duals, mixer=transpose(inverse(spec.mixer))))
 
 
 def hermitian_containment_check(spec: MpcSpec) -> bool:
@@ -149,9 +143,7 @@ def pair_construction(c1: LinearCode, c2: LinearCode) -> LinearCode:
     row scaling of the mixer itself, which is what makes the dual-containment
     argument go through; the output still carries its own certificate.
     """
-    out, _ = _pair(c1, c2, force=False)
-    out.provenance = {"construction": "pair"}
-    return out
+    return _pair(c1, c2, force=False)[0]
 
 
 def _pair(c1: LinearCode, c2: LinearCode, force: bool) -> tuple[LinearCode, dict]:
@@ -206,7 +198,9 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     LADDER_VARIANTS gives each variant's ingredient kind, length n', parity
     of d and ceiling.  Out-of-range d raises unless force is set, in which
     case the object is assembled the same way and its containment verdicts
-    are recorded in the provenance instead of being enforced.
+    are recorded in the provenance instead of being enforced.  The
+    provenance says only whether the output is certified, plus those
+    verdicts when it is not.
     """
     if variant not in LADDER_VARIANTS:
         raise BadDimension(f"variant must be 1..6, got {variant}")
@@ -226,13 +220,7 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     c1 = _ladder_ingredient(field, variant, (d + 1) // 2)
     c2 = _ladder_ingredient(field, variant, d)
     out, checks = _pair(c1, c2, force=not in_range)
-    out.provenance = {
-        "construction": "paired-ladder",
-        "variant": variant,
-        "q": q,
-        "d": d,
-        "certified": in_range,
-    }
+    out.provenance["certified"] = in_range
     if not in_range:
         out.provenance["forced_checks"] = checks
     assert (out.n, out.k) == ladder_shape(q, d, variant)
@@ -247,23 +235,12 @@ def _ladder_ingredient(field: Field, variant: int, dprime: int) -> LinearCode:
     dual of the full-field or family-a GRS code of dimension dprime - 1.
     The ladder's ingredient verdict decides whether it is dual-containing.
     """
-    q = field.q
     kind, _, length, _ = LADDER_VARIANTS[variant]
     if dprime == 1:
-        return LinearCode(
-            field=field,
-            generator=Matrix.identity(field, q * q + length),
-            known_distance=1,
-            provenance={"construction": "full-space"},
-        )
+        return LinearCode(field=field, generator=Matrix.identity(field, field.q2 + length), known_distance=1)
     k = dprime - 1
     if kind == "extended":
         # the multiplier solver has no forced mode; its range is a hard precondition
         return construct_extended(field, k)
     spec = full_field_spec(field, k) if kind == "full-field" else _family_a_spec(field, 1, k)
-    dual = hermitian_dual(grs_generator(spec))
-    # dual of an MDS code is MDS, so the design distance holds with or
-    # without dual containment
-    dual.claimed_distance_lb = dprime
-    dual.provenance = {"construction": f"{kind}-dual", "q": q, "d": dprime}
-    return dual
+    return _mds_dual(grs_generator(spec))

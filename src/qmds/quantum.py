@@ -20,12 +20,14 @@ from .verify import dual_containing_check
 
 
 class QuantumParams:
-    """[[n, k, d]]_q with provenance.
+    """[[n, k, d]]_q with the record of its ancestor.
 
     d_is_exact distinguishes a true minimum distance from a certified lower
-    bound; ancestor carries enough detail to reconstruct where the record
-    came from.  A record above the quantum Singleton bound 2d <= n - k + 2
-    signals an upstream bug and is refused with VerificationFailure.
+    bound.  ancestor says where the record came from: the classical code's
+    shape under "classical", and for a ladder record its family, variant
+    and certification.  A record above the quantum Singleton bound
+    2d <= n - k + 2 signals an upstream bug and is refused with
+    VerificationFailure.
     """
 
     __slots__ = ("q", "n", "k", "d", "d_is_exact", "ancestor")
@@ -71,7 +73,7 @@ def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> 
         k=kq,
         d=distance_lb,
         d_is_exact=False,
-        ancestor={"classical": [n, code.k], "construction": "hermitian", "source": dict(code.provenance)},
+        ancestor={"classical": [n, code.k]},
     )
 
 
@@ -90,7 +92,7 @@ def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
         k=n - 2 * k,
         d=k + 1,
         d_is_exact=True,
-        ancestor={"classical": [n, k, mds_distance], "construction": "hermitian-mds", "source": dict(code.provenance)},
+        ancestor={"classical": [n, k, mds_distance]},
     )
 
 

@@ -315,19 +315,20 @@ def _distance_route(
     d >= w + 1, and holds when the first passes and the second fails; a test
     that refutes the claim decides it even when the other is over its work
     budget.  When no test refutes it and one is over budget, ok is None and
-    each WorkBudgetExceeded follows in refusals.  The zero code raises
-    BadDimension."""
+    each WorkBudgetExceeded follows in refusals.  A refusal is kept without
+    its traceback, which would tie this frame, the code and the caller's
+    report into a reference cycle.  The zero code raises BadDimension."""
     try:
         d = min_distance_exact(code, cap=cap)
     except EnumerationTooLarge as too_large:
-        refusals, work_count = [too_large], 0
+        refusals, work_count = [too_large.with_traceback(None)], 0
         for b in (w, w + 1) if exact else (w,):
             try:
                 # no nonzero word outweighs its length, so a claim past n + 1
                 # is refuted outright; the floor oracle takes b - 1 <= n only
                 holds = b <= code.n + 1 and min_distance_at_least(code, b)
             except WorkBudgetExceeded as over:
-                refusals.append(over)
+                refusals.append(over.with_traceback(None))
                 continue
             work_count += comb(code.n, b - 1) if b > 1 else 0
             if holds != (b == w):  # d < w, or an exact claim with d > w

@@ -403,10 +403,9 @@ def test_an_a_that_leaves_a_remainder_is_refused_without_a_derived_m(tmp_path, c
 
 
 def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
-    # every trace-perturbed candidate at q = 19, k = q - 1 has a zero entry,
-    # and at even q, here 4, none gives a code either
+    # at an even q and k = q - 1 every trace-perturbed candidate has a zero entry
     out = tmp_path / "x.json"
-    for q, k in ((19, 18), (4, 3)):
+    for q, k in ((8, 7), (4, 3)):
         flags = ["--family", "extended", "--q", str(q), "--k", str(k), "--out", str(out)]
         rc, stdout, err = run_cli(["construct", *flags], capsys)
         assert (rc, stdout) == (3, "") and not out.exists()
@@ -415,6 +414,16 @@ def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
             "exit_code": 3,
             "message": f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})",
         }
+
+
+def test_extended_at_q19_k18_constructs_and_verifies(tmp_path, capsys):
+    # the first trace-perturbed candidate with no zero entry and a zero Gram
+    # matrix at q = 19 is b = 105
+    path = construct(tmp_path, capsys, "ext.json", "--family", "extended", "--q", "19", "--k", "18")
+    rc, out, err = run_cli(["verify", "--in", str(path), "--check", "all"], capsys)
+    report = json.loads(out)
+    assert (rc, err, report["overall"]) == (0, "", "pass")
+    assert {c["name"]: c["verdict"] for c in report["checks"]}["dual-containing"] == "pass"
 
 
 @pytest.mark.parametrize("family,k", [("full-field", 1), ("extended", 3)])

@@ -33,6 +33,7 @@ from qmds.grs import (
     construct_family_B,
     construct_family_C,
     construct_full_field,
+    euclidean_dual,
     extended_self_orthogonal,
     family_params,
     full_field_spec,
@@ -332,6 +333,14 @@ def test_extension_candidates_kill_every_lower_power_sum(q, k):
                 assert acc == 0, (u, j, l)
 
 
+def test_extended_solver_reaches_k_q_minus_1_at_q27():
+    # the first candidate with no zero entry and a zero Gram matrix is b = 129
+    f = field_for_q(27)
+    primal = extended_self_orthogonal(f, 26)
+    assert (primal.n, primal.k, primal.claimed_distance_lb) == (730, 26, 705)
+    assert hermitian_gram(primal).is_zero()
+
+
 def test_extended_dual_parameters():
     f = field_for_q(3)
     dual = construct_extended(f, 2)
@@ -473,3 +482,11 @@ def test_family_params_then_the_constructor_accept_exactly_the_valid_sets(q, fam
                 continue
             built.add((params.a, params.m, params.d))
     assert built == valid
+
+
+def test_constructed_codes_carry_no_provenance():
+    f = field_for_q(3)
+    primal = grs_generator(full_field_spec(f, 2))
+    codes = [primal, hermitian_dual(primal), euclidean_dual(primal)]
+    codes += [construct_full_field(f, 2), construct_extended(f, 2)]
+    assert all(code.provenance == {} for code in codes)

@@ -304,3 +304,17 @@ def test_ladder_output_is_dual_containing_in_range():
         code = mp6_ladder(3, d, variant)
         gram_dual = nullspace(entrywise_frobenius(code.generator))
         assert rank(stack(code.generator, gram_dual)) == code.k, variant
+
+
+def test_ladder_provenance_holds_only_what_its_readers_read():
+    assert mp6_ladder(3, 2, 5).provenance == {"certified": True}
+    forced = mp6_ladder(3, 4, 5, force=True)
+    assert set(forced.provenance) == {"certified", "forced_checks"}
+
+
+def test_products_carry_no_provenance():
+    f = field_for_q(3)
+    c = construct_full_field(f, 1)
+    spec = MpcSpec(codes=(c, c), mixer=pair_mixer(f))
+    codes = [matrix_product(spec), mpc_dual(spec), pair_construction(c, c)]
+    assert all(code.provenance == {} for code in codes)

@@ -200,6 +200,13 @@ def test_hermitian_construction_full_space():
     assert singleton_check(qp) == "saturated"
 
 
+def test_direct_records_name_only_their_classical_ancestor():
+    so = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
+    assert quantum_mds_from_self_orthogonal(so).ancestor == {"classical": [8, 2, 7]}
+    dc = construct_full_field(field_for_q(3), 2)
+    assert hermitian_construction(dc).ancestor == {"classical": [9, 7]}
+
+
 def test_two_derivation_routes_agree():
     # self-orthogonal [8,2] -> [[8,4,3]] directly, or via its [8,6] dual
     so = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from qmds.grs import (
 )
 from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.verify import (
+    CHECKS,
     CheckResult,
     VerificationReport,
     _subsets_independent,
@@ -318,3 +320,20 @@ def test_report_overall():
     d = r.to_dict()
     assert d["overall"] == "fail"
     assert [c["name"] for c in d["checks"]] == ["a", "b", "c"]
+
+
+def test_past_cap_refusals_leave_no_reference_cycle():
+    # a refusal kept with its traceback would pin run_checks' frame, the
+    # code and the report in a cycle only the cyclic collector frees
+    code = grs_generator(construct_family_A(ConstructionParams(q=7, a=1, m=3, d=5)))
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_checks(code, CHECKS, "self-orthogonal")
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the stored refusal is still raised, with the traceback of that raise
+    with pytest.raises(WorkBudgetExceeded):
+        is_mds(code, cap=0)
