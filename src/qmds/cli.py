@@ -207,7 +207,11 @@ def _claims(orthogonality: str | None, code: LinearCode) -> dict:
 
 def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     """Construction-time re-check of the orthogonality claim, by the same
-    run_checks that verify uses for it."""
+    run_checks that verify uses for it.  A self-orthogonality claim keeps
+    the Gram verdict the constructor decided.  A dual-containment claim is
+    checked on a fresh code over a copy of the generator, which carries no
+    dual and no verdict, so the rank route that verify takes on the file
+    is the one that runs here too."""
     claim = provenance["claims"]["orthogonality"]
     if claim is None:
         check = CheckResult(
@@ -217,7 +221,11 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
             detail="forced construction carries no orthogonality claim",
         )
     else:
-        name = "gram" if claim == "self-orthogonal" else "dual-containing"
+        if claim == "self-orthogonal":
+            name = "gram"
+        else:
+            name = "dual-containing"
+            code = LinearCode(field=code.field, generator=Matrix(code.field, code.generator.data, cols=code.n))
         [ran] = run_checks(code, (name,), claim).checks
         check = CheckResult(
             ran.name, ran.verdict, ran.method, ran.work_count, "construction-time self-certification"

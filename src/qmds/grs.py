@@ -14,6 +14,11 @@ keeps its Gram verdict on the code object, and grs_generator passes the
 first code's verdict on to the later ones, so a constructor's Gram gate
 also answers the quantum check on the code built from its spec.  The Gram
 matrix is Hermitian, so hermitian_gram sums only its upper triangle.
+
+A Hermitian dual keeps the code it was taken of, which spans its own
+Hermitian dual in turn, so whether the dual contains its own dual is the
+primal's Gram verdict (qmds.verify.dual_containing_check); the full-field
+and extended constructors have decided that verdict already.
 """
 
 from __future__ import annotations
@@ -100,6 +105,12 @@ class LinearCode:
     never reassigned after construction, so
     verify.dual_containing_check keeps its verdict in _dual_containing and
     is_self_orthogonal keeps its own in _self_orthogonal.
+
+    _hermitian_dual holds a code spanning this code's Hermitian dual, or
+    None.  Only hermitian_dual (pointing back to the primal) and
+    mpc.matrix_product (after checking the dual on the two generators) set
+    it.  The link runs one way, from a dual to its primal or from a product
+    to a code built for it, so it never closes a reference cycle.
     """
 
     __slots__ = (
@@ -110,6 +121,7 @@ class LinearCode:
         "provenance",
         "_dual_containing",
         "_self_orthogonal",
+        "_hermitian_dual",
     )
 
     def __init__(
@@ -126,6 +138,7 @@ class LinearCode:
         self.provenance: dict = {}
         self._dual_containing: bool | None = None
         self._self_orthogonal: bool | None = None
+        self._hermitian_dual: LinearCode | None = None
         if generator.field is not field:
             raise DimensionMismatch("generator matrix lives in a different field")
         if rank(generator) != generator.rows:
@@ -248,9 +261,23 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     return code._self_orthogonal
 
 
+def hermitian_orthogonal(a: Matrix, b: Matrix) -> bool:
+    """Whether every row of a is Hermitian-orthogonal to every row of b."""
+    f = a.field
+    conj = Matrix._trusted(f, [f.conjugate(row) for row in b.data], b.cols)
+    return not any(any(mat_vec(conj, row)) for row in a.data)
+
+
 def hermitian_dual(code: LinearCode) -> LinearCode:
-    """Generator of {x : <x, c>_H = 0 for every codeword c}; dimension n - k."""
-    return LinearCode(field=code.field, generator=nullspace(entrywise_frobenius(code.generator)))
+    """Generator of {x : <x, c>_H = 0 for every codeword c}; dimension n - k.
+
+    The kernel basis has full rank by construction, so nothing is
+    eliminated but code's own generator.  The dual carries code as the
+    code spanning its own Hermitian dual, since (C^perp_H)^perp_H = C.
+    """
+    dual = LinearCode(field=code.field, generator=nullspace(entrywise_frobenius(code.generator)))
+    dual._hermitian_dual = code
+    return dual
 
 
 def euclidean_dual(code: LinearCode) -> LinearCode:

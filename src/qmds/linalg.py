@@ -11,14 +11,16 @@ field is read here.
 
 Each matrix is eliminated at most once: its reduced row echelon form is
 kept on the instance, and rank, kernel, containment and row equivalence
-are all read off that one result.  Full row rank may instead be proved
-without eliminating: on a matrix not yet eliminated with 0 < 2 rows <= cols,
-rank first eliminates a copy of the leading rows x rows block alone, and a
-nonsingular block certifies rank = rows.  That shape is the one of a
-Hermitian self-orthogonal generator (2k <= n), which nothing downstream
-eliminates; a dual-containing generator (2k >= n) is eliminated in full
-anyway, so it never pays for the block first.  The verdict is kept on the
-instance too, and the block's form is never stored as the echelon form.
+are all read off that one result.  Full row rank may instead be known
+without eliminating, and is then kept in _full_rank.  A kernel basis from
+nullspace has it by construction, each vector being 1 on its own free
+column and 0 on the others; qmds.mpc marks the block generators whose rank
+the matrix-product identity gives; and on a matrix not yet eliminated with
+0 < 2 rows <= cols, rank first eliminates a copy of the leading rows x rows
+block alone, a nonsingular block certifying rank = rows.  That last shape
+is the one of a Hermitian self-orthogonal generator (2k <= n), which
+nothing downstream eliminates.  A taller matrix never pays for the block
+first, and the block's form is never stored as the echelon form.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class Matrix:
     Zero-row matrices are legal (kernels of injective maps, generators of
     zero-dimensional codes) and carry an explicit column count.  The
     reduced row echelon form is computed from data on first use and kept
-    in _echelon, and a full row rank proved on the leading minor is kept in
-    _full_rank; neither is ever serialized.
+    in _echelon, and a full row rank proved without it (on the leading
+    minor, or by how the matrix was built) is kept in _full_rank; neither
+    is ever serialized.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_echelon", "_full_rank")
@@ -188,7 +191,9 @@ def _leading_minor_nonsingular(m: Matrix) -> bool:
 
 
 def nullspace(m: Matrix) -> Matrix:
-    """A basis of the right kernel, one vector per row (possibly none)."""
+    """A basis of the right kernel, one vector per row (possibly none),
+    marked full rank: each vector is 1 on its own free column and 0 on the
+    other free columns."""
     f = m.field
     rows, pivots = _eliminate(m)
     pivot_set = set(pivots)
@@ -200,7 +205,9 @@ def nullspace(m: Matrix) -> Matrix:
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(rows[r][fc])
         basis.append(v)
-    return Matrix._trusted(f, basis, m.cols)
+    out = Matrix._trusted(f, basis, m.cols)
+    out._full_rank = True
+    return out
 
 
 def inverse(m: Matrix) -> Matrix:

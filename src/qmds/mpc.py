@@ -26,6 +26,7 @@ from .grs import (
     full_field_spec,
     grs_generator,
     hermitian_dual,
+    hermitian_orthogonal,
 )
 from .linalg import (
     Matrix,
@@ -35,7 +36,7 @@ from .linalg import (
     row_space_contains,
     transpose,
 )
-from .verify import _min_weight, dual_containing_check
+from .verify import DEFAULT_ENUM_CAP, _min_weight, _require_enumerable, dual_containing_check
 
 
 class MpcSpec:
@@ -71,30 +72,58 @@ class MpcSpec:
 def matrix_product(spec: MpcSpec) -> LinearCode:
     """The [ml, k_1 + ... + k_s] code with block-row generator (a_ij G_i).
 
-    The recorded distance bound is min_i {d_i * delta_i}, where delta_i is
-    the exact minimum distance of the code spanned by the first i mixer
-    rows and d_i is ingredient i's distance claim (1 when it claims
-    nothing).
+    Its rank is k_1 + ... + k_s without elimination: MpcSpec proves that
+    the mixer has full row rank, and each G_i has it.  The recorded
+    distance bound is min_i {d_i * delta_i}, where delta_i is the exact
+    minimum distance of the code spanned by the first i mixer rows and d_i
+    is ingredient i's distance claim (1 when it claims nothing).
+
+    When the mixer A is square and every ingredient carries the code D_i
+    spanning its Hermitian dual, the product carries D, the D_i mixed
+    through (conj(A)^-1)^T (Blackmore-Norton, AAECC 2001).  D is kept only
+    when its rows are Hermitian-orthogonal to the product's, checked on
+    the two generators, and the dimensions add up to the length; D then
+    spans the product's whole Hermitian dual.  D itself carries none.
     """
     f = spec.field
     mix = spec.mixer
-    m = spec.codes[0].n
-    rows = []
-    for arow, code in zip(mix.data, spec.codes):
-        for grow in code.generator.data:
-            rows.append([x for aij in arow for x in f.scale(aij, grow)])
-    # every entry is a scaled entry of a valid generator, and MpcSpec gives
-    # every ingredient the one length m
-    gen = Matrix._trusted(f, rows, mix.cols * m)
+    gen = _block_generator(spec.codes, mix)
     deltas = mixer_prefix_distances(mix)
     bound = min((c.distance_claim or 1) * de for c, de in zip(spec.codes, deltas))
-    return LinearCode(field=f, generator=gen, claimed_distance_lb=bound)
+    code = LinearCode(field=f, generator=gen, claimed_distance_lb=bound)
+    duals = [c._hermitian_dual for c in spec.codes]
+    if mix.rows == mix.cols and all(d is not None for d in duals):
+        # conjugation is a field automorphism, so the conjugated mixer is
+        # again nonsingular and the inverse below cannot fail
+        dual_mixer = transpose(inverse(entrywise_frobenius(mix)))
+        dual = LinearCode(field=f, generator=_block_generator(duals, dual_mixer))
+        if code.k + dual.k == code.n and hermitian_orthogonal(gen, dual.generator):
+            code._hermitian_dual = dual
+    return code
+
+
+def _block_generator(codes, mixer: Matrix) -> Matrix:
+    """The block rows (a_ij G_i), marked full rank: the caller passes a
+    mixer of full row rank and codes of one length, whose generators have
+    full row rank as every LinearCode's does."""
+    f = mixer.field
+    rows = []
+    for arow, code in zip(mixer.data, codes):
+        for grow in code.generator.data:
+            rows.append([x for aij in arow for x in f.scale(aij, grow)])
+    # every entry is a scaled entry of a valid generator
+    gen = Matrix._trusted(f, rows, mixer.cols * codes[0].n)
+    gen._full_rank = True
+    return gen
 
 
 def mixer_prefix_distances(mixer: Matrix) -> list[int]:
     """delta_i for i = 1..s: exact minimum distance of the length-l code
     spanned by the first i mixer rows (independent, since MpcSpec requires
-    full row rank), by the exhaustive enumerator of qmds.verify."""
+    full row rank), by the exhaustive enumerator of qmds.verify.  Refused
+    with EnumerationTooLarge, before any prefix is enumerated, when the
+    whole mixer's q^(2s) messages exceed DEFAULT_ENUM_CAP."""
+    _require_enumerable(mixer.field, mixer.rows, DEFAULT_ENUM_CAP)
     return [_min_weight(mixer.field, mixer.data[:i]) for i in range(1, mixer.rows + 1)]
 
 

@@ -1,9 +1,12 @@
 """Independent certification oracles: exact distance by enumeration, distance
 floors by column independence, MDS certification, and the two Hermitian
 duality checks.  Everything here recomputes from the generator matrix and
-never trusts a claim recorded on the code object.  The two duality verdicts
-are kept on the object once decided; a freshly loaded code decides them
-again.
+never trusts a claim recorded on the code object.  The one thing read off
+the object is the code spanning its Hermitian dual: grs.hermitian_dual
+links the kernel it computes back to its primal, and mpc.matrix_product
+keeps a product's dual only after checking it on the two generators; a
+loaded code carries none.  The two duality verdicts are kept on the object once
+decided; a freshly loaded code decides them again.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  Its distance
@@ -91,11 +94,17 @@ def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: i
     k = gen.rows
     if k == 0:
         raise BadDimension("the zero code has no nonzero codewords")
+    _require_enumerable(f, k, cap)
+    return _min_weight(f, gen.data)
+
+
+def _require_enumerable(f: Field, k: int, cap: int) -> None:
+    """Refuse with EnumerationTooLarge when the q^(2k) messages of a k-row
+    span exceed the cap."""
     messages = f.q2**k
     if messages > cap:
         count = _count(messages, f"{f.q2}^{k}")
         raise EnumerationTooLarge(f"q^2k = {count} messages exceed the cap of {cap}")
-    return _min_weight(f, gen.data)
 
 
 def _count(value: int, formula: str) -> str:
@@ -137,6 +146,9 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
 
     for lead, row in enumerate(head):
         dfs(lead + 1, row)
+    # dfs refers to itself through its closure; clearing that cell frees it
+    # now instead of leaving a reference cycle for the collector
+    del dfs
     return best
 
 
@@ -245,11 +257,21 @@ def is_mds(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
 
 
 def dual_containing_check(code: LinearCode) -> bool:
-    """The code's Hermitian dual lies inside the code itself.  The verdict is
-    kept on the code object, so every caller holding it shares one run."""
+    """The code's Hermitian dual lies inside the code itself.
+
+    A code carrying the code D that spans its Hermitian dual contains D
+    exactly when D is self-orthogonal, because D's own Hermitian dual is
+    the code (Ketkar-Klappenecker-Kumar-Sarvepalli, IEEE T-IT 2006); that
+    takes D's Gram matrix only.  Any other code is tested by reducing the
+    kernel of its conjugate generator against its echelon form.  The
+    verdict is kept on the code object, so every caller holding it shares
+    one run."""
     if code._dual_containing is None:
-        g = code.generator  # the kernel of its conjugate spans the Hermitian dual
-        code._dual_containing = row_space_contains(g, nullspace(entrywise_frobenius(g)))
+        if code._hermitian_dual is not None:
+            code._dual_containing = is_self_orthogonal(code._hermitian_dual)
+        else:
+            g = code.generator  # the kernel of its conjugate spans the Hermitian dual
+            code._dual_containing = row_space_contains(g, nullspace(entrywise_frobenius(g)))
     return code._dual_containing
 
 
@@ -297,7 +319,10 @@ def _gram(code: LinearCode, claimed: bool) -> _Outcome:
 
 
 def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
-    method = "rank of stacked generators"
+    if code._hermitian_dual is None:
+        method = "rank of stacked generators"
+    else:
+        method = "hermitian gram matrix of the carried dual"
     if not claimed:
         return None, method, 0, "file does not claim dual containment"
     ok = dual_containing_check(code)

@@ -346,9 +346,10 @@ def test_forced_mp7_with_a_negative_quantum_dimension_exits_2(tmp_path, capsys, 
 
 @pytest.mark.parametrize("entry", ["construct", "theorem_mp7"])
 def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry):
-    # the pairing, the quantum record and the construct-time certificate all
-    # need the [52, 48] output's containment verdict: one computation serves
-    # them, and each [26, *] ingredient is decided once too
+    # the ingredients and the [52, 48] output carry their Hermitian duals, so
+    # the pairing and the quantum record decide containment by Gram matrices
+    # and reduce nothing against a row space; only the construct-time
+    # certificate, on a fresh copy of the output, takes the rank route
     calls = {}  # id(outer) -> [outer, count]; holding outer keeps ids unique
     real = qmds.verify.row_space_contains
 
@@ -362,7 +363,7 @@ def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry)
     else:
         theorem_mp7(5, 4, 1)
     decided = sorted(((outer.rows, outer.cols), count) for outer, count in calls.values())
-    assert decided == [((23, 26), 1), ((25, 26), 1), ((48, 52), 1)]
+    assert decided == ([((48, 52), 1)] if entry == "construct" else [])
 
 
 def test_grs_a_with_a_below_its_minimum_exits_2(tmp_path, capsys):

@@ -7,7 +7,8 @@ lookups.  Every question linalg answers from its cached echelon form (rank,
 kernel, inverse, row equivalence, containment) is recomputed here from the
 oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529);
 so is the rank that rank proves on a wide matrix's leading minor, with
-full-rank matrices whose leading minor is singular among the inputs.
+full-rank matrices whose leading minor is singular among the inputs, and
+the full rank a kernel basis is marked with.
 GF(529) is above the add-table size, so it covers addition through Zech
 logarithms.  Products and Hermitian Gram matrices, which both run through
 mat_vec, are checked against written-out sums, and the Gram matrices of
@@ -259,7 +260,10 @@ def test_rank_rref_and_nullspace_match_the_oracle(m):
     assert rank(m) == len(pivots)
     r, piv = rref(m)
     assert r.data == rows and piv == pivots
-    assert nullspace(m).data == naive_nullspace(m)
+    ns = nullspace(m)
+    assert ns.data == naive_nullspace(m)
+    # the kernel basis is marked full rank, which the oracle confirms
+    assert rank(ns) == ns.rows == naive_rank(ns)
 
 
 @PROPERTY

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import time
 
 import pytest
 
 from qmds.errors import (
     BadDimension,
     DistanceOutOfRange,
+    EnumerationTooLarge,
     EvenCharacteristic,
     HypothesisViolated,
     LengthMismatch,
@@ -95,6 +98,19 @@ def test_mixer_prefix_distances():
     assert mixer_prefix_distances(Matrix.identity(f, 3)) == [1, 1, 1]
     # [[1,1,1]] alone spans the repetition code of length 3
     assert mixer_prefix_distances(Matrix(f, [[1, 1, 1]])) == [3]
+
+
+def test_a_mixer_past_the_enumeration_cap_is_refused_at_once():
+    # GF(64)^9 messages exceed the cap; the 8-row prefix alone would take
+    # about 4.4e12 scalar classes
+    f = field_for_q(8)
+    mixer = Matrix.identity(f, 9)
+    codes = [LinearCode(field=f, generator=Matrix(f, [[1]]))] * 9
+    for call in (lambda: mixer_prefix_distances(mixer), lambda: matrix_product(MpcSpec(codes, mixer))):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_dual_identity_random():
@@ -304,6 +320,19 @@ def test_ladder_output_is_dual_containing_in_range():
         code = mp6_ladder(3, d, variant)
         gram_dual = nullspace(entrywise_frobenius(code.generator))
         assert rank(stack(code.generator, gram_dual)) == code.k, variant
+
+
+def test_a_ladder_leaves_no_reference_cycle():
+    # a dual points back to its primal and a product to its own dual, never
+    # the other way, so reference counting frees every object a ladder makes
+    field_for_q(5)
+    gc.collect()
+    gc.disable()
+    try:
+        mp6_ladder(5, 5, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ladder_provenance_holds_only_what_its_readers_read():

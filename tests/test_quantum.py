@@ -112,6 +112,24 @@ def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypa
     assert "note" not in first.provenance
 
 
+def test_a_table1_row_eliminates_only_its_primals_and_mixer(monkeypatch):
+    # the ingredient duals and the product take their rank and dual
+    # containment from identities: only the two self-orthogonal primals, the
+    # mixer and the augmented conjugated mixer that inverse reduces are
+    # eliminated
+    field_for_q(7)
+    shapes, eliminate = [], linalg._eliminate
+
+    def counting_eliminate(m):
+        if m._echelon is None:
+            shapes.append((m.rows, m.cols))
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    theorem_mp7(7, 4, 1)
+    assert sorted(shapes) == [(1, 50), (2, 2), (2, 4), (3, 50)]
+
+
 def counting_clear_column(monkeypatch) -> list[list[int]]:
     """Patch Field.clear_column to record, per call, the width of every row
     it is handed, the pivot row last."""
