@@ -22,7 +22,6 @@ from .grs import (
 from .linalg import Matrix
 from .mpc import (
     MpcSpec,
-    hermitian_containment_check,
     matrix_product,
     mp6_ladder,
     mpc_dual,
@@ -65,7 +64,6 @@ __all__ = [
     "field_new",
     "grs_generator",
     "hermitian_construction",
-    "hermitian_containment_check",
     "hermitian_dual",
     "hermitian_gram",
     "is_mds",

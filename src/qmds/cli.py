@@ -87,7 +87,7 @@ def load_code_file(path: str) -> LinearCode:
     except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON, too many digits, too deep
         raise FileMalformed(f"{path} is not valid JSON: {e}") from e
     try:
-        if raw["schema_version"] != SCHEMA_VERSION:
+        if _integer(raw["schema_version"]) != SCHEMA_VERSION:
             raise FileMalformed(f"unsupported schema_version {raw['schema_version']!r}")
         fld = raw["field"]
         field = field_with_modulus(_integer(fld["p"]), _integer(fld["t"]), tuple(map(_integer, fld["modulus"])))
@@ -209,9 +209,9 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     """Construction-time re-check of the orthogonality claim, by the same
     run_checks that verify uses for it.  A self-orthogonality claim keeps
     the Gram verdict the constructor decided.  A dual-containment claim is
-    checked on a fresh code over a copy of the generator, which carries no
-    dual and no verdict, so the rank route that verify takes on the file
-    is the one that runs here too."""
+    checked on a fresh code over the same generator, which carries no dual,
+    so the rank route that verify takes on the file is the one that runs
+    here too."""
     claim = provenance["claims"]["orthogonality"]
     if claim is None:
         check = CheckResult(
@@ -225,7 +225,7 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
             name = "gram"
         else:
             name = "dual-containing"
-            code = LinearCode(field=code.field, generator=Matrix(code.field, code.generator.data, cols=code.n))
+            code = LinearCode(field=code.field, generator=code.generator)
         [ran] = run_checks(code, (name,), claim).checks
         check = CheckResult(
             ran.name, ran.verdict, ran.method, ran.work_count, "construction-time self-certification"

@@ -98,13 +98,14 @@ class GrsSpec:
 class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
-    known_distance is only ever set once an exact enumeration certifies it;
-    until then claimed_distance_lb carries the best provable lower bound.
+    known_distance is an exact distance that a code file claims: within
+    qmds only cli.load_code_file sets it, never a construction.  A
+    constructed code carries its best provable lower bound in
+    claimed_distance_lb.
     provenance starts empty; only a ladder (whether it was certified) and a
     loaded code file (its provenance section) fill it in.  The generator is
-    never reassigned after construction, so
-    verify.dual_containing_check keeps its verdict in _dual_containing and
-    is_self_orthogonal keeps its own in _self_orthogonal.
+    never reassigned after construction, so is_self_orthogonal keeps its
+    verdict in _self_orthogonal.
 
     _hermitian_dual holds a code spanning this code's Hermitian dual, or
     None.  Only hermitian_dual (pointing back to the primal) and
@@ -119,7 +120,6 @@ class LinearCode:
         "known_distance",
         "claimed_distance_lb",
         "provenance",
-        "_dual_containing",
         "_self_orthogonal",
         "_hermitian_dual",
     )
@@ -136,7 +136,6 @@ class LinearCode:
         self.known_distance = known_distance
         self.claimed_distance_lb = claimed_distance_lb
         self.provenance: dict = {}
-        self._dual_containing: bool | None = None
         self._self_orthogonal: bool | None = None
         self._hermitian_dual: LinearCode | None = None
         if generator.field is not field:
@@ -193,8 +192,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     row 0 and 0 after it, the 0^0 = 1 convention.
 
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
-    bound; the verify module promotes it to known_distance after an
-    exhaustive enumeration.
+    bound; known_distance stays unset, as on every constructed code.
 
     Every call returns a fresh code, since callers rewrite its claims.
     Calls after the first share the first code's generator and its Gram

@@ -1,6 +1,6 @@
-"""Matrix-product codes: block generators, the duality identity, Hermitian
-containment, the two-code pairing with the [[1,1],[1,p-1]] mixer, and the
-distance ladder built on top of it."""
+"""Matrix-product codes: block generators, the duality identities, the
+two-code pairing with the [[1,1],[1,p-1]] mixer, and the distance ladder
+built on top of it."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .grs import (
     euclidean_dual,
     full_field_spec,
     grs_generator,
-    hermitian_dual,
     hermitian_orthogonal,
 )
 from .linalg import (
@@ -33,7 +32,6 @@ from .linalg import (
     entrywise_frobenius,
     inverse,
     rank,
-    row_space_contains,
     transpose,
 )
 from .verify import DEFAULT_ENUM_CAP, _min_weight, _require_enumerable, dual_containing_check
@@ -134,24 +132,6 @@ def mpc_dual(spec: MpcSpec) -> LinearCode:
         raise RankDeficientMixer("the dual identity needs a square nonsingular mixer")
     duals = tuple(euclidean_dual(c) for c in spec.codes)
     return matrix_product(MpcSpec(codes=duals, mixer=transpose(inverse(spec.mixer))))
-
-
-def hermitian_containment_check(spec: MpcSpec) -> bool:
-    """Whether the Hermitian dual of the product lies inside the product of
-    the same ingredients through the conjugated inverse-transpose mixer.
-
-    Guaranteed to hold when every ingredient contains its own Hermitian
-    dual; outside that hypothesis the outcome is reported, not asserted.
-    """
-    if spec.mixer.rows != spec.mixer.cols:
-        raise RankDeficientMixer("the containment identity needs a square mixer")
-    prod = matrix_product(spec)
-    dual = hermitian_dual(prod)
-    # conjugation is a field automorphism, so the conjugated mixer is again
-    # nonsingular and the inverse below cannot fail
-    target_mixer = transpose(inverse(entrywise_frobenius(spec.mixer)))
-    target = matrix_product(MpcSpec(codes=spec.codes, mixer=target_mixer))
-    return row_space_contains(target.generator, dual.generator)
 
 
 # -- the two-code pairing --------------------------------------------------------
@@ -259,15 +239,17 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
 
 
 def _ladder_ingredient(field: Field, variant: int, dprime: int) -> LinearCode:
-    """Code of the variant's length with design distance dprime: the full
-    space for dprime = 1, else construct_extended's code or the Hermitian
-    dual of the full-field or family-a GRS code of dimension dprime - 1.
-    The ladder's ingredient verdict decides whether it is dual-containing.
+    """Code of the variant's length with design distance dprime, built as
+    the Hermitian dual of an MDS code of dimension dprime - 1: the zero
+    code for dprime = 1, whose dual is the full space, else
+    construct_extended's primal or the full-field or family-a GRS code.
+    So every ingredient carries the code spanning its Hermitian dual, and
+    the ladder's ingredient verdict decides whether it is dual-containing.
     """
     kind, _, length, _ = LADDER_VARIANTS[variant]
-    if dprime == 1:
-        return LinearCode(field=field, generator=Matrix.identity(field, field.q2 + length), known_distance=1)
     k = dprime - 1
+    if k == 0:
+        return _mds_dual(LinearCode(field=field, generator=Matrix(field, [], cols=field.q2 + length)))
     if kind == "extended":
         # the multiplier solver has no forced mode; its range is a hard precondition
         return construct_extended(field, k)

@@ -54,7 +54,8 @@ def singleton_check(params: QuantumParams) -> str:
 def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> QuantumParams:
     """[[n, 2k - n, >= d]]_q from a dual-containing [n, k] code over GF(q^2).
 
-    Containment is checked, reusing this object's verdict, never assumed.
+    Containment is checked, never assumed: by the Gram verdict of the dual
+    the code carries, or by the rank route on a code that carries none.
     distance_lb defaults to the carried bound and may only tighten downward.
     """
     if not dual_containing_check(code):

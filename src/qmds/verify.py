@@ -4,9 +4,10 @@ duality checks.  Everything here recomputes from the generator matrix and
 never trusts a claim recorded on the code object.  The one thing read off
 the object is the code spanning its Hermitian dual: grs.hermitian_dual
 links the kernel it computes back to its primal, and mpc.matrix_product
-keeps a product's dual only after checking it on the two generators; a
-loaded code carries none.  The two duality verdicts are kept on the object once
-decided; a freshly loaded code decides them again.
+keeps a product's dual only after checking it on the two generators.
+Every code qmds builds to contain its dual carries that dual, so its
+containment verdict is the dual's Gram verdict, kept on the dual once
+decided; a loaded code carries none and takes the rank route each time.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  Its distance
@@ -262,17 +263,14 @@ def dual_containing_check(code: LinearCode) -> bool:
     A code carrying the code D that spans its Hermitian dual contains D
     exactly when D is self-orthogonal, because D's own Hermitian dual is
     the code (Ketkar-Klappenecker-Kumar-Sarvepalli, IEEE T-IT 2006); that
-    takes D's Gram matrix only.  Any other code is tested by reducing the
-    kernel of its conjugate generator against its echelon form.  The
-    verdict is kept on the code object, so every caller holding it shares
-    one run."""
-    if code._dual_containing is None:
-        if code._hermitian_dual is not None:
-            code._dual_containing = is_self_orthogonal(code._hermitian_dual)
-        else:
-            g = code.generator  # the kernel of its conjugate spans the Hermitian dual
-            code._dual_containing = row_space_contains(g, nullspace(entrywise_frobenius(g)))
-    return code._dual_containing
+    takes D's Gram matrix only, and is_self_orthogonal keeps the verdict on
+    D.  Every code qmds builds to contain its dual carries it; a loaded
+    code, which carries none, is tested by reducing the kernel of its
+    conjugate generator against its echelon form."""
+    if code._hermitian_dual is not None:
+        return is_self_orthogonal(code._hermitian_dual)
+    g = code.generator  # the kernel of its conjugate spans the Hermitian dual
+    return row_space_contains(g, nullspace(entrywise_frobenius(g)))
 
 
 # -- claims checking --------------------------------------------------------------

@@ -180,6 +180,15 @@ def test_malformed_files_exit_4(tmp_path, capsys):
             assert rc == 4, (claim, value)
             assert json.loads(err)["error"] == "FileMalformed"
 
+    # true and 1.0 compare equal to the version 1 but are no JSON integer
+    for value in (True, 1.0):
+        payload = json.loads(good.read_text())
+        payload["schema_version"] = value
+        bad.write_text(json.dumps(payload))
+        rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+        assert rc == 4, value
+        assert json.loads(err)["error"] == "FileMalformed"
+
     # each number must be a JSON integer: int() would round 3.5 to the valid
     # p = 3, parse "8" and read true as 1, so these files would verify
     for section, key, mangle in (
@@ -349,7 +358,8 @@ def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry)
     # the ingredients and the [52, 48] output carry their Hermitian duals, so
     # the pairing and the quantum record decide containment by Gram matrices
     # and reduce nothing against a row space; only the construct-time
-    # certificate, on a fresh copy of the output, takes the rank route
+    # certificate, on a fresh code over the output's generator, takes the
+    # rank route
     calls = {}  # id(outer) -> [outer, count]; holding outer keeps ids unique
     real = qmds.verify.row_space_contains
 

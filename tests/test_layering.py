@@ -1,6 +1,6 @@
 """Layering: only qmds.gf reads the tables of a Field, the command-line
-front end chooses no oracle, and importing it loads no process pool and
-no dataclasses.
+front end chooses no oracle, importing it loads no process pool and no
+dataclasses, and no module imports a name it never uses.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -85,3 +85,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # each command is a fresh process, so what the import loads it pays
     # every time; dataclasses pulls in inspect, and with it ast and dis
     assert not {"dataclasses", "inspect"} & modules_after_cli_import()
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's top-level imports bind and its code never reads;
+    __future__ imports bind nothing, and __all__ counts as a reader."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_the_unused_import_check_sees_an_unused_import():
+    source = "\n".join(
+        ["from __future__ import annotations", "import os, sys", "from .x import a, b as c", "__all__ = ['a']", "sys.exit()"]
+    )
+    assert unused_imports(source) == ["2 os", "3 c"]
+
+
+def test_every_module_uses_what_it_imports():
+    unused = [
+        f"{path.name}:{entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not unused, unused
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qmds.__all__ if not hasattr(qmds, name)] == []

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmds import verify
+from qmds import linalg, verify
 from qmds.gf import field_for_q, field_new
 from qmds.grs import LinearCode, construct_extended, construct_full_field, hermitian_dual
 from qmds.linalg import Matrix, rank, row_equivalent
@@ -93,10 +93,29 @@ def test_every_ladder_verdict_matches_the_rank_route(q, variant, d):
         "ingredient_dual_containing": [rank_route(c1), rank_route(c2)],
         "output_dual_containing": rank_route(out),
     }
-    # every ingredient but the full space (design distance 1) is a Hermitian
-    # dual, and the product carries a dual when both ingredients do
-    assert [c._hermitian_dual is not None for c in (c1, c2)] == [dp > 1 for dp in dprimes]
-    assert (out._hermitian_dual is not None) == (d > 2)
+    # every ingredient, the full space (design distance 1) included, is a
+    # Hermitian dual, so the product carries a dual too
+    assert all(c._hermitian_dual is not None for c in (c1, c2, out))
+
+
+@pytest.mark.parametrize("variant", [1, 3, 5])  # extended, full-field, family-a
+def test_a_d2_ladder_eliminates_only_its_primals_and_mixer(variant, monkeypatch):
+    # the full space is the dual of the zero code, so a d = 2 ladder takes
+    # its verdicts from Gram matrices as any other does: only the zero-row
+    # and 1 x n' primals, the mixer and the augmented conjugated mixer that
+    # inverse reduces are eliminated
+    field_for_q(7)
+    shapes, eliminate = [], linalg._eliminate
+
+    def counting_eliminate(m):
+        if m._echelon is None:
+            shapes.append((m.rows, m.cols))
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    code = mp6_ladder(7, 2, variant)
+    n = code.n // 2
+    assert sorted(shapes) == [(0, n), (1, n), (2, 2), (2, 4)]
 
 
 def test_the_forced_ladders_include_false_verdicts():
