@@ -22,10 +22,17 @@ sums, vadd and clear_column use the addition table where there is one and
 Zech logarithms past it.  There dot sums in packed digits instead: each
 power of omega is also stored with its 2t base-p digits in separate 32-bit
 slots of one int, so a whole inner product is one integer sum of those,
-reduced slot by slot mod p at the end.  Only this module reads the tables:
-other modules call the element methods or the vector kernels (scale, vmul,
-vadd, vdiv, dot, conjugate, clear_column), each of which picks its way of
-adding once per call.
+reduced slot by slot mod p at the end.
+
+Hermitian Gram entries, in every field, are integer sums of digit
+polynomials (Kronecker substitution): two more tables, built at the first
+hermitian_products call, hold each element and each element's conjugate
+with its 2t base-p digits in slots of one int, so one integer product holds
+the coefficients of a product polynomial and a sum of those is left
+unreduced until the entry is done (delayed reduction).  Only this module
+reads the tables: other modules call the element methods or the vector
+kernels (scale, vmul, vadd, vdiv, dot, conjugate, clear_column,
+hermitian_products), each of which picks its way of adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
@@ -45,7 +52,7 @@ Convention used throughout the package: 0^0 == 1.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DimensionMismatch,
@@ -98,10 +105,12 @@ def _check_tower(p: int, t: int) -> None:
 class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
-    Instances are immutable and safe to share.  Get the canonical one from
-    field_new() or field_for_q(), and the field a serialized code file names
-    from field_with_modulus(); Field(p, t, modulus) builds a new instance on
-    any primitive modulus, which no other code shares.
+    Instances are immutable, apart from the digit tables hermitian_products
+    builds at first use and replaces whole, and safe to share.  Get the
+    canonical one from field_new() or field_for_q(), and the field a
+    serialized code file names from field_with_modulus(); Field(p, t,
+    modulus) builds a new instance on any primitive modulus, which no other
+    code shares.
     """
 
     def __init__(self, p: int, t: int, modulus: list[int], _tables=None):
@@ -129,6 +138,8 @@ class Field:
         log_minus_one = log[p - 1]  # the element p - 1 is -1
         self._neg = [0] + [exp[log[x] + log_minus_one] for x in range(1, q2)]
         self._conj = [0] + [exp[log[x] * q % order] for x in range(1, q2)]
+        # the digit tables of hermitian_products, built at its first call
+        self._gram = None
         if q2 <= _TABLE_CAP:
             self._add = _addition_table(p, q2)
         else:
@@ -293,6 +304,70 @@ class Field:
                     row[j] = exp[la + z] if z >= 0 else 0
                 else:
                     row[j] = exp[lx + ly]
+
+    def hermitian_products(self, rows: list[list[int]]) -> list[list[int]]:
+        """For each row i, the products sum_l rows[i][l] * rows[j][l]^q with
+        the rows j >= i, in order of j.
+
+        Each row, and its conjugate, is gathered once through the digit
+        tables (see _gram_tables), so one integer multiply gives the
+        product polynomial of two entries and one sum of those gives an
+        entry's unreduced coefficients, slot by slot.  The entry is reduced
+        once: the 2t - 1 slots above degree 2t - 1 are taken mod p and
+        folded back through x^(2t + h) in this field, and every low slot is
+        taken mod p.
+        """
+        width, digits, conj_digits, fold = self._gram_tables(len(rows[0]) if rows else 0)
+        p, split = self.p, width * 2 * self.t
+        mask, low_mask = (1 << width) - 1, (1 << split) - 1
+        conj = [[conj_digits[x] for x in row] for row in rows]
+        out = []
+        for i, row in enumerate(rows):
+            row = [digits[x] for x in row]
+            entries = []
+            for s in [sum(map(mul, row, c)) for c in conj[i:]]:
+                low, high = s & low_mask, s >> split
+                for x_power in fold:
+                    low += (high & mask) % p * x_power
+                    high >>= width
+                acc, unit = 0, 1
+                while low:
+                    acc += (low & mask) % p * unit
+                    low >>= width
+                    unit *= p
+                entries.append(acc)
+            out.append(entries)
+        return out
+
+    def _gram_tables(self, n: int) -> tuple:
+        """(width, digits, conj_digits, fold) for rows of length n, built
+        at the first call and kept while no row is longer than they are
+        sized for.
+
+        digits[x] holds the 2t base-p digits of x, digit i at bit width * i,
+        and conj_digits[x] those of x^q.  A product of two such ints holds
+        the 4t - 1 coefficients of the product polynomial, each a sum of at
+        most 2t terms of at most (p - 1)^2; a sum of n products, plus the
+        folded high coefficients, stays below 2^width per slot once width
+        is the bit length of (n + 1) * 2t * (p - 1)^2.  The width is sized
+        for rows of length 2(q^2 + 1), the longest code qmds builds, so a
+        field keeps one table pair, and for t = 1 and q <= 23 every sum
+        stays below 2^62, where int arithmetic stays on machine words; a
+        longer row widens it.  fold[h] is x^(2t + h) packed the same way.
+        """
+        tables = self._gram
+        if tables is not None and n <= tables[0]:
+            return tables[1]
+        p, deg = self.p, 2 * self.t
+        longest = max(n, 2 * (self.q2 + 1))
+        width = ((longest + 1) * deg * (p - 1) ** 2).bit_length()
+        digits = [0]
+        for _ in range(deg):
+            digits = [(h << width) + lo for h in digits for lo in range(p)]
+        conj_digits = list(map(digits.__getitem__, self._conj))
+        fold = [digits[self._exp[deg + h]] for h in range(deg - 1)]
+        self._gram = (longest, (width, digits, conj_digits, fold))
+        return self._gram[1]
 
     # -- tower structure ------------------------------------------------------
 

@@ -13,7 +13,9 @@ generator, whose full row rank is then already certified.  is_self_orthogonal
 keeps its Gram verdict on the code object, and grs_generator passes the
 first code's verdict on to the later ones, so a constructor's Gram gate
 also answers the quantum check on the code built from its spec.  The Gram
-matrix is Hermitian, so hermitian_gram sums only its upper triangle.
+matrix is Hermitian, so hermitian_gram sums only its upper triangle, each
+entry one integer sum of digit polynomials that the field reduces once
+(Field.hermitian_products).
 
 A Hermitian dual keeps the code it was taken of, which spans its own
 Hermitian dual in turn, so whether the dual contains its own dual is the
@@ -237,14 +239,14 @@ def hermitian_gram(code: LinearCode) -> Matrix:
     All-zero exactly when the code is contained in its Hermitian dual.
     Entry (i, j) is the sum of g_i g_j^q, so entry (j, i) is its q-th
     power: only the entries with i <= j are summed, and each one below the
-    diagonal is the conjugate of its mirror image.
+    diagonal is the conjugate of its mirror image.  Field.hermitian_products
+    sums them: it gathers each row and its conjugate into packed digits
+    once, and reduces each entry once.
     """
     f, g = code.field, code.generator
     k = g.rows
-    conj = [f.conjugate(row) for row in g.data]
     gram = [[0] * k for _ in range(k)]
-    for i, row in enumerate(g.data):
-        upper = mat_vec(Matrix._trusted(f, conj[i:], g.cols), row)
+    for i, upper in enumerate(f.hermitian_products(g.data)):
         gram[i][i:] = upper
         for j, x in enumerate(f.conjugate(upper[1:]), i + 1):
             gram[j][i] = x

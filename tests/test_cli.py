@@ -15,7 +15,7 @@ import qmds.cli
 import qmds.grs
 import qmds.verify
 from qmds.cli import load_code_file, main
-from qmds.gf import field_for_q
+from qmds.gf import Field, field_for_q
 from qmds.grs import (
     GRS_FAMILIES,
     ConstructionParams,
@@ -843,6 +843,43 @@ def test_other_moduli_load_onto_fields_of_their_own(tmp_path, capsys):
     assert (rc, out) == (4, "")
     assert json.loads(err)["error"] == "FileMalformed"
     assert load_code_file(str(good)).field is f
+
+
+def test_the_gram_check_reduces_in_the_files_own_field(tmp_path, capsys):
+    # the [8,1] code is self-orthogonal over the canonical GF(9), x^2 + x + 2;
+    # read over x^2 + 2x + 2 its Gram entry is nonzero, while its image under
+    # the isomorphism that sends x to a root y of x^2 + x + 2 there is
+    # self-orthogonal again, which only a fold through that field's own x^2
+    # finds
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "2")
+    payload = json.loads(good.read_text())
+    payload["field"]["modulus"] = [2, 2, 1]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(payload))
+    f = Field(3, 1, [2, 2, 1])
+    y = next(e for e in f.elements() if f.add(f.add(f.mul(e, e), e), 2) == 0)
+    payload["code"]["generator"] = [[f.add(e % 3, f.mul(e // 3, y)) for e in row] for row in payload["code"]["generator"]]
+    image = tmp_path / "image.json"
+    image.write_text(json.dumps(payload))
+    rc, out, _ = run_cli(["verify", "--in", str(image), "--check", "gram"], capsys)
+    assert (rc, json.loads(out)["overall"]) == (0, "pass")
+    rc, out, _ = run_cli(["verify", "--in", str(other), "--check", "gram"], capsys)
+    assert rc == 3
+    assert out == (
+        "{\n"
+        '  "checks": [\n'
+        "    {\n"
+        '      "detail": "gram matrix has a nonzero entry",\n'
+        '      "method": "hermitian gram matrix",\n'
+        '      "name": "gram",\n'
+        '      "verdict": "fail",\n'
+        '      "work_count": 1\n'
+        "    }\n"
+        "  ],\n"
+        '  "overall": "fail",\n'
+        '  "target": "[8,1] over GF(9)"\n'
+        "}\n"
+    )
 
 
 @pytest.mark.parametrize(

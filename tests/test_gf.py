@@ -542,3 +542,22 @@ def test_dot_refuses_vectors_that_could_overflow_a_slot(f):
     assert f.dot(range(longest), []) == 0
     with pytest.raises(errors.DimensionMismatch):
         f.dot(range(longest + 1), [])
+
+
+@pytest.mark.parametrize("f", LONG_FIELDS + [Field(3, 1, [2, 2, 1])], ids=repr)
+def test_hermitian_products_widen_their_slots_for_longer_rows(f):
+    # q^2 - 1 has every digit p - 1, so each product of it with itself puts
+    # 2t (p - 1)^2 in the middle slot: 2(2(q^2 + 1) + 1) such terms fill the
+    # slot width sized for length 2(q^2 + 1); a fresh instance starts narrow
+    fresh = Field(f.p, f.t, f.modulus)
+    top = f.q2 - 1
+    conj_top = oracle_power(f, top, f.q)
+
+    def times(n, z):
+        return index_of_poly([n * d % f.p for d in poly_of_index(z, f.p, 2 * f.t)], f.p)
+
+    for n in (1, 2 * (f.q2 + 1), 4 * f.q2 + 6, 3):
+        rows = [[top] * n, [conj_top] * n]
+        diagonal = times(n, oracle_mul(f, top, conj_top))
+        assert fresh.hermitian_products(rows) == [[diagonal, times(n, oracle_mul(f, top, top))], [diagonal]]
+    assert fresh.hermitian_products([]) == []

@@ -10,19 +10,25 @@ so is the rank that rank proves on a wide matrix's leading minor, with
 full-rank matrices whose leading minor is singular among the inputs, and
 the full rank a kernel basis is marked with.
 GF(529) is above the add-table size, so it covers addition through Zech
-logarithms.  Products and Hermitian Gram matrices, which both run through
-mat_vec, are checked against written-out sums, and the Gram matrices of
-random GRS codes over GF(9), GF(25), GF(49) and GF(529) entry by entry
-against power sums.
+logarithms.  Products, which run through mat_vec, are checked against
+written-out sums.  So are Hermitian Gram matrices, which are summed in
+packed base-p digits and reduced once per entry: over the fields above,
+the p = 2 towers GF(4), GF(16) and GF(64), the t = 2 and t = 3 towers
+GF(81), GF(625) and GF(729), GF(529) and GF(625) past the addition table,
+and GF(9) on a non-canonical modulus, with rows longer than the digit
+slots are first sized for.  The Gram matrices of random GRS codes over GF(9), GF(25),
+GF(49) and GF(529) are also checked entry by entry against power sums.
 """
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings
+import random
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import SingularMatrix
-from qmds.gf import field_for_q, field_new
+from qmds.gf import Field, field_for_q, field_new
 from qmds.grs import GrsSpec, LinearCode, grs_generator, hermitian_gram, power_sum
 from qmds.linalg import (
     Matrix,
@@ -39,6 +45,16 @@ from qmds.linalg import (
 
 FIELDS = [field_new(3), field_new(5), field_new(3, 2), field_new(23)]
 GRS_FIELDS = [field_for_q(q) for q in (3, 5, 7, 23)]
+# FIELDS, the p = 2 and t = 2, 3 towers, GF(625) past the addition table,
+# and GF(9) on a primitive modulus other than the canonical x^2 + x + 2
+GRAM_FIELDS = FIELDS + [
+    field_new(2),
+    field_new(2, 2),
+    field_new(2, 3),
+    field_new(5, 2),
+    field_new(3, 3),
+    Field(3, 1, [2, 2, 1]),
+]
 
 # fixed example sequence, so every run of the suite checks the same matrices
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=80)
@@ -235,13 +251,22 @@ def test_matmul_matches_the_triple_loop(pair):
 
 
 @PROPERTY
-@given(matrices(max_dim=8))
-def test_hermitian_gram_matches_the_written_out_sum(m):
-    # any full-rank generator, so the Gram matrix is rarely zero
-    assume(rank(m) == m.rows)
-    gram = hermitian_gram(LinearCode(field=m.field, generator=m))
-    assert (gram.rows, gram.cols) == (m.rows, m.rows)
-    assert gram.data == naive_hermitian_gram(m.field, m.data)
+@given(st.integers(0, 4), st.integers(0, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, seed):
+    # every field takes each shape: k rows of length k + extra, or longer
+    # than 2(q^2 + 1), the longest code qmds builds; entries lean towards
+    # zero, and the generator has full rank, so the Gram matrix is rarely
+    # zero.  The entries come from a seeded Random, since thousands of them
+    # would overrun what hypothesis draws in one example
+    rnd = random.Random(seed)
+    for f in GRAM_FIELDS:
+        n = 2 * (f.q2 + 1) + 1 + extra if long_rows else max(k, 1) + extra
+        m = Matrix(f, [[rnd.choice((0, rnd.randrange(f.q2))) for _ in range(n)] for _ in range(k)], cols=n)
+        if rank(m) < k:
+            continue
+        gram = hermitian_gram(LinearCode(field=f, generator=m))
+        assert (gram.rows, gram.cols) == (k, k)
+        assert gram.data == naive_hermitian_gram(f, m.data)
 
 
 @PROPERTY
