@@ -19,19 +19,16 @@ instead, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
 the packing whatever the modulus, so that table is filled digit by digit
 from runs of one list of the q^2 elements (see _addition_table).  Single
 sums, vadd and clear_column use the addition table where there is one and
-Zech logarithms past it.  There dot sums in packed digits instead: each
-power of omega is also stored with its 2t base-p digits in separate 32-bit
-slots of one int, so a whole inner product is one integer sum of those,
-reduced slot by slot mod p at the end.
+Zech logarithms past it.
 
-Hermitian Gram entries, in every field, are integer sums of digit
-polynomials (Kronecker substitution): two more tables, built at the first
-hermitian_products call, hold each element and each element's conjugate
-with its 2t base-p digits in slots of one int, so one integer product holds
-the coefficients of a product polynomial and a sum of those is left
-unreduced until the entry is done (delayed reduction).  Only this module
-reads the tables: other modules call the element methods or the vector
-kernels (scale, vmul, vadd, vdiv, dot, conjugate, clear_column,
+Inner products, in every field, go through hermitian_products alone, as
+integer sums of digit polynomials (Kronecker substitution): two more
+tables, built at its first call, hold each element and each element's
+conjugate with its 2t base-p digits in slots of one int, so one integer
+product holds the coefficients of a product polynomial and a sum of those
+is left unreduced until the entry is done (delayed reduction).  Only this
+module reads the tables: other modules call the element methods or the
+vector kernels (scale, vmul, vadd, vdiv, conjugate, clear_column,
 hermitian_products), each of which picks its way of adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
@@ -52,7 +49,7 @@ Convention used throughout the package: 0^0 == 1.
 from __future__ import annotations
 
 from itertools import chain
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -67,10 +64,8 @@ from .errors import (
 SIZE_CAP = 1 << 16
 
 # fields up to this size also get a full q^2 x q^2 addition table; larger
-# ones get the packed-digit tables that dot sums in
+# ones add through Zech logarithms
 _TABLE_CAP = 512
-# width of one digit's slot in a packed element
-_SLOT = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -147,13 +142,6 @@ class Field:
             # 1 + omega^i differs from omega^i in the constant digit only;
             # -1 marks the i with omega^i = -1
             self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
-            # _pexp[l] is omega^l with its digits in separate slots, over two
-            # periods like exp, then a zero tail; _plog is log with zero sent
-            # to 2 * order, so every sum of two _plog entries that involves
-            # zero lands in the tail
-            slots = [sum(x // p**i % p << _SLOT * i for i in range(2 * t)) for x in exp[:order]]
-            self._pexp = slots + slots + [0] * (2 * order + 1)
-            self._plog = [2 * order] + log[1:]
 
     # -- ring operations ------------------------------------------------------
 
@@ -248,34 +236,6 @@ class Field:
                 out.append(x or y)
         return out
 
-    def dot(self, u: list[int], v: list[int]) -> int:
-        """sum of u_i v_i.
-
-        Past the addition table the products are summed in packed digits:
-        each slot gains at most p - 1 per term, so no slot carries into the
-        next while len(u) * (p - 1) < 2^32, which every u shorter than 2^24
-        entries meets in every field under the size cap.  A longer u is
-        refused with DimensionMismatch.
-        """
-        exp, log, addtab = self._exp, self._log, self._add
-        if addtab is not None:
-            acc = 0
-            for x, y in zip(u, v):
-                if x and y:
-                    acc = addtab[acc][exp[log[x] + log[y]]]
-            return acc
-        p = self.p
-        if len(u) * (p - 1) >= 1 << _SLOT:
-            raise DimensionMismatch(f"{len(u)} terms could overflow a {_SLOT}-bit digit slot")
-        plog = self._plog.__getitem__
-        s = sum(map(self._pexp.__getitem__, map(add, map(plog, u), map(plog, v))))
-        acc, unit, mask = 0, 1, (1 << _SLOT) - 1
-        while s:
-            acc += (s & mask) % p * unit
-            s >>= _SLOT
-            unit *= p
-        return acc
-
     def clear_column(self, rows: list[list[int]], prow: list[int], c: int) -> None:
         """Subtract from every row other than prow the multiple of prow that
         zeroes its column c, in place.
@@ -305,27 +265,36 @@ class Field:
                 else:
                     row[j] = exp[lx + ly]
 
-    def hermitian_products(self, rows: list[list[int]]) -> list[list[int]]:
-        """For each row i, the products sum_l rows[i][l] * rows[j][l]^q with
-        the rows j >= i, in order of j.
+    def hermitian_products(
+        self, rows: list[list[int]], others: list[list[int]] | None = None
+    ) -> list[list[int]]:
+        """For each row i, the products sum_l rows[i][l] * others[j][l]^q
+        with every row j of others, in order of j.  Without others, the
+        products of rows with themselves, only for the rows j >= i.  Rows of
+        others whose length differs from that of rows raise
+        DimensionMismatch.
 
-        Each row, and its conjugate, is gathered once through the digit
-        tables (see _gram_tables), so one integer multiply gives the
+        Each row, and each conjugate row, is gathered once through the
+        digit tables (see _gram_tables), so one integer multiply gives the
         product polynomial of two entries and one sum of those gives an
         entry's unreduced coefficients, slot by slot.  The entry is reduced
         once: the 2t - 1 slots above degree 2t - 1 are taken mod p and
         folded back through x^(2t + h) in this field, and every low slot is
         taken mod p.
         """
-        width, digits, conj_digits, fold = self._gram_tables(len(rows[0]) if rows else 0)
+        n = len(rows[0]) if rows else 0
+        gram = others is None
+        if not gram and rows and any(len(row) != n for row in others):
+            raise DimensionMismatch(f"rows of length {n} against rows of other lengths")
+        width, digits, conj_digits, fold = self._gram_tables(n)
         p, split = self.p, width * 2 * self.t
         mask, low_mask = (1 << width) - 1, (1 << split) - 1
-        conj = [[conj_digits[x] for x in row] for row in rows]
+        conj = [[conj_digits[x] for x in row] for row in (rows if gram else others)]
         out = []
         for i, row in enumerate(rows):
             row = [digits[x] for x in row]
             entries = []
-            for s in [sum(map(mul, row, c)) for c in conj[i:]]:
+            for s in [sum(map(mul, row, c)) for c in (conj[i:] if gram else conj)]:
                 low, high = s & low_mask, s >> split
                 for x_power in fold:
                     low += (high & mask) % p * x_power

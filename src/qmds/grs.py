@@ -40,7 +40,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .gf import Field, field_for_q
-from .linalg import Matrix, entrywise_frobenius, mat_vec, nullspace, rank, subfield_nullvector
+from .linalg import Matrix, entrywise_frobenius, nullspace, rank, subfield_nullvector
 
 # most cells, (n - k) * n, of the Hermitian dual a full-field or extended code
 # is built as: every k at q = 64 (at most 4096 * 4097 cells) fits, and no k
@@ -259,13 +259,6 @@ def is_self_orthogonal(code: LinearCode) -> bool:
     if code._self_orthogonal is None:
         code._self_orthogonal = hermitian_gram(code).is_zero()
     return code._self_orthogonal
-
-
-def hermitian_orthogonal(a: Matrix, b: Matrix) -> bool:
-    """Whether every row of a is Hermitian-orthogonal to every row of b."""
-    f = a.field
-    conj = Matrix._trusted(f, [f.conjugate(row) for row in b.data], b.cols)
-    return not any(any(mat_vec(conj, row)) for row in a.data)
 
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
@@ -517,7 +510,9 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     for u in _extension_candidates(field, k, points):
         if 0 in u:
             continue
-        top = field.dot(u, top_powers)
+        # the top powers N(alpha)^(k - 1) lie in GF(q), which conjugation
+        # fixes, so their Hermitian product with u is the plain sum
+        [[top]] = field.hermitian_products([u], [top_powers])
         if top == 0:
             continue  # the extension coordinate would need norm zero
         mults = [field.norm_preimage(x) for x in u]

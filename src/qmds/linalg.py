@@ -112,22 +112,6 @@ def stack(top: Matrix, bottom: Matrix) -> Matrix:
     return Matrix._trusted(top.field, top.data + bottom.data, top.cols)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.field is not b.field:
-        raise DimensionMismatch("mixed fields")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.cols} columns against {b.rows} rows")
-    bt = transpose(b)
-    return Matrix._trusted(a.field, [mat_vec(bt, row) for row in a.data], b.cols)
-
-
-def mat_vec(m: Matrix, v: list[int]) -> list[int]:
-    if len(v) != m.cols:
-        raise DimensionMismatch("vector length mismatch")
-    dot = m.field.dot
-    return [dot(row, v) for row in m.data]
-
-
 def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot_columns).
 

@@ -25,7 +25,6 @@ from .grs import (
     euclidean_dual,
     full_field_spec,
     grs_generator,
-    hermitian_orthogonal,
 )
 from .linalg import (
     Matrix,
@@ -95,7 +94,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
         # again nonsingular and the inverse below cannot fail
         dual_mixer = transpose(inverse(entrywise_frobenius(mix)))
         dual = LinearCode(field=f, generator=_block_generator(duals, dual_mixer))
-        if code.k + dual.k == code.n and hermitian_orthogonal(gen, dual.generator):
+        if code.k + dual.k == code.n and not any(map(any, f.hermitian_products(gen.data, dual.generator.data))):
             code._hermitian_dual = dual
     return code
 

@@ -5,7 +5,8 @@ arithmetic is redone with coefficient lists, orders are checked by
 repeated multiplication, and preimages by exhaustive scan.  The element
 methods and vector kernels are compared with them on fields on both sides
 of the addition-table size: table fields add by lookup, larger ones through
-Zech logarithms, and their dot sums in packed digits.
+Zech logarithms, and inner products in every field are summed in packed
+digits.
 """
 
 from __future__ import annotations
@@ -468,8 +469,8 @@ def test_vector_kernels_match_oracle(fv, c):
     assert f.vmul(u, v) == [oracle_mul(f, x, y) for x, y in zip(u, v)]
     acc = 0
     for x, y in zip(u, v):
-        acc = oracle_add(f, acc, oracle_mul(f, x, y))
-    assert f.dot(u, v) == acc
+        acc = oracle_add(f, acc, oracle_mul(f, x, oracle_power(f, y, f.q)))
+    assert f.hermitian_products([u], [v]) == [[acc]]
 
 
 @PROPERTY
@@ -492,8 +493,9 @@ def test_clear_column_matches_oracle(fv, data):
 
 
 # ---------------------------------------------------------------------------
-# dot and vmul on vectors as long as a field, where a packed-digit slot of
-# dot holds up to length * (p - 1); GF(3^6) has t = 3, GF(31^2) a large p
+# the Hermitian dot product, hermitian_products of one row against one
+# other, and vmul on vectors as long as a field, where a packed-digit slot
+# holds up to length * 2t (p - 1)^2; GF(3^6) has t = 3, GF(31^2) a large p
 
 LONG_FIELDS = TABLE_FIELDS + ZECH_FIELDS + [field_new(3, 3), field_new(31)]
 
@@ -515,33 +517,24 @@ def test_long_dot_and_vmul_match_digit_oracle(f, seed, zeros):
     rng = random.Random(seed)
     n = rng.randint(0, f.q2 + 1)
     u, v = ([0 if rng.random() < zeros else rng.randrange(1, f.q2) for _ in range(n)] for _ in "uv")
-    assert f.dot(u, v) == oracle_dot(f, u, v)
+    assert f.hermitian_products([u], [v]) == [[oracle_dot(f, u, [oracle_power(f, y, f.q) for y in v])]]
     assert f.vmul(u, v) == [oracle_mul(f, x, y) for x, y in zip(u, v)]
 
 
 @pytest.mark.parametrize("f", LONG_FIELDS, ids=repr)
 def test_dot_of_constant_vectors_is_the_length_mod_p(f):
-    # every term of ones . ones adds 1 to the constant digit, and every term
-    # of (-1) . ones adds p - 1, the most a slot can gain
+    # 1 and -1 lie in GF(p), which conjugation fixes: every term of
+    # ones . ones adds 1 to the constant digit, and every term of
+    # (-1) . ones adds p - 1
     minus_one = f.neg(1)
     for n in range(f.p - 1, f.q2 + 2):
-        assert f.dot([1] * n, [1] * n) == f.element(n)
-        assert f.dot([minus_one] * n, [1] * n) == f.element(-n)
-    assert f.dot([], []) == 0
+        assert f.hermitian_products([[1] * n], [[1] * n]) == [[f.element(n)]]
+        assert f.hermitian_products([[minus_one] * n], [[1] * n]) == [[f.element(-n)]]
+    assert f.hermitian_products([[]], [[]]) == [[0]]
     for n in (1, f.q2 + 1):
-        assert f.dot([0] * n, [0] * n) == 0
-        assert f.dot([0] * n, [1] * n) == 0
+        assert f.hermitian_products([[0] * n], [[0] * n]) == [[0]]
+        assert f.hermitian_products([[0] * n], [[1] * n]) == [[0]]
         assert f.vmul([0] * n, [1] * n) == [0] * n
-
-
-@pytest.mark.parametrize("f", ZECH_FIELDS + [field_new(31), field_new(251)], ids=repr)
-def test_dot_refuses_vectors_that_could_overflow_a_slot(f):
-    # a range stands in for a vector of that length: the guard reads only
-    # len(u), and an empty v ends the sum at once
-    longest = ((1 << 32) - 1) // (f.p - 1)
-    assert f.dot(range(longest), []) == 0
-    with pytest.raises(errors.DimensionMismatch):
-        f.dot(range(longest + 1), [])
 
 
 @pytest.mark.parametrize("f", LONG_FIELDS + [Field(3, 1, [2, 2, 1])], ids=repr)

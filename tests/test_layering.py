@@ -24,12 +24,12 @@ import qmds
 from qmds.gf import field_for_q
 
 PACKAGE = Path(qmds.__file__).resolve().parent
-# GF(9) has an addition table and GF(529) the packed-digit tables instead
+# GF(9) has an addition table and GF(529) Zech logarithms instead
 TABLES = {name for q in (3, 23) for name in vars(field_for_q(q)) if name.startswith("_")}
 
 
 def test_only_gf_reads_field_tables():
-    assert {"_exp", "_log", "_add", "_pexp", "_plog"} <= TABLES
+    assert {"_exp", "_log", "_add", "_zech", "_gram"} <= TABLES
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "gf.py")
     assert modules
     reads = [

@@ -12,8 +12,6 @@ from qmds.linalg import (
     Matrix,
     entrywise_frobenius,
     inverse,
-    mat_vec,
-    matmul,
     nullspace,
     rank,
     row_equivalent,
@@ -32,6 +30,23 @@ def det3(f, m):
     t2 = f.mul(b, f.sub(f.mul(d, j), f.mul(g, h)))
     t3 = f.mul(c, f.sub(f.mul(d, i), f.mul(e, h)))
     return f.add(f.sub(t1, t2), t3)
+
+
+def naive_mat_vec(m, v):
+    """m v, by the field's element methods."""
+    f = m.field
+    out = []
+    for row in m.data:
+        acc = 0
+        for x, y in zip(row, v, strict=True):
+            acc = f.add(acc, f.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def naive_matmul(a, b):
+    """a b, by the field's element methods."""
+    return Matrix(a.field, [naive_mat_vec(transpose(b), row) for row in a.data], cols=b.cols)
 
 
 def random_matrix(f, rng, rows, cols):
@@ -58,8 +73,8 @@ def test_pair_mixer_inverse_small_primes():
         f = field_new(p)
         a = Matrix(f, [[1, 1], [1, f.element(p - 1)]])
         ainv = inverse(a)
-        assert matmul(a, ainv) == Matrix.identity(f, 2)
-        assert matmul(ainv, a) == Matrix.identity(f, 2)
+        assert naive_matmul(a, ainv) == Matrix.identity(f, 2)
+        assert naive_matmul(ainv, a) == Matrix.identity(f, 2)
 
 
 def test_vandermonde_rank_q5():
@@ -82,7 +97,7 @@ def test_singular_matrix_detected():
         inverse(m)
     ns = nullspace(m)
     assert ns.rows == 1
-    assert mat_vec(m, ns.data[0]) == [0, 0]
+    assert naive_mat_vec(m, ns.data[0]) == [0, 0]
 
 
 def test_rank_nullity_randomized():
@@ -96,7 +111,7 @@ def test_rank_nullity_randomized():
             ns = nullspace(m)
             assert rank(m) + ns.rows == cols
             for v in ns.data:
-                assert mat_vec(m, v) == [0] * rows
+                assert naive_mat_vec(m, v) == [0] * rows
             if ns.rows:
                 assert rank(ns) == ns.rows
 
@@ -107,7 +122,7 @@ def test_inverse_randomized():
     for _ in range(25):
         n = rng.randrange(1, 5)
         m = random_invertible(f, rng, n)
-        assert matmul(m, inverse(m)) == Matrix.identity(f, n)
+        assert naive_matmul(m, inverse(m)) == Matrix.identity(f, n)
 
 
 def test_rref_is_idempotent_and_pivots_sorted():
@@ -172,7 +187,7 @@ def test_row_equivalence_under_invertible_left_factor():
     for _ in range(20):
         m = random_matrix(f, rng, 3, 5)
         p = random_invertible(f, rng, 3)
-        assert row_equivalent(m, matmul(p, m))
+        assert row_equivalent(m, naive_matmul(p, m))
     a = random_matrix(f, rng, 2, 5)
     b = random_matrix(f, rng, 2, 4)
     with pytest.raises(errors.DimensionMismatch):
@@ -233,7 +248,7 @@ def test_subfield_nullvector_random_subfield_matrices():
                 if rank(m) == n - 1:
                     break
             c = subfield_nullvector(m)
-            assert mat_vec(m, c) == [0] * (n - 1)
+            assert naive_mat_vec(m, c) == [0] * (n - 1)
             assert all(f.in_subfield(x) for x in c)
             first = next(x for x in c if x)
             assert first == 1

@@ -1,5 +1,5 @@
-"""Property tests: the table-driven, cached elimination and the shared
-inner-product loop against naive oracles.
+"""Property tests: the table-driven, cached elimination and the Hermitian
+product kernel against naive oracles.
 
 The elimination oracle is plain Gauss-Jordan elimination through the
 field's method calls (add, mul, neg, inv), with no cache and no table
@@ -10,10 +10,10 @@ so is the rank that rank proves on a wide matrix's leading minor, with
 full-rank matrices whose leading minor is singular among the inputs, and
 the full rank a kernel basis is marked with.
 GF(529) is above the add-table size, so it covers addition through Zech
-logarithms.  Products, which run through mat_vec, are checked against
-written-out sums.  So are Hermitian Gram matrices, which are summed in
-packed base-p digits and reduced once per entry: over the fields above,
-the p = 2 towers GF(4), GF(16) and GF(64), the t = 2 and t = 3 towers
+logarithms.  Hermitian Gram matrices, and the Hermitian products of one
+list of rows with another, are checked against written-out sums; both are
+summed in packed base-p digits and reduced once per entry: over the fields
+above, the p = 2 towers GF(4), GF(16) and GF(64), the t = 2 and t = 3 towers
 GF(81), GF(625) and GF(729), GF(529) and GF(625) past the addition table,
 and GF(9) on a non-canonical modulus, with rows longer than the digit
 slots are first sized for.  The Gram matrices of random GRS codes over GF(9), GF(25),
@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmds.errors import SingularMatrix
+from qmds.errors import DimensionMismatch, SingularMatrix
 from qmds.gf import Field, field_for_q, field_new
 from qmds.grs import GrsSpec, LinearCode, grs_generator, hermitian_gram, power_sum
 from qmds.linalg import (
@@ -35,7 +36,6 @@ from qmds.linalg import (
     _eliminate,
     entrywise_frobenius,
     inverse,
-    matmul,
     nullspace,
     rank,
     row_equivalent,
@@ -126,6 +126,7 @@ def naive_contains(outer, inner):
 
 
 def naive_matmul(a, b):
+    """The matrix a b, by method calls."""
     f = a.field
     out = []
     for i in range(a.rows):
@@ -136,15 +137,16 @@ def naive_matmul(a, b):
                 acc = f.add(acc, f.mul(a.data[i][l], b.data[l][j]))
             row.append(acc)
         out.append(row)
-    return out
+    return Matrix(f, out, cols=b.cols)
 
 
-def naive_hermitian_gram(f, rows):
-    """<g_i, g_j>_H = sum over l of g_i[l] * g_j[l]^q, by method calls."""
+def naive_hermitian_gram(f, rows, others=None):
+    """<g_i, h_j>_H = sum over l of g_i[l] * h_j[l]^q, by method calls, with
+    the rows h_j of others, or of rows itself when others is None."""
     out = []
     for gi in rows:
         row = []
-        for gj in rows:
+        for gj in rows if others is None else others:
             acc = 0
             for x, y in zip(gi, gj):
                 acc = f.add(acc, f.mul(x, f.pow(y, f.q)))
@@ -180,7 +182,7 @@ def matrices(draw, field=None, rows=None, cols=None, max_dim=6):
 
     if r and draw(st.booleans()):
         inner = draw(st.integers(1, max(1, min(r, c))))
-        return matmul(grid(r, inner), grid(inner, c))
+        return naive_matmul(grid(r, inner), grid(inner, c))
     return grid(r, c)
 
 
@@ -193,7 +195,7 @@ def window_matrices(draw):
     r = draw(st.integers(0, 5))
     c = draw(st.integers(max(1, 2 * r), 12) if draw(st.booleans()) else st.integers(1, 6))
     if r > 1 and 2 * r <= c and draw(st.booleans()):
-        lead = matmul(draw(matrices(field=f, rows=r, cols=r - 1)), draw(matrices(field=f, rows=r - 1, cols=r)))
+        lead = naive_matmul(draw(matrices(field=f, rows=r, cols=r - 1)), draw(matrices(field=f, rows=r - 1, cols=r)))
         rest = draw(matrices(field=f, rows=r, cols=c - r))
         return Matrix(f, [a + b for a, b in zip(lead.data, rest.data)], cols=c)
     return draw(matrices(field=f, rows=r, cols=c))
@@ -205,7 +207,7 @@ def matrix_pairs(draw):
     a = draw(matrices())
     if a.rows and draw(st.booleans()):
         mix = draw(matrices(field=a.field, rows=a.rows, cols=a.rows))
-        return a, matmul(mix, a)
+        return a, naive_matmul(mix, a)
     return a, draw(matrices(field=a.field, rows=a.rows, cols=a.cols))
 
 
@@ -216,16 +218,8 @@ def containment_pairs(draw):
     k = draw(st.integers(0, 4))
     if outer.rows and draw(st.booleans()):
         mix = draw(matrices(field=outer.field, rows=k, cols=outer.rows))
-        return outer, matmul(mix, outer)
+        return outer, naive_matmul(mix, outer)
     return outer, draw(matrices(field=outer.field, rows=k, cols=outer.cols))
-
-
-@st.composite
-def product_pairs(draw):
-    """(a, b) with a.cols == b.rows, any of the dimensions possibly zero."""
-    f = draw(st.sampled_from(FIELDS))
-    r, inner, c = (draw(st.integers(0, 6)) for _ in range(3))
-    return draw(matrices(field=f, rows=r, cols=inner)), draw(matrices(field=f, rows=inner, cols=c))
 
 
 @st.composite
@@ -239,15 +233,6 @@ def grs_specs(draw):
 
 
 # -- properties ------------------------------------------------------------------
-
-
-@PROPERTY
-@given(product_pairs())
-def test_matmul_matches_the_triple_loop(pair):
-    a, b = pair
-    prod = matmul(a, b)
-    assert (prod.rows, prod.cols) == (a.rows, b.cols)
-    assert prod.data == naive_matmul(a, b)
 
 
 @PROPERTY
@@ -267,6 +252,27 @@ def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, seed):
         gram = hermitian_gram(LinearCode(field=f, generator=m))
         assert (gram.rows, gram.cols) == (k, k)
         assert gram.data == naive_hermitian_gram(f, m.data)
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8), st.booleans(), st.integers(0, 2**32 - 1))
+def test_hermitian_products_of_two_row_lists_match_the_written_out_sum(k, j, extra, long_rows, seed):
+    # the Gram test's shapes and draws, for k rows against j others of the
+    # same length; no rank is asked of either
+    rnd = random.Random(seed)
+    for f in GRAM_FIELDS:
+        n = 2 * (f.q2 + 1) + 1 + extra if long_rows else max(k, 1) + extra
+        rows, others = ([[rnd.choice((0, rnd.randrange(f.q2))) for _ in range(n)] for _ in range(r)] for r in (k, j))
+        assert f.hermitian_products(rows, others) == naive_hermitian_gram(f, rows, others)
+
+
+def test_hermitian_products_refuse_rows_of_another_length():
+    # zip would drop the tail of the longer row without a word
+    f = field_new(23)
+    for others in ([[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], [1, 2]]):
+        with pytest.raises(DimensionMismatch):
+            f.hermitian_products([[1, 2, 3]], others)
+    assert f.hermitian_products([[1, 2, 3]], []) == [[]]
 
 
 @PROPERTY

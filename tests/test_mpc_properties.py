@@ -18,7 +18,8 @@ elimination on random full-rank ingredients and mixers over GF(4), GF(9)
 and GF(25), square and not.  A product of random Hermitian duals through a
 random square mixer must carry the whole Hermitian dual.  An ingredient
 dual with one row changed, or one dropped, fails the product's
-certificate, and the verdict then comes from the rank route.
+certificate over GF(25) and over GF(529), past the addition table, and the
+verdict then comes from the rank route.
 """
 
 from __future__ import annotations
@@ -164,9 +165,17 @@ def test_a_product_of_duals_carries_its_whole_hermitian_dual(spec):
     assert dual_containing_check(prod) == rank_route(prod)
 
 
-@pytest.mark.parametrize("tamper", ["change a row", "drop a row"])
-def test_a_tampered_ingredient_dual_fails_the_certificate(tamper, monkeypatch):
-    field = field_for_q(5)
+@pytest.mark.parametrize(
+    ("tamper", "q"),
+    [
+        pytest.param(tamper, q, id=tamper if q == 5 else f"{tamper} over GF(529)")
+        for q in (5, 23)
+        for tamper in ("change a row", "drop a row")
+    ],
+)
+def test_a_tampered_ingredient_dual_fails_the_certificate(tamper, q, monkeypatch):
+    # GF(529) is past the addition table, so it adds through Zech logarithms
+    field = field_for_q(q)
     c1, c2 = (_ladder_ingredient(field, 3, dp) for dp in (2, 4))
     rows = [list(row) for row in c2._hermitian_dual.generator.data]
     if tamper == "change a row":
