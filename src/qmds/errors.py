@@ -54,14 +54,6 @@ class DimensionMismatch(QmdsError):
     pass
 
 
-class PreconditionViolated(QmdsError):
-    pass
-
-
-class NoSubfieldSolution(QmdsError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # code construction
 

@@ -2,14 +2,19 @@
 
 Generator matrices, the Hermitian self-orthogonality criterion, three
 parametric self-orthogonal families, and the length q^2 / q^2 + 1
-dual-containing realizations.  The length q^2 + 1 family takes its
-multiplier norms from closed forms that kill the lower power sums, tried
-in a fixed order.  Constructors verify their own Gram matrix before
-returning, so a successfully constructed object doubles as a certificate.
+dual-containing realizations.  Families B and C take their multipliers
+from the closed-form kernel of a column-scaled Vandermonde system, and the
+length q^2 + 1 family takes its multiplier norms from closed forms that
+kill the lower power sums, tried in a fixed order.  Constructors verify
+their own Gram matrix before returning, so a successfully constructed
+object doubles as a certificate.
 
-Each fact is decided once.  A GrsSpec keeps the first code grs_generator
-built from it, and later calls hand out fresh codes on that code's
-generator, whose full row rank is then already certified.  is_self_orthogonal
+Each fact is decided once, or read off an identity.  A GRS generator has
+distinct points and nonzero multipliers, so its k rows are independent (a
+Vandermonde identity): grs_generator and extended_self_orthogonal mark
+their generators full rank, and nothing eliminates them to learn it.  A
+GrsSpec keeps the first code grs_generator built from it, and later calls
+hand out fresh codes on that code's generator.  is_self_orthogonal
 keeps its Gram verdict on the code object, and grs_generator passes the
 first code's verdict on to the later ones, so a constructor's Gram gate
 also answers the quantum check on the code built from its spec.  The Gram
@@ -40,7 +45,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .gf import Field, field_for_q
-from .linalg import Matrix, entrywise_frobenius, nullspace, rank, subfield_nullvector
+from .linalg import Matrix, entrywise_frobenius, nullspace, rank
 
 # most cells, (n - k) * n, of the Hermitian dual a full-field or extended code
 # is built as: every k at q = 64 (at most 4096 * 4097 cells) fits, and no k
@@ -193,6 +198,10 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     the points, entry by entry, so no power is taken; a point 0 keeps v in
     row 0 and 0 after it, the 0^0 = 1 convention.
 
+    The generator is marked full rank: GrsSpec has refused duplicate
+    points, zero multipliers and k outside 1..n, and k rows on distinct
+    points with nonzero multipliers are independent, since every k x k
+    minor is a column-scaled Vandermonde determinant.  For the same reason
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
     bound; known_distance stays unset, as on every constructed code.
 
@@ -205,6 +214,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     if first is None:
         rows = _running_product_rows(f, spec.multipliers, spec.points, spec.k)
         generator = Matrix(f, rows, cols=spec.n)
+        generator._full_rank = True
     else:
         generator = first.generator
     code = LinearCode(field=f, generator=generator, claimed_distance_lb=spec.n - spec.k + 1)
@@ -307,29 +317,24 @@ def _family_a_spec(field: Field, a: int, k: int) -> GrsSpec:
 def construct_family_B(params: ConstructionParams) -> GrsSpec:
     """Self-orthogonal GRS spec of length (q - 1)(m - 1) at q = 2am - 1.
 
-    Multiplier exponents come from a GF(q)-valued kernel vector of a small
-    matrix of omega powers; points are the powers of omega^(2a) whose
+    Multiplier exponents come from the GF(q)-valued kernel of a
+    column-scaled Vandermonde system (_kernel_family_spec, step 2a and
+    scale exponent m - 3); points are the powers of omega^(2a) whose
     exponents avoid the multiples of q + 1.
     """
-    q, a, m = params.q, params.a, params.m
-    # the factor a makes each row a sum over a full coset when the power
-    # sums are regrouped; for a = 1 or m <= 3 it changes nothing
+    m = params.m
     return _gated_family("grs-b", params, SolverFailure, _kernel_family_spec, m=m,
-                         row_exponent=lambda i, j: 2 * a * j * ((i - 1) * (q - 1) + m - 3),
-                         point_exponent=lambda j: 2 * a * j, multiplier_shift=-(m - 3))
+                         step=2 * params.a, s=m - 3, shift=-(m - 3))
 
 
 def construct_family_C(params: ConstructionParams) -> GrsSpec:
     """Self-orthogonal GRS spec of length (q - 1)(m - 1) at q = (2a + 1)m - 1.
 
-    Same kernel-vector pipeline as family B with its own exponent pattern;
-    a = 0 is allowed and gives the length q^2 - q family.
+    Same kernel pipeline as family B, with step 2a + 1 and scale exponent
+    q - 2; a = 0 is allowed and gives the length q^2 - q family.
     """
-    q, w = params.q, 2 * params.a + 1
-    # same coset-regrouping factor as family B, here 2a + 1
     return _gated_family("grs-c", params, SolverFailure, _kernel_family_spec, m=params.m,
-                         row_exponent=lambda i, j: w * (i * (q - 1) - 1) * j,
-                         point_exponent=lambda j: w * j, multiplier_shift=1)
+                         step=2 * params.a + 1, s=params.q - 2, shift=1)
 
 
 def _gated_family(family: str, params: ConstructionParams, failure: type, build, **shape) -> GrsSpec:
@@ -343,32 +348,49 @@ def _gated_family(family: str, params: ConstructionParams, failure: type, build,
     return spec
 
 
-def _kernel_family_spec(field, m, k, row_exponent, point_exponent, multiplier_shift) -> GrsSpec:
+def _kernel_family_spec(field, m, k, step, s, shift) -> GrsSpec:
     """Shared pipeline for families B and C.
 
-    Build the (m-2) x (m-1) matrix of omega powers, take its GF(q)-valued
-    kernel vector, divide the discrete logs by q + 1 to get the base
-    multiplier exponents, then roll them across q - 1 blocks with the
+    Points are omega^(step j) for j = 1 .. (q - 1)m off the multiples of m.
+    The base multipliers are the GF(q)-valued kernel of a column-scaled
+    Vandermonde system, in the closed form of _subfield_kernel
+    (MacWilliams-Sloane, ch. 10); their discrete logs divided by q + 1 are
+    the base multiplier exponents, rolled across q - 1 blocks with the
     family's per-block shift.
     """
     q = field.q
-    rows = [
-        [field.exp(row_exponent(i, j)) for j in range(1, m)]
-        for i in range(1, m - 1)
-    ]
-    kernel = subfield_nullvector(Matrix(field, rows, cols=m - 1))
-    exps = []
-    for c in kernel:
-        if c == 0:
-            raise SolverFailure("kernel vector has a zero coordinate")
-        exps.append(field.log(c) // (q + 1))  # log is a multiple of q+1 for GF(q) elements
-    points = tuple(
-        field.exp(point_exponent(j)) for j in range(1, (q - 1) * m + 1) if j % m
-    )
-    mults = tuple(
-        field.exp(e + multiplier_shift * s) for s in range(q - 1) for e in exps
-    )
+    # log is a multiple of q + 1 for GF(q) elements
+    exps = [field.log(c) // (q + 1) for c in _subfield_kernel(field, m, step, s)]
+    points = tuple(field.exp(step * j) for j in range(1, (q - 1) * m + 1) if j % m)
+    mults = tuple(field.exp(e + shift * b) for b in range(q - 1) for e in exps)
     return GrsSpec(field=field, points=points, multipliers=mults, k=k)
+
+
+def _subfield_kernel(field: Field, m: int, step: int, s: int) -> list[int]:
+    """The kernel of the (m - 2) x (m - 1) system whose row i is
+    beta_j^s gamma_j^(i - 1), with beta_j = omega^(step j) and
+    gamma_j = beta_j^(q - 1) for j = 1 .. m - 1, scaled so that c_1 = 1.
+
+    gamma = omega^(step (q - 1)) has order m, so the gamma_j are distinct,
+    the Vandermonde system has full rank and its kernel is the line of
+    u_j = prod_{l != j} (gamma_j - gamma_l)^-1 (MacWilliams-Sloane, ch. 10);
+    the kernel of the scaled system is c_j = u_j / beta_j^s, nonzero
+    everywhere.  The families need c in GF(q), and SolverFailure says when
+    the line has no such representative.
+    """
+    q = field.q
+    gammas = [field.exp(step * j * (q - 1)) for j in range(1, m)]
+    dens = []  # 1 / c_j before scaling
+    for j, g in enumerate(gammas, 1):
+        den = field.exp(step * j * s)
+        for h in gammas:
+            if h != g:
+                den = field.mul(den, field.sub(g, h))
+        dens.append(den)
+    c = field.vdiv([dens[0]] * len(dens), dens)
+    if field.conjugate(c) != c:
+        raise SolverFailure("kernel line has no GF(q) representative")
+    return c
 
 
 # family -> (constructor, congruence, divmod(q - shift, step(a)), smallest a,
@@ -498,13 +520,22 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     sum_i u_i a_i^(qj + l), 0 <= j, l < k, except the top one, whose
     nonzero value the extension coordinate absorbs.  The first closed-form
     candidate (see _extension_candidates) with no zero entry, a nonzero top
-    sum and a zero Gram matrix gives the code.  At k = q - 1 an even q has
-    no candidate and raises SolverFailure inside the range 1 <= k <= q;
-    every odd q under DUAL_CELL_CAP gets a code.
+    sum and a zero Gram matrix gives the code, its generator marked full
+    rank: the first q^2 columns are GRS_k on all of GF(q^2) with nonzero
+    multipliers.  Every odd q under DUAL_CELL_CAP gets a code at every k in
+    1..q.  An even q is refused at k = q - 1 before anything is built, since
+    there the one closed form provably has a zero entry.
     """
     q, q2 = field.q, field.q2
     if not 1 <= k <= q:
         raise DimensionOutOfRange(f"need 1 <= k <= q = {q}, got k={k}")
+    if field.p == 2 and k == q - 1:
+        # with c^2 = b and x^2 = N(c), x in GF(q), the point alpha = x/c has
+        # N(alpha) = 1 and Tr(b*alpha^2) = Tr(x)^2 = 0, so u_b(alpha) = 0
+        raise DimensionOutOfRange(
+            f"even q={q} has no code at k = q - 1 = {k}: with c^2 = b and x^2 = N(c), "
+            "alpha = x/c is a root of every u_b = 1 + N(alpha) + Tr(b alpha^2)"
+        )
     points = list(field.elements())
     top_powers = [field.pow(alpha, (q + 1) * (k - 1)) for alpha in points]
     for u in _extension_candidates(field, k, points):
@@ -519,7 +550,9 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
         rows = _running_product_rows(field, mults, points, k)
         eta = field.norm_preimage(field.neg(top))
         rows = [row + [0] for row in rows[:-1]] + [rows[-1] + [eta]]
-        code = LinearCode(field, Matrix(field, rows, cols=q2 + 1), claimed_distance_lb=q2 + 2 - k)
+        generator = Matrix(field, rows, cols=q2 + 1)
+        generator._full_rank = True
+        code = LinearCode(field, generator, claimed_distance_lb=q2 + 2 - k)
         if is_self_orthogonal(code):
             return code
     raise SolverFailure(f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})")
@@ -529,9 +562,9 @@ def _extension_candidates(field: Field, k: int, points: list[int]):
     """Closed-form multiplier norms u that kill every power sum but the
     top one: all ones at k = q, one rootless polynomial in the norm at
     k <= q - 2, and the norm-plus-trace perturbations
-    u_b = 1 + N(alpha) + Tr(b alpha^2), b = 1 .. q^2 - 1, at k = q - 1 for
-    odd q.  A yield may still have a zero entry or a zero top sum; the
-    caller skips those."""
+    u_b = 1 + N(alpha) + Tr(b alpha^2), b = 1 .. q^2 - 1, at k = q - 1.  A
+    yield may still have a zero entry or a zero top sum; the caller skips
+    those, and refuses k = q - 1 at even q, where every u_b has a root."""
     q = field.q
     subfield = field.subfield_elements()
     nonzero_sub = subfield[1:]
@@ -540,11 +573,7 @@ def _extension_candidates(field: Field, k: int, points: list[int]):
         # all power sums below the top vanish over the whole field
         yield [1] * len(points)
     elif k == q - 1:
-        # 1 + N(alpha) + Tr(b*alpha^2) kills the lower power sums.  At even q
-        # every b has a root: with c^2 = b and x^2 = N(c), x in GF(q), the
-        # point alpha = x/c has N(alpha) = 1 and Tr(b*alpha^2) = Tr(x)^2 = 0
-        if field.p == 2:
-            return
+        # 1 + N(alpha) + Tr(b*alpha^2) kills the lower power sums
         base = field.vadd([1] * len(points), norms)
         squares = field.vmul(points, points)
         for b in range(1, field.q2):

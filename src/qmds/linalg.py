@@ -12,25 +12,19 @@ field is read here.
 Each matrix is eliminated at most once: its reduced row echelon form is
 kept on the instance, and rank, kernel, containment and row equivalence
 are all read off that one result.  Full row rank may instead be known
-without eliminating, and is then kept in _full_rank.  A kernel basis from
-nullspace has it by construction, each vector being 1 on its own free
-column and 0 on the others; qmds.mpc marks the block generators whose rank
-the matrix-product identity gives; and on a matrix not yet eliminated with
-0 < 2 rows <= cols, rank first eliminates a copy of the leading rows x rows
-block alone, a nonsingular block certifying rank = rows.  That last shape
-is the one of a Hermitian self-orthogonal generator (2k <= n), which
-nothing downstream eliminates.  A taller matrix never pays for the block
-first, and the block's form is never stored as the echelon form.
+without eliminating, and is then kept in _full_rank.  Three builders mark
+it by construction: nullspace, whose kernel vectors are each 1 on their
+own free column and 0 on the others; qmds.grs, whose GRS generators have
+distinct points and nonzero multipliers (a Vandermonde identity) and whose
+extended generators hold such a GRS block; and qmds.mpc, whose block
+generators take their rank from the matrix-product identity.  rank
+eliminates any other matrix it is asked about: loaded code files, mixers
+and test input.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    DimensionMismatch,
-    NoSubfieldSolution,
-    PreconditionViolated,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, SingularMatrix
 from .gf import Field
 
 
@@ -41,9 +35,8 @@ class Matrix:
     Zero-row matrices are legal (kernels of injective maps, generators of
     zero-dimensional codes) and carry an explicit column count.  The
     reduced row echelon form is computed from data on first use and kept
-    in _echelon, and a full row rank proved without it (on the leading
-    minor, or by how the matrix was built) is kept in _full_rank; neither
-    is ever serialized.
+    in _echelon, and a full row rank known from how the matrix was built is
+    marked in _full_rank; neither is ever serialized.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_echelon", "_full_rank")
@@ -51,7 +44,7 @@ class Matrix:
     def __init__(self, field: Field, data: list[list[int]], cols: int | None = None):
         self.field = field
         self._echelon: tuple[list[list[int]], list[int]] | None = None
-        self._full_rank: bool | None = None
+        self._full_rank = False
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
         if self.rows:
@@ -79,7 +72,7 @@ class Matrix:
         matrix's own; the caller keeps no reference it could write through."""
         m = cls.__new__(cls)
         m.field, m.data, m.rows, m.cols = field, data, len(data), cols
-        m._echelon = m._full_rank = None
+        m._echelon, m._full_rank = None, False
         return m
 
     @classmethod
@@ -148,30 +141,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    """The row rank.  A matrix not yet eliminated with 0 < 2 rows <= cols is
-    first tried on its leading minor, once per matrix; only when that minor
-    is singular is the matrix eliminated in full."""
-    if m._full_rank is None and m._echelon is None and 0 < 2 * m.rows <= m.cols:
-        m._full_rank = _leading_minor_nonsingular(m)
+    """The row rank: the row count of a matrix marked full rank, else read
+    off its echelon form."""
     if m._full_rank:
         return m.rows
     return len(_eliminate(m)[1])
-
-
-def _leading_minor_nonsingular(m: Matrix) -> bool:
-    """Whether the leading rows x rows block is nonsingular, by forward
-    elimination of a copy of that block alone."""
-    k = m.rows
-    rows = [row[:k] for row in m.data]
-    for c in range(k):
-        pivot_row = next((i for i in range(c, k) if rows[i][c]), None)
-        if pivot_row is None:
-            return False
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        # clear_column folds the pivot in itself, so the pivot row is not
-        # normalized; only the rows below it are reduced
-        m.field.clear_column(rows[c:], rows[c], c)
-    return True
 
 
 def nullspace(m: Matrix) -> Matrix:
@@ -248,28 +222,3 @@ def row_space_contains(outer: Matrix, inner: Matrix) -> bool:
     for prow, c in zip(rows, pivots):
         outer.field.clear_column(rest, prow, c)
     return not any(any(v) for v in rest)
-
-
-def subfield_nullvector(m: Matrix) -> list[int]:
-    """The kernel vector of an (n-1) x n rank n-1 matrix, scaled into GF(q).
-
-    Such a vector exists exactly when the entrywise q-th power of the
-    matrix is row equivalent to the matrix itself; both that and the shape
-    and rank conditions are enforced here.  The kernel is a line, so the
-    GF(q) representative is pinned down by scaling the first nonzero
-    coordinate to 1.
-    """
-    if m.rows != m.cols - 1:
-        raise PreconditionViolated(f"shape {m.rows}x{m.cols}, want (n-1) x n")
-    if rank(m) != m.rows:
-        raise PreconditionViolated("matrix does not have full row rank")
-    if not row_equivalent(entrywise_frobenius(m), m):
-        raise PreconditionViolated("conjugated matrix is not row equivalent to the original")
-    ns = nullspace(m)
-    assert ns.rows == 1
-    f = m.field
-    v = ns.data[0]
-    v = f.scale(f.inv(next(x for x in v if x)), v)
-    if f.conjugate(v) != v:
-        raise NoSubfieldSolution("kernel line has no GF(q) representative")
-    return v

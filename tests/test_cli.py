@@ -413,17 +413,23 @@ def test_an_a_that_leaves_a_remainder_is_refused_without_a_derived_m(tmp_path, c
     }
 
 
-def test_extended_solver_failure_exits_3_with_no_file(tmp_path, capsys):
-    # at an even q and k = q - 1 every trace-perturbed candidate has a zero entry
+def test_extended_even_q_at_k_q_minus_1_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # at an even q and k = q - 1 every trace-perturbed candidate has a root,
+    # so the range is refused before any candidate is drawn
+    def no_candidates(*args):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(qmds.grs, "_extension_candidates", no_candidates)
     out = tmp_path / "x.json"
-    for q, k in ((8, 7), (4, 3)):
+    for q, k in ((8, 7), (4, 3), (2, 1)):
         flags = ["--family", "extended", "--q", str(q), "--k", str(k), "--out", str(out)]
         rc, stdout, err = run_cli(["construct", *flags], capsys)
-        assert (rc, stdout) == (3, "") and not out.exists()
+        assert (rc, stdout) == (2, "") and not out.exists()
         assert json.loads(err) == {
-            "error": "SolverFailure",
-            "exit_code": 3,
-            "message": f"no closed-form multiplier candidate gives a self-orthogonal code (q={q}, k={k})",
+            "error": "DimensionOutOfRange",
+            "exit_code": 2,
+            "message": f"even q={q} has no code at k = q - 1 = {k}: with c^2 = b and x^2 = N(c), "
+            "alpha = x/c is a root of every u_b = 1 + N(alpha) + Tr(b alpha^2)",
         }
 
 
@@ -658,8 +664,9 @@ def write_code_file(path, f, generator, **claims):
 def test_a_singular_leading_minor_changes_no_verdict(tmp_path, capsys):
     # two disjoint all-ones blocks span a Hermitian self-orthogonal [6, 2, 3]
     # code over GF(9), since 1 + 1 + 1 = 0; the column order (0, 1, 3, 2, 4, 5)
-    # makes the leading 2 x 2 minor singular, so rank falls back to a full
-    # elimination, and every verdict must stay what the block order gives
+    # makes the leading 2 x 2 minor singular.  A loaded generator is not
+    # marked full rank, so rank eliminates it whole, and every verdict must
+    # stay what the block order gives
     f = field_for_q(3)
     plain, permuted = tmp_path / "plain.json", tmp_path / "permuted.json"
     write_code_file(plain, f, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], claimed_distance_lb=3)

@@ -20,6 +20,7 @@ from qmds.errors import (
     DuplicatePoints,
     EvenCharacteristic,
     QmdsError,
+    SolverFailure,
     ZeroMultiplier,
 )
 from qmds.gf import field_for_q
@@ -44,8 +45,10 @@ from qmds.grs import (
     valid_parameter_sets,
     _check_dual_cells,
     _extension_candidates,
+    _subfield_kernel,
 )
 from qmds.linalg import Matrix, rank, row_space_contains, stack
+from test_linalg_properties import naive_nullspace
 
 
 def naive_min_distance(field, gen):
@@ -177,6 +180,59 @@ def test_family_c_examples():
     spec = construct_family_C(ConstructionParams(q=5, a=1, m=2, d=2))
     assert (spec.n, spec.k) == (4, 1)
     assert all(v == 0 for v in gram_oracle(spec.field, spec))
+
+
+def written_out_kernel(field, family, a, m):
+    """The kernel line of the family's (m - 2) x (m - 1) system, each entry
+    written out as a power of omega, by naive elimination, scaled so that
+    its first coordinate is 1."""
+    q = field.q
+    if family == "grs-b":
+        def exponent(i, j):
+            return 2 * a * j * ((i - 1) * (q - 1) + m - 3)
+    else:
+        def exponent(i, j):
+            return (2 * a + 1) * (i * (q - 1) - 1) * j
+    system = Matrix(field, [[field.exp(exponent(i, j)) for j in range(1, m)] for i in range(1, m - 1)], cols=m - 1)
+    [v] = naive_nullspace(system)
+    return [field.mul(field.inv(v[0]), x) for x in v]
+
+
+@pytest.mark.parametrize("family", ["grs-b", "grs-c"])
+def test_closed_form_kernel_matches_the_written_out_system(family):
+    # every (a, m) the family accepts at odd q <= 27; the first m - 1
+    # multipliers have the kernel coordinates as their norms
+    ctor = GRS_FAMILIES[family][0]
+    checked = 0
+    for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27):
+        f = field_for_q(q)
+        firsts = {(p.a, p.m): p for p in reversed(valid_parameter_sets(family, q))}
+        for (a, m), params in firsts.items():
+            spec = ctor(params)
+            assert [f.norm(v) for v in spec.multipliers[: m - 1]] == written_out_kernel(f, family, a, m)
+            checked += 1
+    assert checked == {"grs-b": 23, "grs-c": 21}[family]
+
+
+def test_family_b_kernel_worked_instance_q5():
+    # family B at q = 5, a = 1, m = 3 has step 2a = 2 and s = m - 3 = 0, so
+    # its system is the single row [1, 1]
+    f = field_for_q(5)
+    c = _subfield_kernel(f, 3, 2, 0)
+    assert c == [1, f.element(4)]
+    # oracle: 1*c1 + 1*c2 = 0 over GF(5) forces c2 = -c1; normalized c1 = 1
+    assert f.add(c[0], c[1]) == 0
+    # the second coordinate is omega^12, the unique square root of 1 besides 1
+    assert c[1] == f.exp(12)
+    assert f.mul(c[1], c[1]) == 1 and c[1] != 1
+
+
+def test_a_kernel_line_off_the_subfield_is_refused():
+    # the single row [omega^2, omega^4] has the kernel line of
+    # (1, -omega^-2) = (1, omega^10), and omega^10 is not in GF(5)
+    f = field_for_q(5)
+    with pytest.raises(SolverFailure, match="no GF\\(q\\) representative"):
+        _subfield_kernel(f, 3, 2, 1)
 
 
 def test_power_sum_full_subgroup():

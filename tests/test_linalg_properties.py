@@ -6,9 +6,11 @@ field's method calls (add, mul, neg, inv), with no cache and no table
 lookups.  Every question linalg answers from its cached echelon form (rank,
 kernel, inverse, row equivalence, containment) is recomputed here from the
 oracle alone, on random matrices over GF(9), GF(25), GF(81) and GF(529);
-so is the rank that rank proves on a wide matrix's leading minor, with
-full-rank matrices whose leading minor is singular among the inputs, and
-the full rank a kernel basis is marked with.
+so is the rank of wide matrices, with full-rank matrices whose leading
+minor is singular among the inputs, and the full rank a kernel basis is
+marked with.  The full rank that GRS and extended generators are marked
+with is checked against a fresh elimination over GF(4), GF(9), GF(25) and
+GF(529).
 GF(529) is above the add-table size, so it covers addition through Zech
 logarithms.  Hermitian Gram matrices, and the Hermitian products of one
 list of rows with another, are checked against written-out sums; both are
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from qmds.errors import DimensionMismatch, SingularMatrix
 from qmds.gf import Field, field_for_q, field_new
-from qmds.grs import GrsSpec, LinearCode, grs_generator, hermitian_gram, power_sum
+from qmds.grs import GrsSpec, LinearCode, extended_self_orthogonal, grs_generator, hermitian_gram, power_sum
 from qmds.linalg import (
     Matrix,
     _eliminate,
@@ -45,6 +47,7 @@ from qmds.linalg import (
 
 FIELDS = [field_new(3), field_new(5), field_new(3, 2), field_new(23)]
 GRS_FIELDS = [field_for_q(q) for q in (3, 5, 7, 23)]
+MARKED_FIELDS = [field_for_q(q) for q in (2, 3, 5, 23)]
 # FIELDS, the p = 2 and t = 2, 3 towers, GF(625) past the addition table,
 # and GF(9) on a primitive modulus other than the canonical x^2 + x + 2
 GRAM_FIELDS = FIELDS + [
@@ -212,6 +215,19 @@ def matrix_pairs(draw):
 
 
 @st.composite
+def marked_generators(draw):
+    """A generator marked full rank where it was built, over GF(4), GF(9),
+    GF(25) or GF(529): a GRS code of random distinct points, nonzero
+    multipliers and k, or an extended code of random k (at an even q every
+    k but q - 1)."""
+    if draw(st.booleans()):
+        return grs_generator(draw(grs_specs(MARKED_FIELDS, max_n=12))).generator
+    f = draw(st.sampled_from(MARKED_FIELDS))
+    k = draw(st.sampled_from([k for k in range(1, f.q + 1) if f.p != 2 or k != f.q - 1]))
+    return extended_self_orthogonal(f, k).generator
+
+
+@st.composite
 def containment_pairs(draw):
     """(outer, inner) of the same width; inner often lies in outer."""
     outer = draw(matrices())
@@ -223,10 +239,11 @@ def containment_pairs(draw):
 
 
 @st.composite
-def grs_specs(draw):
-    """A GrsSpec of length at most 8 over GF(9), GF(25), GF(49) or GF(529)."""
-    f = draw(st.sampled_from(GRS_FIELDS))
-    n = draw(st.integers(1, 8))
+def grs_specs(draw, fields=GRS_FIELDS, max_n=8):
+    """A GrsSpec of length at most max_n over one of fields, GF(9), GF(25),
+    GF(49) or GF(529) by default."""
+    f = draw(st.sampled_from(fields))
+    n = draw(st.integers(1, min(max_n, f.q2)))
     points = draw(st.lists(st.integers(0, f.q2 - 1), min_size=n, max_size=n, unique=True))
     mults = draw(st.lists(st.integers(1, f.q2 - 1), min_size=n, max_size=n))
     return GrsSpec(field=f, points=tuple(points), multipliers=tuple(mults), k=draw(st.integers(1, n)))
@@ -337,16 +354,28 @@ def test_cached_second_call_repeats_the_first(m):
 @PROPERTY
 @given(window_matrices())
 def test_rank_on_the_leading_minor_matches_full_elimination(m):
+    # wide matrices, some of full rank on a singular leading minor: the
+    # shape of a loaded self-orthogonal generator, which rank eliminates whole
     full = _eliminate(Matrix(m.field, m.data, cols=m.cols))
     assert rank(m) == len(full[1]) == naive_rank(m)
-    # a proved leading minor is never kept as the echelon form; a singular
-    # one leaves the full form behind
+    # only the form of the whole matrix is ever kept, and a rank-deficient
+    # one is left behind
     assert m._echelon is None or m._echelon == full
     if 0 < 2 * m.rows <= m.cols and len(full[1]) < m.rows:
         assert m._echelon == full
     assert rank(m) == len(full[1])
     assert nullspace(m).data == naive_nullspace(m)
     assert rref(m)[0].data == full[0]
+
+
+@PROPERTY
+@given(marked_generators())
+def test_a_marked_generator_has_the_rank_of_a_fresh_elimination(g):
+    # distinct points and nonzero multipliers give k independent rows, so
+    # rank reads the mark and eliminates nothing
+    assert g._full_rank
+    assert rank(g) == g.rows == rank(Matrix(g.field, g.data, cols=g.cols))
+    assert g._echelon is None
 
 
 @PROPERTY

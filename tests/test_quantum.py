@@ -100,8 +100,8 @@ def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypa
     record = quantum_mds_from_self_orthogonal(code)
     assert (record.n, record.k, record.d) == (code.n, code.n - 2 * code.k, code.k + 1)
     assert len(grams) == 1
-    # full row rank is proved on the leading minor, so the generator is
-    # never eliminated on this path
+    # the generator is marked full rank when it is built, so it is never
+    # eliminated on this path
     assert eliminated.count(code.generator.data) == 0
     # the constructor's code and this one are distinct objects on one generator
     (first,) = grams
@@ -145,32 +145,45 @@ def counting_clear_column(monkeypatch) -> list[list[int]]:
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_family_a_rank_check_clears_at_most_k_columns_of_width_k(q, monkeypatch):
-    # family A solves no kernel system, so every clear_column call from the
-    # constructor's code to the caller's record is the generator's rank check
+    # a GRS generator is marked full rank when it is built (distinct points,
+    # nonzero multipliers), so from the constructor to the caller's record
+    # no column is cleared at all
     params = valid_parameter_sets("grs-a", q)[-1]
     calls = counting_clear_column(monkeypatch)
     spec = construct_family_A(params)
     code = grs_generator(spec)
     quantum_mds_from_self_orthogonal(code)
-    assert 0 < len(calls) <= spec.k
-    assert {w for widths in calls for w in widths} == {spec.k}
+    assert calls == []
+    assert code.generator._full_rank and code.generator._echelon is None
 
 
 @pytest.mark.parametrize("family", sorted(GRS_FAMILIES))
 def test_a_shared_generator_is_rank_checked_once(family, monkeypatch):
-    # a newly built equal spec has no kept code, so the first grs_generator
-    # call below builds the generator again, outside the kernel solve of
-    # families B and C
+    # families B and C take their kernel in closed form, and a newly built
+    # equal spec has no kept code, so the first grs_generator call below
+    # builds the generator again: neither the constructor, nor that build,
+    # nor a later code on the same generator and its record clears a column
+    calls = counting_clear_column(monkeypatch)
     built = GRS_FAMILIES[family][0](valid_parameter_sets(family, 7)[-1])
     spec = GrsSpec(built.field, built.points, built.multipliers, built.k)
-    calls = counting_clear_column(monkeypatch)
     first = grs_generator(spec)
-    count = len(calls)
     later = grs_generator(spec)
     quantum_mds_from_self_orthogonal(later)
     assert later.generator is first.generator
-    assert 0 < count <= spec.k and len(calls) == count
-    assert {w for widths in calls for w in widths} == {spec.k}
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", sorted(GRS_FAMILIES))
+def test_no_family_code_or_record_clears_a_column_up_to_q23(family, monkeypatch):
+    # every set of the family at odd q <= 23, from the constructor to the
+    # quantum record
+    calls = counting_clear_column(monkeypatch)
+    built = 0
+    for q in (3, 5, 7, 9, 11, 13, 17, 19, 23):
+        for params in valid_parameter_sets(family, q):
+            quantum_mds_from_self_orthogonal(grs_generator(GRS_FAMILIES[family][0](params)))
+            built += 1
+    assert built and calls == []
 
 
 def test_a_replaced_or_equal_spec_carries_no_verdict():
