@@ -7,7 +7,8 @@ verify subcommand is claims-based: each check certifies what the file
 says about itself and reports "skipped" for properties it never claimed.
 This module only reads and writes: it parses flags, files and
 QMDS_MAX_ENUM, and leaves every check, and the choice of oracle behind
-it, to verify.run_checks.
+it, to verify.run_checks.  What construct knows of a family is its entry
+in FAMILIES, and what table knows of a table is its entry in TABLES.
 """
 
 from __future__ import annotations
@@ -148,61 +149,55 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _build(args) -> tuple[LinearCode, dict]:
-    family, q = args.family, args.q
-    if family in GRS_FAMILIES:
-        _require(args.a is not None, f"--a is required for {family}")
-        _require(args.d is not None, f"--d is required for {family}")
-        params = family_params(family, q, args.a, args.d)
-        code = grs_generator(GRS_FAMILIES[family][0](params))
-        return code, {
-            "construction": family,
-            "parameters": {"q": q, "a": args.a, "m": params.m, "d": args.d},
-            "claims": _claims("self-orthogonal", code),
-        }
-    if family in ("full-field", "extended"):
-        _require(args.k is not None, f"--k is required for {family}")
-        field = field_for_q(q)
-        build = construct_full_field if family == "full-field" else construct_extended
-        code = build(field, args.k)
-        return code, {
-            "construction": family,
-            "parameters": {"q": q, "k": args.k},
-            "claims": _claims("dual-containing", code),
-        }
-    # mp6 / mp7
-    _require(args.d is not None, f"--d is required for {family}")
-    _require(args.variant is not None, f"--variant is required for {family}")
-    code = mp6_ladder(q, args.d, args.variant, force=args.force)
+def _grs_code(args):
+    params = family_params(args.family, args.q, args.a, args.d)
+    code = grs_generator(GRS_FAMILIES[args.family][0](params))
+    return code, {"q": args.q, "a": args.a, "m": params.m, "d": args.d}, "self-orthogonal", {}
+
+
+def _mds_dual_code(args, build):
+    return build(field_for_q(args.q), args.k), {"q": args.q, "k": args.k}, "dual-containing", {}
+
+
+def _ladder_code(args, quantum: bool):
+    """The ladder code; a forced one claims no orthogonality and carries its
+    failed checks instead, and mp7 adds the quantum record it descends to."""
+    code = mp6_ladder(args.q, args.d, args.variant, force=args.force)
     certified = code.provenance.get("certified", False)
-    provenance = {
-        "construction": family,
-        "parameters": {"q": q, "d": args.d, "variant": args.variant, "forced": not certified},
-        "claims": _claims("dual-containing" if certified else None, code),
-    }
-    if not certified:
-        provenance["construction_checks"] = code.provenance.get("forced_checks", {})
-    if family == "mp7":
-        record = ladder_quantum_record(code, q, args.d, args.variant)
-        provenance["quantum"] = {
-            "q": record.q,
-            "n": record.n,
-            "k": record.k,
-            "d": record.d,
-            "d_is_exact": record.d_is_exact,
-            "mds": record.mds,
-            "certification": record.ancestor["certification"],
-            "singleton": singleton_check(record),
-        }
-    return code, provenance
+    parameters = {"q": args.q, "d": args.d, "variant": args.variant, "forced": not certified}
+    extra = {} if certified else {"construction_checks": code.provenance.get("forced_checks", {})}
+    if quantum:
+        record = ladder_quantum_record(code, args.q, args.d, args.variant)
+        extra["quantum"] = {name: getattr(record, name) for name in ("q", "n", "k", "d", "d_is_exact", "mds")}
+        extra["quantum"].update(certification=record.ancestor["certification"], singleton=singleton_check(record))
+    return code, parameters, "dual-containing" if certified else None, extra
 
 
-def _claims(orthogonality: str | None, code: LinearCode) -> dict:
-    return {
+# --family name -> (the flags it requires, in the order they are checked,
+# builder, the builder's further arguments).  A builder takes the parsed
+# flags and returns the code, its parameters, its orthogonality claim and
+# any further provenance sections.
+FAMILIES = {
+    **{family: (("a", "d"), _grs_code) for family in GRS_FAMILIES},
+    "full-field": (("k",), _mds_dual_code, construct_full_field),
+    "extended": (("k",), _mds_dual_code, construct_extended),
+    "mp6": (("d", "variant"), _ladder_code, False),
+    "mp7": (("d", "variant"), _ladder_code, True),
+}
+
+
+def _build(args) -> tuple[LinearCode, dict]:
+    flags, builder, *extra_args = FAMILIES[args.family]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise BadDimension(f"--{flag} is required for {args.family}")
+    code, parameters, orthogonality, extra = builder(args, *extra_args)
+    claims = {
         "orthogonality": orthogonality,
         "claimed_distance_lb": code.claimed_distance_lb,
         "known_distance": code.known_distance,
     }
+    return code, {"construction": args.family, "parameters": parameters, "claims": claims, **extra}
 
 
 def _self_certificate(code: LinearCode, provenance: dict) -> dict:
@@ -233,11 +228,6 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     return VerificationReport(target=provenance["construction"], checks=[check]).to_dict()
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise BadDimension(message)
-
-
 # -- verify -----------------------------------------------------------------------
 
 
@@ -263,46 +253,40 @@ def cmd_verify(args) -> int:
 
 # -- table ------------------------------------------------------------------------
 
-_TABLE1_COLUMNS = ["family", "q", "d", "n", "k", "bound_type", "certification"]
+
+def _family_records(args) -> list:
+    """The quantum MDS record of every admissible tuple of the --which
+    family up to --q-max, each carrying its family, a and m."""
+    family = args.which.replace("family-", "grs-")
+    ctor = GRS_FAMILIES[family][0]
+    records = []
+    for q in _odd_prime_powers(args.q_max):
+        for params in valid_parameter_sets(family, q):
+            record = quantum_mds_from_self_orthogonal(grs_generator(ctor(params)))
+            record.ancestor.update(family=family, a=params.a, m=params.m, certification="FULL")
+            records.append(record)
+    return records
+
+
 _SWEEP_COLUMNS = ["family", "q", "a", "m", "d", "n", "k", "bound_type", "certification"]
+
+# --which name -> (columns, the records its rows show, from the parsed flags)
+TABLES = {
+    "table1": (["family", "q", "d", "n", "k", "bound_type", "certification"], lambda args: table1()),
+    **{"family-" + family[-1]: (_SWEEP_COLUMNS, _family_records) for family in GRS_FAMILIES},
+}
+
+
+def _table_row(record, columns: list[str]) -> dict:
+    """A record's row: its own parameters, and the rest from its ancestor."""
+    fields = {**record.ancestor, "q": record.q, "d": record.d, "n": record.n, "k": record.k}
+    fields["bound_type"] = "exact" if record.d_is_exact else "lower-bound"
+    return {column: fields[column] for column in columns}
 
 
 def cmd_table(args) -> int:
-    if args.which == "table1":
-        columns = _TABLE1_COLUMNS
-        rows = [
-            {
-                "family": f"mp7-v{record.ancestor['variant']}",
-                "q": record.q,
-                "d": record.d,
-                "n": record.n,
-                "k": record.k,
-                "bound_type": "exact" if record.d_is_exact else "lower-bound",
-                "certification": record.ancestor["certification"],
-            }
-            for record in table1()
-        ]
-    else:
-        columns = _SWEEP_COLUMNS
-        family = args.which.replace("family-", "grs-")
-        ctor = GRS_FAMILIES[family][0]
-        rows = []
-        for q in _odd_prime_powers(args.q_max):
-            for params in valid_parameter_sets(family, q):
-                record = quantum_mds_from_self_orthogonal(grs_generator(ctor(params)))
-                rows.append(
-                    {
-                        "family": family,
-                        "q": q,
-                        "a": params.a,
-                        "m": params.m,
-                        "d": record.d,
-                        "n": record.n,
-                        "k": record.k,
-                        "bound_type": "exact",
-                        "certification": "FULL",
-                    }
-                )
+    columns, records = TABLES[args.which]
+    rows = [_table_row(record, columns) for record in records(args)]
     if args.format == "json":
         sys.stdout.write(canonical_json(rows))
     else:
@@ -357,12 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a code and write its JSON file")
+    c.add_argument("--family", required=True, choices=list(FAMILIES))
     c.add_argument(
-        "--family",
-        required=True,
-        choices=["grs-a", "grs-b", "grs-c", "full-field", "extended", "mp6", "mp7"],
+        "--q", type=int, required=True, help="subfield size (prime power; odd for the grs and ladder families)"
     )
-    c.add_argument("--q", type=int, required=True, help="subfield size (odd prime power)")
     c.add_argument("--a", type=int, help="congruence parameter for the grs families")
     c.add_argument("--d", type=int, help="design distance")
     c.add_argument("--k", type=int, help="dimension for full-field / extended")
@@ -380,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-enum", dest="max_enum", type=int, help="enumeration cap override")
 
     t = sub.add_parser("table", help="emit parameter tables as CSV or JSON")
-    t.add_argument(
-        "--which", required=True, choices=["table1", "family-a", "family-b", "family-c"]
-    )
+    t.add_argument("--which", required=True, choices=list(TABLES))
     t.add_argument("--q-max", dest="q_max", type=int, default=13)
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser

@@ -1,0 +1,145 @@
+"""Golden corpus: every pinned `qmds` command and the sha256 of its outputs.
+
+Each command runs through qmds.cli.main in one process.  Its exit code,
+stdout, stderr and the bytes of the file it writes are hashed together, and
+manifest.json maps the command line to that hash.  tests/test_golden.py
+recomputes every hash and names each command whose outputs changed.  A
+change that alters outputs on purpose rewrites the manifest in the same
+commit, and lists every command whose hash changed:
+
+    PYTHONPATH=src python3 tests/golden/regen.py
+
+Before hashing, the scratch directory's path reads TMP (construct prints
+"wrote TMP/code.json"), and an error argparse reports (UsageError) keeps
+only its exit code and class, since its text comes from the standard
+library.  Every file construct writes is verified with `--check all` and
+then deleted, before the next command runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from qmds.cli import main as qmds_main
+from qmds.grs import valid_parameter_sets
+
+MANIFEST = Path(__file__).resolve().with_name("manifest.json")
+
+GRS_FAMILIES = ("grs-a", "grs-b", "grs-c")
+GRS_Q = (3, 5, 7, 9, 11, 13)
+MDS_Q = (2, 3, 4, 5, 7)
+LADDER_Q = (3, 5, 7)
+
+
+def _constructs():
+    """The construct command lines, without --out."""
+    for family in GRS_FAMILIES:
+        for q in GRS_Q:
+            for params in valid_parameter_sets(family, q):
+                yield f"--family {family} --q {q} --a {params.a} --d {params.d}"
+    for family in ("full-field", "extended"):
+        for q in MDS_Q:
+            for k in range(q + 2):
+                yield f"--family {family} --q {q} --k {k}"
+    for family in ("mp6", "mp7"):
+        for q in LADDER_Q:
+            for variant in range(1, 7):
+                for d in range(2, q + 4):
+                    yield f"--family {family} --q {q} --d {d} --variant {variant}"
+        yield f"--family {family} --q 5 --d 8 --variant 5 --force"
+    # each family with each flag it requires missing, then with all of them
+    for family, flags in (
+        *((family, ("--a 1", "--d 3")) for family in GRS_FAMILIES),
+        ("full-field", ("--k 2",)),
+        ("extended", ("--k 2",)),
+        ("mp6", ("--d 3", "--variant 2")),
+        ("mp7", ("--d 3", "--variant 2")),
+    ):
+        for dropped in flags:
+            yield " ".join([f"--family {family} --q 5", *(flag for flag in flags if flag != dropped)])
+        if len(flags) > 1:
+            yield f"--family {family} --q 5"
+    # an a below the family's least, one that leaves a remainder, one past q,
+    # a d past the window, an even q, a q past the field cap
+    yield "--family grs-a --q 5 --a 0 --d 3"
+    yield "--family grs-a --q 7 --a 2 --d 3"
+    yield "--family grs-b --q 7 --a 3 --d 3"
+    yield "--family grs-c --q 7 --a 2 --d 3"
+    yield "--family grs-a --q 5 --a 7 --d 3"
+    yield "--family grs-a --q 5 --a 1 --d 10"
+    yield "--family grs-a --q 4 --a 1 --d 3"
+    yield "--family grs-a --q 257 --a 1 --d 3"
+    # argparse's own refusals: a family it does not offer, a value that is no integer
+    yield "--family grs-d --q 5 --a 1 --d 3"
+    yield "--family grs-a --q 5 --a x --d 3"
+
+
+def _tables():
+    for which in ("table1", "family-a", "family-b", "family-c"):
+        for fmt in ("csv", "json"):
+            yield f"table --which {which} --q-max 13 --format {fmt}"
+    yield "table --which family-a --q-max 2 --format csv"
+    yield "table --which family-a --q-max 257 --format csv"
+    yield "table --which family-d --q-max 13 --format csv"
+
+
+def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = qmds_main(argv)
+    out, err = out.getvalue().replace(tmp, "TMP"), err.getvalue().replace(tmp, "TMP")
+    if err and json.loads(err)["error"] == "UsageError":
+        err = "UsageError"
+    return rc, out, err
+
+
+def _digest(rc: int, out: str, err: str, data: bytes | None) -> str:
+    h = hashlib.sha256(json.dumps([rc, out, err, data is not None]).encode())
+    if data is not None:
+        h.update(data)
+    return h.hexdigest()
+
+
+def corpus_hashes() -> dict[str, str]:
+    """Run the corpus and map each command line to the hash of its outputs.
+
+    QMDS_MAX_ENUM is unset while it runs, so verify uses the default cap.
+    """
+    saved = os.environ.pop("QMDS_MAX_ENUM", None)
+    hashes = {}
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "code.json")
+            for flags in _constructs():
+                command = f"construct {flags}"
+                rc, out, err = _run([*command.split(), "--out", path], tmp)
+                written = os.path.exists(path)
+                hashes[command] = _digest(rc, out, err, Path(path).read_bytes() if written else None)
+                if written:
+                    check = _run(["verify", "--in", path, "--check", "all"], tmp)
+                    hashes[f"{command} && verify --check all"] = _digest(*check, None)
+                    os.remove(path)
+            for command in _tables():
+                hashes[command] = _digest(*_run(command.split(), tmp), None)
+    finally:
+        if saved is not None:
+            os.environ["QMDS_MAX_ENUM"] = saved
+    return hashes
+
+
+def main() -> int:
+    hashes = corpus_hashes()
+    MANIFEST.write_text(json.dumps(hashes, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {MANIFEST}: {len(hashes)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -246,12 +246,36 @@ def test_even_q_rejected_with_error_json(tmp_path, capsys):
 
 def test_missing_family_flags_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.json")
-    rc, _, err = run_cli(["construct", "--family", "grs-a", "--q", "3", "--d", "3", "--out", out], capsys)
-    assert rc == 2 and "--a" in json.loads(err)["message"]
-    rc, _, err = run_cli(["construct", "--family", "extended", "--q", "3", "--out", out], capsys)
-    assert rc == 2 and "--k" in json.loads(err)["message"]
-    rc, _, err = run_cli(["construct", "--family", "mp6", "--q", "3", "--d", "2", "--out", out], capsys)
-    assert rc == 2 and "--variant" in json.loads(err)["message"]
+    required = {
+        "grs-a": {"a": "1", "d": "3"},
+        "grs-b": {"a": "1", "d": "3"},
+        "grs-c": {"a": "1", "d": "3"},
+        "full-field": {"k": "2"},
+        "extended": {"k": "2"},
+        "mp6": {"d": "3", "variant": "2"},
+        "mp7": {"d": "3", "variant": "2"},
+    }
+    for family, flags in required.items():
+        for missing in flags:
+            given = [arg for flag, value in flags.items() if flag != missing for arg in (f"--{flag}", value)]
+            rc, _, err = run_cli(["construct", "--family", family, "--q", "5", *given, "--out", out], capsys)
+            error = json.loads(err)
+            assert (rc, error["error"]) == (2, "BadDimension"), (family, missing)
+            assert error["message"] == f"--{missing} is required for {family}"
+        # with none of them given, the first in order is the one named
+        rc, _, err = run_cli(["construct", "--family", family, "--q", "5", "--out", out], capsys)
+        assert json.loads(err)["message"] == f"--{next(iter(flags))} is required for {family}"
+    assert not os.path.exists(out)
+
+
+def test_the_parser_offers_every_family_and_table_in_order():
+    def choices(command, dest):
+        [sub] = [a for a in qmds.cli.build_parser()._actions if a.dest == "command"]
+        [action] = [a for a in sub.choices[command]._actions if a.dest == dest]
+        return list(action.choices)
+
+    assert choices("construct", "family") == ["grs-a", "grs-b", "grs-c", "full-field", "extended", "mp6", "mp7"]
+    assert choices("table", "which") == ["table1", "family-a", "family-b", "family-c"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Layering: only qmds.gf reads the tables of a Field, the command-line
 front end chooses no oracle, importing it loads no process pool and no
-dataclasses, and no module imports a name it never uses.
+dataclasses, no module imports a name it never uses, and every source file
+parses as the oldest Python the package supports.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -123,3 +124,17 @@ def test_every_module_uses_what_it_imports():
 
 def test_every_exported_name_resolves():
     assert [name for name in qmds.__all__ if not hasattr(qmds, name)] == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # requires-python is >=3.10; this checks syntax only, not the library calls made
+    root = PACKAGE.parents[1]
+    paths = sorted(p for top in ("src", "tests", "perfbench") for p in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    failures = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as e:
+            failures.append(f"{path.relative_to(root)}:{e.lineno} {e.msg}")
+    assert not failures, failures
