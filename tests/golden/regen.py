@@ -13,7 +13,8 @@ Before hashing, the scratch directory's path reads TMP (construct prints
 "wrote TMP/code.json"), and an error argparse reports (UsageError) keeps
 only its exit code and class, since its text comes from the standard
 library.  Every file construct writes is verified with `--check all` and
-then deleted, before the next command runs.
+then deleted, before the next command runs; one malformed file is verified
+too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ GRS_FAMILIES = ("grs-a", "grs-b", "grs-c")
 GRS_Q = (3, 5, 7, 9, 11, 13)
 MDS_Q = (2, 3, 4, 5, 7)
 LADDER_Q = (3, 5, 7)
+# a code file of a schema this qmds does not read: verify exits 4, FileMalformed
+MALFORMED = ("schema-version-2.json", '{"schema_version": 2}\n')
 
 
 def _constructs():
@@ -79,6 +82,15 @@ def _constructs():
     # argparse's own refusals: a family it does not offer, a value that is no integer
     yield "--family grs-d --q 5 --a 1 --d 3"
     yield "--family grs-a --q 5 --a x --d 3"
+    # past q = 13: the pairs CI also runs in fresh interpreters, and
+    # full-field q = 23, the first dual-containing file past the addition
+    # table, whose certificate and verify both take the rank route
+    yield "--family grs-a --q 19 --a 1 --d 4"
+    yield "--family grs-a --q 23 --a 1 --d 18"
+    yield "--family grs-b --q 23 --a 1 --d 3"
+    yield "--family grs-c --q 23 --a 0 --d 3"
+    yield "--family extended --q 19 --k 18"
+    yield "--family full-field --q 23 --k 2"
 
 
 def _tables():
@@ -126,6 +138,11 @@ def corpus_hashes() -> dict[str, str]:
                     check = _run(["verify", "--in", path, "--check", "all"], tmp)
                     hashes[f"{command} && verify --check all"] = _digest(*check, None)
                     os.remove(path)
+            name, text = MALFORMED
+            bad = os.path.join(tmp, name)
+            Path(bad).write_text(text, encoding="utf-8")
+            check = _run(["verify", "--in", bad, "--check", "all"], tmp)
+            hashes[f"verify --in TMP/{name} --check all"] = _digest(*check, None)
             for command in _tables():
                 hashes[command] = _digest(*_run(command.split(), tmp), None)
     finally:
