@@ -13,14 +13,12 @@ Each fact is decided once, or read off an identity.  A GRS generator has
 distinct points and nonzero multipliers, so its k rows are independent (a
 Vandermonde identity): grs_generator and extended_self_orthogonal mark
 their generators full rank, and nothing eliminates them to learn it.  A
-GrsSpec keeps the first code grs_generator built from it, and later calls
-hand out fresh codes on that code's generator.  is_self_orthogonal
-keeps its Gram verdict on the code object, and grs_generator passes the
-first code's verdict on to the later ones, so a constructor's Gram gate
-also answers the quantum check on the code built from its spec.  The Gram
-matrix is Hermitian, so hermitian_gram sums only its upper triangle, each
-entry one integer sum of digit polynomials that the field reduces once
-(Field.hermitian_products).
+GrsSpec keeps the one code grs_generator builds from it, and every call
+returns that code.  is_self_orthogonal keeps its Gram verdict on the code
+object, so a constructor's Gram gate also answers the quantum check on the
+code built from its spec.  The Gram matrix is Hermitian, so hermitian_gram
+sums only its upper triangle, each entry one integer sum of digit
+polynomials that the field reduces once (Field.hermitian_products).
 
 A Hermitian dual keeps the code it was taken of, which spans its own
 Hermitian dual in turn, so whether the dual contains its own dual is the
@@ -67,7 +65,7 @@ class GrsSpec:
         self.points = tuple(points)
         self.multipliers = tuple(multipliers)
         self.k = k
-        # the first code grs_generator built from this spec; a newly built
+        # the code grs_generator builds from this spec, once; a newly built
         # equal spec starts without one
         self._code: LinearCode | None = None
         n = len(self.points)
@@ -205,24 +203,16 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
     bound; known_distance stays unset, as on every constructed code.
 
-    Every call returns a fresh code, since callers rewrite its claims.
-    Calls after the first share the first code's generator and its Gram
-    verdict.
+    The code is built at the first call, kept in spec._code and returned
+    by every later call, Gram verdict and all: callers share it and write
+    no claim on it.
     """
-    f = spec.field
-    first = spec._code
-    if first is None:
-        rows = _running_product_rows(f, spec.multipliers, spec.points, spec.k)
-        generator = Matrix(f, rows, cols=spec.n)
+    if spec._code is None:
+        f = spec.field
+        generator = Matrix(f, _running_product_rows(f, spec.multipliers, spec.points, spec.k), cols=spec.n)
         generator._full_rank = True
-    else:
-        generator = first.generator
-    code = LinearCode(field=f, generator=generator, claimed_distance_lb=spec.n - spec.k + 1)
-    if first is None:
-        spec._code = code
-    else:
-        code._self_orthogonal = first._self_orthogonal
-    return code
+        spec._code = LinearCode(field=f, generator=generator, claimed_distance_lb=spec.n - spec.k + 1)
+    return spec._code
 
 
 def _running_product_rows(field: Field, multipliers, points, k: int) -> list[list[int]]:
@@ -275,8 +265,9 @@ def hermitian_dual(code: LinearCode) -> LinearCode:
     """Generator of {x : <x, c>_H = 0 for every codeword c}; dimension n - k.
 
     The kernel basis has full rank by construction, so nothing is
-    eliminated but code's own generator.  The dual carries code as the
-    code spanning its own Hermitian dual, since (C^perp_H)^perp_H = C.
+    eliminated but the conjugate of code's generator.  The dual carries
+    code as the code spanning its own Hermitian dual, since
+    (C^perp_H)^perp_H = C.
     """
     dual = LinearCode(field=code.field, generator=nullspace(entrywise_frobenius(code.generator)))
     dual._hermitian_dual = code

@@ -182,18 +182,12 @@ def inverse(m: Matrix) -> Matrix:
 def entrywise_frobenius(m: Matrix) -> Matrix:
     """The matrix with every entry conjugated, x -> x^q.
 
-    Conjugation is a field automorphism: it keeps every zero where it is
-    and every unit pivot at 1, so applied to m's echelon form it yields,
-    step for step, the echelon form of the result.  So m is eliminated
-    (once, as ever) and its form carried over, and the result is never
-    eliminated itself: a caller taking the kernel of the conjugate and then
-    reading m's own echelon form pays for one elimination, not two.
+    Nothing is eliminated.  Conjugation is a field automorphism, so it
+    commutes with the unique reduced echelon form and with the kernel basis
+    read off it: the kernel of the conjugate is the conjugate of the kernel.
     """
     f = m.field
-    rows, pivots = _eliminate(m)
-    out = Matrix._trusted(f, [f.conjugate(row) for row in m.data], m.cols)
-    out._echelon = ([f.conjugate(row) for row in rows], pivots)
-    return out
+    return Matrix._trusted(f, [f.conjugate(row) for row in m.data], m.cols)
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:

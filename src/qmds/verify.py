@@ -250,11 +250,12 @@ def is_mds(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Certified d = n - k + 1, by the route the verify checks take: full
     enumeration when it fits the cap, otherwise the column-independence
     floor (Singleton pins d from above, so the floor alone settles it).
-    Budget overruns propagate."""
-    _, ok, _, refusals = _distance_route(code, code.n - code.k + 1, cap)
-    if ok is None:
-        raise refusals[-1]
-    return ok
+    Budget overruns and the zero code's BadDimension propagate."""
+    w = code.n - code.k + 1
+    try:
+        return min_distance_exact(code, cap=cap) == w
+    except EnumerationTooLarge:
+        return min_distance_at_least(code, w)
 
 
 def dual_containing_check(code: LinearCode) -> bool:
@@ -265,12 +266,13 @@ def dual_containing_check(code: LinearCode) -> bool:
     the code (Ketkar-Klappenecker-Kumar-Sarvepalli, IEEE T-IT 2006); that
     takes D's Gram matrix only, and is_self_orthogonal keeps the verdict on
     D.  Every code qmds builds to contain its dual carries it; a loaded
-    code, which carries none, is tested by reducing the kernel of its
-    conjugate generator against its echelon form."""
+    code, which carries none, is tested by reducing the conjugate of its
+    generator's kernel against the generator's echelon form, so the
+    generator is eliminated once and read twice."""
     if code._hermitian_dual is not None:
         return is_self_orthogonal(code._hermitian_dual)
-    g = code.generator  # the kernel of its conjugate spans the Hermitian dual
-    return row_space_contains(g, nullspace(entrywise_frobenius(g)))
+    g = code.generator  # the conjugate of its kernel spans the Hermitian dual
+    return row_space_contains(g, entrywise_frobenius(nullspace(g)))
 
 
 # -- claims checking --------------------------------------------------------------
@@ -329,29 +331,28 @@ def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
 
 def _distance_route(
     code: LinearCode, w: int, cap: int, exact: bool = False
-) -> tuple[int | None, bool | None, int, list]:
+) -> tuple[int | None, bool | None, int, list[str]]:
     """The one choice of distance oracle for a claim d >= w, or d = w when
     exact, as (d, ok, work_count, refusals).  When the q^(2k) messages fit
     the cap, d is the enumerated distance and refusals is empty.  Otherwise
     d is None, the column floor decides ok, and refusals holds the
-    EnumerationTooLarge.  An exact claim takes two floor tests, d >= w and
-    d >= w + 1, and holds when the first passes and the second fails; a test
-    that refutes the claim decides it even when the other is over its work
-    budget.  When no test refutes it and one is over budget, ok is None and
-    each WorkBudgetExceeded follows in refusals.  A refusal is kept without
-    its traceback, which would tie this frame, the code and the caller's
-    report into a reference cycle.  The zero code raises BadDimension."""
+    EnumerationTooLarge message.  An exact claim takes two floor tests,
+    d >= w and d >= w + 1, and holds when the first passes and the second
+    fails; a test that refutes the claim decides it even when the other is
+    over its work budget.  When no test refutes it and one is over budget,
+    ok is None and each WorkBudgetExceeded message follows in refusals.
+    The zero code raises BadDimension."""
     try:
         d = min_distance_exact(code, cap=cap)
     except EnumerationTooLarge as too_large:
-        refusals, work_count = [too_large.with_traceback(None)], 0
+        refusals, work_count = [str(too_large)], 0
         for b in (w, w + 1) if exact else (w,):
             try:
                 # no nonzero word outweighs its length, so a claim past n + 1
                 # is refuted outright; the floor oracle takes b - 1 <= n only
                 holds = b <= code.n + 1 and min_distance_at_least(code, b)
             except WorkBudgetExceeded as over:
-                refusals.append(over.with_traceback(None))
+                refusals.append(str(over))
                 continue
             work_count += comb(code.n, b - 1) if b > 1 else 0
             if holds != (b == w):  # d < w, or an exact claim with d > w
@@ -369,7 +370,7 @@ def _min_distance(code: LinearCode, route) -> _Outcome:
     claim = f"d >= {w}" if code.known_distance is None else f"d = {w}"
     d, ok, work_count, refusals = route()
     if ok is None:
-        return None, "column-independence floor", 0, "; ".join(map(str, refusals))
+        return None, "column-independence floor", 0, "; ".join(refusals)
     if d is None:
         method = "column-independence floor (EnumerationTooLarge for exact search)"
         return ok, method, work_count, f"{claim} {'certified' if ok else 'refuted'}; {refusals[0]}"
@@ -383,6 +384,6 @@ def _mds(code: LinearCode, route) -> _Outcome:
     # Singleton pins d <= w from above, so d >= w settles d = w
     d, ok, work_count, refusals = route()
     if ok is None:
-        return None, "column-independence floor", 0, str(refusals[-1])
+        return None, "column-independence floor", 0, refusals[-1]
     method = _ENUMERATION if d is not None else "column-independence floor"
     return ok, method, work_count, f"d = n - k + 1 = {w}" if ok else f"d falls short of n - k + 1 = {w}"

@@ -685,7 +685,7 @@ def write_code_file(path, f, generator, **claims):
     }))
 
 
-def test_a_singular_leading_minor_changes_no_verdict(tmp_path, capsys):
+def test_a_wide_generator_with_a_singular_leading_block_changes_no_verdict(tmp_path, capsys):
     # two disjoint all-ones blocks span a Hermitian self-orthogonal [6, 2, 3]
     # code over GF(9), since 1 + 1 + 1 = 0; the column order (0, 1, 3, 2, 4, 5)
     # makes the leading 2 x 2 minor singular.  A loaded generator is not

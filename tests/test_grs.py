@@ -134,6 +134,7 @@ def test_family_a_q3_frozen_values():
 def test_family_a_q3_distance_seven():
     spec = construct_family_A(ConstructionParams(q=3, a=1, m=1, d=3))
     code = grs_generator(spec)
+    assert grs_generator(spec) is code
     assert code.claimed_distance_lb == 7
     assert naive_min_distance(spec.field, code.generator.data) == 7
 

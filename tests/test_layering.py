@@ -1,7 +1,8 @@
 """Layering: only qmds.gf reads the tables of a Field, the command-line
 front end chooses no oracle, importing it loads no process pool and no
-dataclasses, no module imports a name it never uses, and every source file
-parses as the oldest Python the package supports.
+dataclasses, each cached fact is written only by the function that computes
+it, no module imports a name it never uses, and every source file parses as
+the oldest Python the package supports.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -86,6 +87,55 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # each command is a fresh process, so what the import loads it pays
     # every time; dataclasses pulls in inspect, and with it ast and dis
     assert not {"dataclasses", "inspect"} & modules_after_cli_import()
+
+
+# a cache slot -> the one function that fills it; constructors only set it to None
+CACHE_OWNERS = {
+    "_echelon": "linalg._eliminate",
+    "_self_orthogonal": "grs.is_self_orthogonal",
+    "_code": "grs.grs_generator",
+}
+CONSTRUCTORS = ("__init__", "_trusted")
+
+
+def attribute_writes(tree: ast.AST, function: str | None = None):
+    """(attribute, enclosing function, whether the value written is the
+    constant None) for every assignment to an attribute under tree; a
+    tuple target written from a tuple of its length is paired item by item."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from attribute_writes(node, node.name)
+            continue
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            pairs = [(node.target, node.value)]
+        else:
+            pairs = []
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Tuple):
+                values = value.elts if isinstance(value, ast.Tuple) and len(value.elts) == len(target.elts) else None
+                pairs += [(t, None if values is None else values[i]) for i, t in enumerate(target.elts)]
+            elif isinstance(target, ast.Attribute):
+                yield target.attr, function, isinstance(value, ast.Constant) and value.value is None
+        yield from attribute_writes(node, function)
+
+
+def test_each_cached_fact_is_written_only_where_it_is_computed():
+    # an echelon form, a Gram verdict and a spec's code are kept on the
+    # object that computed them and never handed to a second object
+    writers, initial = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for attr, function, is_none in attribute_writes(tree):
+            if attr in CACHE_OWNERS:
+                if is_none and function in CONSTRUCTORS:
+                    initial.add(attr)
+                else:
+                    writers.add((attr, f"{path.stem}.{function}"))
+    assert initial == set(CACHE_OWNERS)
+    assert writers == set(CACHE_OWNERS.items())
 
 
 def unused_imports(source: str) -> list[str]:

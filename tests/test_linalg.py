@@ -8,6 +8,7 @@ import pytest
 
 from qmds import errors, linalg
 from qmds.gf import Field, field_new
+from qmds.grs import LinearCode
 from qmds.linalg import (
     Matrix,
     entrywise_frobenius,
@@ -20,6 +21,7 @@ from qmds.linalg import (
     stack,
     transpose,
 )
+from qmds.verify import dual_containing_check
 
 
 def det3(f, m):
@@ -136,10 +138,10 @@ def test_rref_is_idempotent_and_pivots_sorted():
 
 
 def test_a_wide_matrix_and_its_conjugate_share_one_elimination(monkeypatch):
-    # rank eliminates a matrix that was not marked full rank when it was
-    # built; taking the kernel of its conjugate through entrywise_frobenius
-    # carries that form across, so the kernel and containment against it
-    # read the one form
+    # a code built on a generator not marked full rank eliminates it for its
+    # rank; carrying no dual, it takes the rank route, which reduces the
+    # conjugate of the generator's kernel against the generator's echelon
+    # form: the one form is read twice and nothing else is eliminated
     f = field_new(5)
     g = Matrix(f, [[f.pow(f.exp(i), j) for i in range(8)] for j in range(3)], cols=8)
     filled, eliminate = [], linalg._eliminate
@@ -150,9 +152,12 @@ def test_a_wide_matrix_and_its_conjugate_share_one_elimination(monkeypatch):
         return eliminate(m)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    assert rank(g) == 3 and filled == [g]
-    row_space_contains(g, nullspace(entrywise_frobenius(g)))
+    code = LinearCode(f, g)
+    assert code._hermitian_dual is None and filled == [g]
+    verdict = dual_containing_check(code)
     assert filled == [g]
+    # the kernel of the conjugate spans the same dual
+    assert verdict == row_space_contains(g, nullspace(entrywise_frobenius(g)))
 
 
 def test_entrywise_frobenius_fixes_subfield_matrices():

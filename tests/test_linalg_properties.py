@@ -353,7 +353,7 @@ def test_cached_second_call_repeats_the_first(m):
 
 @PROPERTY
 @given(window_matrices())
-def test_rank_on_the_leading_minor_matches_full_elimination(m):
+def test_a_wide_generator_with_a_singular_leading_block_matches_full_elimination(m):
     # wide matrices, some of full rank on a singular leading minor: the
     # shape of a loaded self-orthogonal generator, which rank eliminates whole
     full = _eliminate(Matrix(m.field, m.data, cols=m.cols))
@@ -379,11 +379,12 @@ def test_a_marked_generator_has_the_rank_of_a_fresh_elimination(g):
 
 
 @PROPERTY
-@given(matrices(), st.booleans())
-def test_conjugate_echelon_form_equals_a_fresh_elimination(m, eliminate_first):
-    if eliminate_first:
-        _eliminate(m)  # entrywise_frobenius then carries the cache across
+@given(matrices())
+def test_conjugate_echelon_form_equals_a_fresh_elimination(m):
     conj = entrywise_frobenius(m)
-    fresh = Matrix(conj.field, conj.data, cols=conj.cols)
-    assert _eliminate(conj) == _eliminate(fresh)
     assert _eliminate(conj) == naive_eliminate(conj.field, conj.data, conj.cols)
+    # conjugation is a field automorphism, so it commutes with the unique
+    # echelon form and with the kernel basis read off it
+    rows, pivots = _eliminate(m)
+    assert _eliminate(conj) == ([m.field.conjugate(row) for row in rows], pivots)
+    assert nullspace(conj).data == entrywise_frobenius(nullspace(m)).data

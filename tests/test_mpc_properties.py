@@ -102,21 +102,22 @@ def test_every_ladder_verdict_matches_the_rank_route(q, variant, d):
 @pytest.mark.parametrize("variant", [1, 3, 5])  # extended, full-field, family-a
 def test_a_d2_ladder_eliminates_only_its_primals_and_mixer(variant, monkeypatch):
     # the full space is the dual of the zero code, so a d = 2 ladder takes
-    # its verdicts from Gram matrices as any other does: only the zero-row
-    # and 1 x n' primals, the mixer and the augmented conjugated mixer that
-    # inverse reduces are eliminated
+    # its verdicts from Gram matrices as any other does: only the conjugate
+    # of the 1 x n' primal, the mixer and the augmented conjugated mixer that
+    # inverse reduces are eliminated with any rows to reduce; the zero-row
+    # primal and its conjugate cost no work
     field_for_q(7)
     shapes, eliminate = [], linalg._eliminate
 
     def counting_eliminate(m):
-        if m._echelon is None:
+        if m._echelon is None and m.rows:
             shapes.append((m.rows, m.cols))
         return eliminate(m)
 
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     code = mp6_ladder(7, 2, variant)
     n = code.n // 2
-    assert sorted(shapes) == [(0, n), (1, n), (2, 2), (2, 4)]
+    assert sorted(shapes) == [(1, n), (2, 2), (2, 4)]
 
 
 def test_the_forced_ladders_include_false_verdicts():

@@ -103,13 +103,9 @@ def test_mds_route_reuses_the_constructors_gram_and_elimination(family, monkeypa
     # the generator is marked full rank when it is built, so it is never
     # eliminated on this path
     assert eliminated.count(code.generator.data) == 0
-    # the constructor's code and this one are distinct objects on one generator
+    # the spec keeps the one code its constructor's Gram gate decided
     (first,) = grams
-    assert first is not code and first.generator is code.generator
-    code.claimed_distance_lb = 1
-    code.provenance["note"] = "rewritten"
-    assert first.claimed_distance_lb == code.n - code.k + 1
-    assert "note" not in first.provenance
+    assert first is code
 
 
 def test_a_table1_row_eliminates_only_its_primals_and_mixer(monkeypatch):

@@ -186,7 +186,8 @@ def test_mds_claim_with_k_below_n_minus_k_walks_the_generator(monkeypatch, code)
     calls = count_nullspace_calls(monkeypatch)
     assert min_distance_at_least(code, code.n - code.k + 1)
     assert is_mds(code, cap=10)
-    code.claimed_distance_lb = code.n - code.k + 1
+    # grs_generator records the MDS claim itself
+    assert code.claimed_distance_lb == code.n - code.k + 1
     checks = run_checks(code, ("min-distance", "mds"), None, cap=10).checks
     assert [c.verdict for c in checks] == ["pass", "pass"]
     assert calls == []
@@ -323,8 +324,9 @@ def test_report_overall():
 
 
 def test_past_cap_refusals_leave_no_reference_cycle():
-    # a refusal kept with its traceback would pin run_checks' frame, the
-    # code and the report in a cycle only the cyclic collector frees
+    # refusals are kept as messages: an exception kept with its traceback
+    # would pin run_checks' frame, the code and the report in a cycle only
+    # the cyclic collector frees
     code = grs_generator(construct_family_A(ConstructionParams(q=7, a=1, m=3, d=5)))
     gc.collect()
     gc.disable()
@@ -334,6 +336,6 @@ def test_past_cap_refusals_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # the stored refusal is still raised, with the traceback of that raise
+    # is_mds raises the floor's refusal itself
     with pytest.raises(WorkBudgetExceeded):
         is_mds(code, cap=0)
