@@ -173,24 +173,31 @@ def _ladder_code(args, quantum: bool):
     return code, parameters, "dual-containing" if certified else None, extra
 
 
-# --family name -> (the flags it requires, in the order they are checked,
-# builder, the builder's further arguments).  A builder takes the parsed
-# flags and returns the code, its parameters, its orthogonality claim and
-# any further provenance sections.
+# --family name -> (the flags it takes, builder, the builder's further
+# arguments).  Each flag it takes is required but the switch --force, and
+# each other family's flag is refused.  A builder takes the parsed flags and
+# returns the code, its parameters, its orthogonality claim and any further
+# provenance sections.
 FAMILIES = {
     **{family: (("a", "d"), _grs_code) for family in GRS_FAMILIES},
     "full-field": (("k",), _mds_dual_code, construct_full_field),
     "extended": (("k",), _mds_dual_code, construct_extended),
-    "mp6": (("d", "variant"), _ladder_code, False),
-    "mp7": (("d", "variant"), _ladder_code, True),
+    "mp6": (("d", "variant", "force"), _ladder_code, False),
+    "mp7": (("d", "variant", "force"), _ladder_code, True),
 }
+# every flag some family takes, in the order _build checks them
+FAMILY_FLAGS = tuple(dict.fromkeys(flag for flags, *_ in FAMILIES.values() for flag in flags))
 
 
 def _build(args) -> tuple[LinearCode, dict]:
     flags, builder, *extra_args = FAMILIES[args.family]
-    for flag in flags:
-        if getattr(args, flag) is None:
+    for flag in FAMILY_FLAGS:
+        value = getattr(args, flag)
+        if flag in flags and value is None:
             raise BadDimension(f"--{flag} is required for {args.family}")
+        # an absent --force is False, and a given --a may be 0
+        if flag not in flags and value is not None and value is not False:
+            raise BadDimension(f"--{flag} is not taken by {args.family}")
     code, parameters, orthogonality, extra = builder(args, *extra_args)
     claims = {
         "orthogonality": orthogonality,
@@ -268,11 +275,18 @@ def _family_records(args) -> list:
     return records
 
 
+def _table1_records(args) -> list:
+    """The Table 1 records at q up to --q-max."""
+    qs = _odd_prime_powers(args.q_max)
+    return [record for record in table1() if record.q in qs]
+
+
 _SWEEP_COLUMNS = ["family", "q", "a", "m", "d", "n", "k", "bound_type", "certification"]
+
 
 # --which name -> (columns, the records its rows show, from the parsed flags)
 TABLES = {
-    "table1": (["family", "q", "d", "n", "k", "bound_type", "certification"], lambda args: table1()),
+    "table1": (["family", "q", "d", "n", "k", "bound_type", "certification"], _table1_records),
     **{"family-" + family[-1]: (_SWEEP_COLUMNS, _family_records) for family in GRS_FAMILIES},
 }
 

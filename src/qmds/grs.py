@@ -264,10 +264,9 @@ def is_self_orthogonal(code: LinearCode) -> bool:
 def hermitian_dual(code: LinearCode) -> LinearCode:
     """Generator of {x : <x, c>_H = 0 for every codeword c}; dimension n - k.
 
-    The kernel basis has full rank by construction, so nothing is
-    eliminated but the conjugate of code's generator.  The dual carries
-    code as the code spanning its own Hermitian dual, since
-    (C^perp_H)^perp_H = C.
+    The kernel basis has full rank by construction, so only the conjugate
+    of code's generator is eliminated.  The dual carries code, which spans
+    its own Hermitian dual, since (C^perp_H)^perp_H = C.
     """
     dual = LinearCode(field=code.field, generator=nullspace(entrywise_frobenius(code.generator)))
     dual._hermitian_dual = code

@@ -91,12 +91,22 @@ def _constructs():
     yield "--family grs-c --q 23 --a 0 --d 3"
     yield "--family extended --q 19 --k 18"
     yield "--family full-field --q 23 --k 2"
+    # each family with a flag it does not take
+    yield "--family grs-a --q 5 --a 1 --d 3 --k 9 --variant 4 --force"
+    yield "--family grs-b --q 5 --a 1 --d 3 --variant 2"
+    yield "--family grs-c --q 5 --a 0 --d 3 --force"
+    yield "--family full-field --q 5 --k 2 --a 0"
+    yield "--family extended --q 5 --k 2 --d 3"
+    yield "--family mp6 --q 5 --d 3 --variant 2 --k 2"
+    yield "--family mp7 --q 5 --d 3 --variant 2 --a 1"
 
 
 def _tables():
     for which in ("table1", "family-a", "family-b", "family-c"):
         for fmt in ("csv", "json"):
             yield f"table --which {which} --q-max 13 --format {fmt}"
+    yield "table --which table1 --q-max 7 --format csv"
+    yield "table --which table1 --q-max 2 --format csv"
     yield "table --which family-a --q-max 2 --format csv"
     yield "table --which family-a --q-max 257 --format csv"
     yield "table --which family-d --q-max 13 --format csv"

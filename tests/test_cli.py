@@ -268,6 +268,37 @@ def test_missing_family_flags_exit_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_flags_a_family_does_not_take_exit_2(tmp_path, capsys):
+    # a mistyped family would otherwise drop the flags meant for another;
+    # --a 0 is given, and only the ladders take the switch --force
+    out = str(tmp_path / "x.json")
+    takes = {
+        "grs-a": {"a": "1", "d": "3"},
+        "grs-b": {"a": "1", "d": "3"},
+        "grs-c": {"a": "1", "d": "3"},
+        "full-field": {"k": "2"},
+        "extended": {"k": "2"},
+        "mp6": {"d": "3", "variant": "2", "force": None},
+        "mp7": {"d": "3", "variant": "2", "force": None},
+    }
+    foreign = {"a": "0", "d": "3", "k": "2", "variant": "2", "force": None}
+    for family, flags in takes.items():
+        taken = [arg for flag, value in flags.items() for arg in (f"--{flag}", value) if arg is not None]
+        for flag, value in foreign.items():
+            if flag in flags:
+                continue
+            given = [f"--{flag}"] if value is None else [f"--{flag}", value]
+            rc, _, err = run_cli(["construct", "--family", family, "--q", "5", *taken, *given, "--out", out], capsys)
+            assert (rc, json.loads(err)) == (
+                2,
+                {"error": "BadDimension", "exit_code": 2, "message": f"--{flag} is not taken by {family}"},
+            ), (family, flag)
+        assert not os.path.exists(out)
+        rc, _, err = run_cli(["construct", "--family", family, "--q", "5", *taken, "--out", out], capsys)
+        assert rc == 0, (family, err)
+        os.remove(out)
+
+
 def test_the_parser_offers_every_family_and_table_in_order():
     def choices(command, dest):
         [sub] = [a for a in qmds.cli.build_parser()._actions if a.dest == "command"]
@@ -583,6 +614,22 @@ def test_table_q_max_below_3_is_refused(capsys, q_max):
         "exit_code": 2,
         "message": f"--q-max must be at least 3, got {q_max}",
     }
+
+
+def test_table1_honours_q_max(capsys):
+    rows = {}
+    for q_max in ("3", "7", "13"):
+        rc, out, err = run_cli(["table", "--which", "table1", "--q-max", q_max], capsys)
+        assert rc == 0, err
+        rows[q_max] = out.strip().splitlines()[1:]
+        assert all(int(row.split(",")[1]) <= int(q_max) for row in rows[q_max])
+    assert (len(rows["3"]), len(rows["7"]), len(rows["13"])) == (1, 6, 8)
+    assert rows["7"] == rows["13"][:6]
+    # the default --q-max is 13, so the whole table
+    assert run_cli(["table", "--which", "table1"], capsys)[1].strip().splitlines()[1:] == rows["13"]
+    for q_max, error in (("2", "BadDimension"), ("257", "FieldTooLarge")):
+        rc, out, err = run_cli(["table", "--which", "table1", "--q-max", q_max], capsys)
+        assert (rc, out, json.loads(err)["error"]) == (2, "", error)
 
 
 def test_table_output_is_deterministic(capsys):

@@ -101,7 +101,7 @@ CONSTRUCTORS = ("__init__", "_trusted")
 def attribute_writes(tree: ast.AST, function: str | None = None):
     """(attribute, enclosing function, whether the value written is the
     constant None) for every assignment to an attribute under tree; a
-    tuple target written from a tuple of its length is paired item by item."""
+    tuple target written from a tuple is paired item by item."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield from attribute_writes(node, node.name)
@@ -115,8 +115,8 @@ def attribute_writes(tree: ast.AST, function: str | None = None):
         while pairs:
             target, value = pairs.pop()
             if isinstance(target, ast.Tuple):
-                values = value.elts if isinstance(value, ast.Tuple) and len(value.elts) == len(target.elts) else None
-                pairs += [(t, None if values is None else values[i]) for i, t in enumerate(target.elts)]
+                values = value.elts if isinstance(value, ast.Tuple) else [None] * len(target.elts)
+                pairs += zip(target.elts, values)
             elif isinstance(target, ast.Attribute):
                 yield target.attr, function, isinstance(value, ast.Constant) and value.value is None
         yield from attribute_writes(node, function)
