@@ -283,7 +283,6 @@ def _table1_records(args) -> list:
 
 _SWEEP_COLUMNS = ["family", "q", "a", "m", "d", "n", "k", "bound_type", "certification"]
 
-
 # --which name -> (columns, the records its rows show, from the parsed flags)
 TABLES = {
     "table1": (["family", "q", "d", "n", "k", "bound_type", "certification"], _table1_records),

@@ -329,7 +329,9 @@ def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
     return ok, method, code.n, "hermitian dual is contained" if ok else "hermitian dual escapes the code"
 
 
-def _distance_route(code: LinearCode, w: int, cap: int, exact: bool) -> tuple[int | None, bool | None, int, list[str]]:
+def _distance_route(
+    code: LinearCode, w: int, cap: int, exact: bool
+) -> tuple[int | None, bool | None, int, list[str]]:
     """The one choice of distance oracle for a claim d >= w, or d = w when
     exact, as (d, ok, work_count, refusals).  When the q^(2k) messages fit
     the cap, d is the enumerated distance and refusals is empty.  Otherwise
