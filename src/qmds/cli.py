@@ -163,9 +163,9 @@ def _ladder_code(args, quantum: bool):
     """The ladder code; a forced one claims no orthogonality and carries its
     failed checks instead, and mp7 adds the quantum record it descends to."""
     code = mp6_ladder(args.q, args.d, args.variant, force=args.force)
-    certified = code.provenance.get("certified", False)
+    certified = code.provenance["certified"]
     parameters = {"q": args.q, "d": args.d, "variant": args.variant, "forced": not certified}
-    extra = {} if certified else {"construction_checks": code.provenance.get("forced_checks", {})}
+    extra = {} if certified else {"construction_checks": code.provenance["forced_checks"]}
     if quantum:
         record = ladder_quantum_record(code, args.q, args.d, args.variant)
         extra["quantum"] = {name: getattr(record, name) for name in ("q", "n", "k", "d", "d_is_exact", "mds")}

@@ -54,8 +54,7 @@ DUAL_CELL_CAP = 17_000_000
 class GrsSpec:
     """Evaluation data for a GRS code: points, column multipliers, dimension.
 
-    Treat instances as immutable.  Equality, hashing and repr look at the
-    field, points, multipliers and k only, never at the kept code.
+    Treat instances as immutable.
     """
 
     __slots__ = ("field", "points", "multipliers", "k", "_code")
@@ -65,8 +64,8 @@ class GrsSpec:
         self.points = tuple(points)
         self.multipliers = tuple(multipliers)
         self.k = k
-        # the code grs_generator builds from this spec, once; a newly built
-        # equal spec starts without one
+        # the code grs_generator builds from this spec, once; a new spec
+        # over the same data starts without one
         self._code: LinearCode | None = None
         n = len(self.points)
         if len(set(self.points)) != n:
@@ -77,23 +76,6 @@ class GrsSpec:
             raise ZeroMultiplier("column multipliers must be nonzero")
         if not 1 <= self.k <= n:
             raise BadDimension(f"dimension {self.k} outside 1..{n}")
-
-    def _key(self) -> tuple:
-        return self.field, self.points, self.multipliers, self.k
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"GrsSpec(field={self.field!r}, points={self.points!r}, "
-            f"multipliers={self.multipliers!r}, k={self.k!r})"
-        )
 
     @property
     def n(self) -> int:

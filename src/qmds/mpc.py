@@ -232,8 +232,7 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     if not in_range:
         out.provenance["forced_checks"] = checks
     assert (out.n, out.k) == ladder_shape(q, d, variant)
-    if out.claimed_distance_lb is not None:
-        assert out.claimed_distance_lb >= d
+    assert out.claimed_distance_lb == d
     return out
 
 

@@ -51,28 +51,21 @@ def singleton_check(params: QuantumParams) -> str:
     return "saturated" if params.mds else "strict"
 
 
-def hermitian_construction(code: LinearCode, distance_lb: int | None = None) -> QuantumParams:
-    """[[n, 2k - n, >= d]]_q from a dual-containing [n, k] code over GF(q^2).
+def hermitian_construction(code: LinearCode) -> QuantumParams:
+    """[[n, 2k - n, >= d]]_q from a dual-containing [n, k] code over GF(q^2),
+    with d the code's own distance claim, or 1 when it claims none.
 
     Containment is checked, never assumed: by the Gram verdict of the dual
     the code carries, or by the rank route on a code that carries none.
-    distance_lb defaults to the carried bound and may only tighten downward.
     """
     if not dual_containing_check(code):
         raise NotDualContaining("ancestor does not contain its Hermitian dual")
-    carried = code.distance_claim
-    if distance_lb is None:
-        distance_lb = carried or 1
-    elif carried is not None and distance_lb > carried:
-        raise VerificationFailure(
-            f"distance claim {distance_lb} exceeds the ancestor's certificate {carried}"
-        )
     n, kq = code.n, 2 * code.k - code.n
     return QuantumParams(
         q=code.field.q,
         n=n,
         k=kq,
-        d=distance_lb,
+        d=code.distance_claim or 1,
         d_is_exact=False,
         ancestor={"classical": [n, code.k]},
     )
@@ -111,32 +104,25 @@ def mp7_shape(q: int, d: int, variant: int) -> tuple[int, int]:
 mp7_in_range = ladder_in_window
 
 
-def theorem_mp7(q: int, d: int, variant: int, force: bool = False) -> QuantumParams:
+def theorem_mp7(q: int, d: int, variant: int) -> QuantumParams:
     """[[n, k, >= d]]_q descendant of the paired ladder, checked against the
     closed form.
 
-    Within the certified window the classical ancestor is built, verified
-    dual-containing, and pushed through hermitian_construction.  With
-    force on an out-of-range d, the ladder is still assembled but its
-    failed certificates are reported in the ancestor record instead of
-    backing the parameters, which are then emitted from the closed form
-    alone and flagged FORMULA-ONLY.  A closed form with a negative quantum
-    dimension is refused with DimensionOutOfRange.
+    The classical ancestor is built, verified dual-containing, and pushed
+    through hermitian_construction; a d outside the certified window is
+    refused by mp6_ladder with DistanceOutOfRange.
     """
-    return ladder_quantum_record(mp6_ladder(q, d, variant, force=force), q, d, variant)
+    return ladder_quantum_record(mp6_ladder(q, d, variant), q, d, variant)
 
 
 def ladder_quantum_record(classical: LinearCode, q: int, d: int, variant: int) -> QuantumParams:
-    """Quantum record for an already-built ladder output; FULL when the
-    ancestor carries its dual-containment certificate, FORMULA-ONLY when it
-    was forced past the window."""
-    if classical.provenance.get("certified", False):
-        params = hermitian_construction(classical, distance_lb=d)
-        params.ancestor["certification"] = "FULL"
-    else:
-        params = _formula_only(q, d, variant)
-        params.ancestor["construction_checks"] = classical.provenance.get("forced_checks", {})
-    params.ancestor.update({"family": f"mp7-v{variant}", "q": q, "d": d, "variant": variant})
+    """Quantum record for an already-built ladder output: FULL when the
+    ancestor carries its dual-containment certificate, else, for a ladder
+    forced past the window, the closed-form record table1 emits for it."""
+    if not classical.provenance["certified"]:
+        return _formula_only(q, d, variant)
+    params = hermitian_construction(classical)
+    params.ancestor.update(family=f"mp7-v{variant}", q=q, d=d, variant=variant, certification="FULL")
     assert (params.n, params.k) == mp7_shape(q, d, variant)
     return params
 
