@@ -277,8 +277,8 @@ def _family_records(args) -> list:
 
 def _table1_records(args) -> list:
     """The Table 1 records at q up to --q-max."""
-    qs = _odd_prime_powers(args.q_max)
-    return [record for record in table1() if record.q in qs]
+    _check_q_max(args.q_max)
+    return [record for record in table1() if record.q <= args.q_max]
 
 
 _SWEEP_COLUMNS = ["family", "q", "a", "m", "d", "n", "k", "bound_type", "certification"]
@@ -311,11 +311,15 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _odd_prime_powers(q_max: int) -> list[int]:
+def _check_q_max(q_max: int) -> None:
     if q_max < 3:
         raise BadDimension(f"--q-max must be at least 3, got {q_max}")
     if q_max * q_max > SIZE_CAP:
         raise FieldTooLarge(f"--q-max {q_max}: q^2 = {q_max}^2 exceeds {SIZE_CAP}")
+
+
+def _odd_prime_powers(q_max: int) -> list[int]:
+    _check_q_max(q_max)
     out = []
     for q in range(3, q_max + 1, 2):
         try:

@@ -33,10 +33,10 @@ class Matrix:
 
     Treat instances as immutable; operations always return fresh objects.
     Zero-row matrices are legal (kernels of injective maps, generators of
-    zero-dimensional codes) and carry an explicit column count.  The
-    reduced row echelon form is computed from data on first use and kept
-    in _echelon, and a full row rank known from how the matrix was built is
-    marked in _full_rank; neither is ever serialized.
+    zero-dimensional codes) and carry an explicit column count of at least
+    0.  The reduced row echelon form is computed from data on first use and
+    kept in _echelon, and a full row rank known from how the matrix was
+    built is marked in _full_rank; neither is ever serialized.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_echelon", "_full_rank")
@@ -55,8 +55,8 @@ class Matrix:
             if cols is not None and cols != self.cols:
                 raise DimensionMismatch("explicit cols disagrees with data")
         else:
-            if cols is None:
-                raise DimensionMismatch("zero-row matrix needs an explicit column count")
+            if cols is None or cols < 0:
+                raise DimensionMismatch(f"zero-row matrix needs a column count of at least 0, got {cols}")
             self.cols = cols
         q2 = field.q2
         for row in self.data:

@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
-from .grs import LinearCode, is_self_orthogonal
+from .grs import LinearCode, _check_dual_cells, is_self_orthogonal
 from .linalg import entrywise_frobenius, nullspace, row_space_contains, transpose
 
 DEFAULT_ENUM_CAP = 1 << 22
@@ -268,9 +268,12 @@ def dual_containing_check(code: LinearCode) -> bool:
     D.  Every code qmds builds to contain its dual carries it; a loaded
     code, which carries none, is tested by reducing the conjugate of its
     generator's kernel against the generator's echelon form, so the
-    generator is eliminated once and read twice."""
+    generator is eliminated once and read twice.  That kernel is refused
+    with DimensionOutOfRange past the DUAL_CELL_CAP every constructor
+    applies to a Hermitian dual, before it is built."""
     if code._hermitian_dual is not None:
         return is_self_orthogonal(code._hermitian_dual)
+    _check_dual_cells(code.n, code.k)
     g = code.generator  # the conjugate of its kernel spans the Hermitian dual
     return row_space_contains(g, entrywise_frobenius(nullspace(g)))
 

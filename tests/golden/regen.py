@@ -13,8 +13,8 @@ Before hashing, the scratch directory's path reads TMP (construct prints
 "wrote TMP/code.json"), and an error argparse reports (UsageError) keeps
 only its exit code and class, since its text comes from the standard
 library.  Every file construct writes is verified with `--check all` and
-then deleted, before the next command runs; one malformed file is verified
-too.
+then deleted, before the next command runs; the hand-written files in
+LOADED are verified too.
 """
 
 from __future__ import annotations
@@ -37,8 +37,26 @@ GRS_FAMILIES = ("grs-a", "grs-b", "grs-c")
 GRS_Q = (3, 5, 7, 9, 11, 13)
 MDS_Q = (2, 3, 4, 5, 7)
 LADDER_Q = (3, 5, 7)
-# a code file of a schema this qmds does not read: verify exits 4, FileMalformed
-MALFORMED = ("schema-version-2.json", '{"schema_version": 2}\n')
+
+
+def _code_file(n: int, k: int, generator: list[list[int]]) -> str:
+    """A GF(9) code file claiming dual containment."""
+    return json.dumps({
+        "schema_version": 1,
+        "field": {"p": 3, "t": 1, "modulus": [2, 1, 1]},
+        "code": {"n": n, "k": k, "generator": generator},
+        "provenance": {"claims": {"orthogonality": "dual-containing"}},
+    }) + "\n"
+
+
+# files verify reads as written: a schema this qmds does not read and a
+# negative length (exit 4, FileMalformed), and a [4200, 1] code whose
+# [4200, 4199] kernel would pass grs.DUAL_CELL_CAP (exit 2, DimensionOutOfRange)
+LOADED = (
+    ("schema-version-2.json", '{"schema_version": 2}\n'),
+    ("negative-length.json", _code_file(-5, 0, [])),
+    ("wide-dual-containing.json", _code_file(4200, 1, [[1] * 4200])),
+)
 
 
 def _constructs():
@@ -148,11 +166,11 @@ def corpus_hashes() -> dict[str, str]:
                     check = _run(["verify", "--in", path, "--check", "all"], tmp)
                     hashes[f"{command} && verify --check all"] = _digest(*check, None)
                     os.remove(path)
-            name, text = MALFORMED
-            bad = os.path.join(tmp, name)
-            Path(bad).write_text(text, encoding="utf-8")
-            check = _run(["verify", "--in", bad, "--check", "all"], tmp)
-            hashes[f"verify --in TMP/{name} --check all"] = _digest(*check, None)
+            for name, text in LOADED:
+                loaded = os.path.join(tmp, name)
+                Path(loaded).write_text(text, encoding="utf-8")
+                check = _run(["verify", "--in", loaded, "--check", "all"], tmp)
+                hashes[f"verify --in TMP/{name} --check all"] = _digest(*check, None)
             for command in _tables():
                 hashes[command] = _digest(*_run(command.split(), tmp), None)
     finally:

@@ -214,12 +214,15 @@ def test_malformed_files_exit_4(tmp_path, capsys):
         assert rc == 4, (key, payload[section][key])
         assert json.loads(err)["error"] == "FileMalformed"
 
-    payload = json.loads(good.read_text())
-    payload["provenance"] = [1, 2]
-    bad.write_text(json.dumps(payload))
-    rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
-    assert rc == 4
-    assert json.loads(err)["error"] == "FileMalformed"
+    # a negative length (an empty generator has no row to disagree with it),
+    # and a provenance that is no JSON object
+    for section, value in (("code", {"n": -5, "k": 0, "generator": []}), ("provenance", [1, 2])):
+        payload = json.loads(good.read_text())
+        payload[section] = value
+        bad.write_text(json.dumps(payload))
+        rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+        assert rc == 4, section
+        assert json.loads(err)["error"] == "FileMalformed"
 
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
 
@@ -632,6 +635,23 @@ def test_table1_honours_q_max(capsys):
         assert (rc, out, json.loads(err)["error"]) == (2, "", error)
 
 
+def test_table1_builds_only_the_fields_its_rows_use(tmp_path):
+    # the rows sit at q = 3, 5, 7 and 9; testing every q up to --q-max for a
+    # prime power would build GF(11^2) and GF(13^2) as well
+    src = str(Path(qmds.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import io, contextlib\n"
+        "from qmds import cli, gf\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', '--which', 'table1']) == 0\n"
+        "print(sorted(gf._CANONICAL))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.strip() == "[(3, 1), (3, 2), (5, 1), (7, 1)]"
+
+
 def test_table_output_is_deterministic(capsys):
     first = run_cli(["table", "--which", "family-b", "--q-max", "5", "--format", "json"], capsys)[1]
     second = run_cli(["table", "--which", "family-b", "--q-max", "5", "--format", "json"], capsys)[1]
@@ -757,6 +777,32 @@ def test_a_wide_generator_with_a_singular_leading_block_changes_no_verdict(tmp_p
     rc, out, err = run_cli(["verify", "--in", str(permuted), "--check", "all"], capsys)
     assert (rc, out) == (4, "")
     assert json.loads(err)["error"] == "FileMalformed"
+
+
+def test_a_loaded_kernel_past_the_dual_cell_cap_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a [40, 1] file claiming dual containment: the rank route's kernel is
+    # [40, 39], 1560 cells, so a cap one below refuses it
+    calls = []
+    real = qmds.verify.nullspace
+    monkeypatch.setattr(qmds.verify, "nullspace", lambda m: calls.append(m) or real(m))
+    path = tmp_path / "wide.json"
+    write_code_file(path, field_for_q(3), [[1] * 40], orthogonality="dual-containing")
+    for cap, nullspaces in ((39 * 40 - 1, 0), (39 * 40, 1)):
+        monkeypatch.setattr(qmds.grs, "DUAL_CELL_CAP", cap)
+        calls.clear()
+        rc, out, err = run_cli(["verify", "--in", str(path), "--check", "all"], capsys)
+        assert len(calls) == nullspaces
+        if nullspaces:
+            assert rc == 3 and err == ""
+            checks = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+            assert checks["dual-containing"] == "fail"
+        else:
+            assert (rc, out) == (2, "")
+            assert json.loads(err) == {
+                "error": "DimensionOutOfRange",
+                "exit_code": 2,
+                "message": f"the [40, 39] dual would have 1560 cells, over {cap}",
+            }
 
 
 def test_zero_code_gets_one_answer_from_every_distance_check(tmp_path, capsys):

@@ -178,6 +178,7 @@ def test_entrywise_frobenius_fixes_subfield_matrices():
         ([], None),  # zero rows and no width
         ([[0, 9]], None),  # past GF(9)
         ([[-1, 0]], None),
+        ([], -5),  # zero rows and a negative width
     ],
 )
 def test_public_constructor_refuses_bad_data(data, cols):

@@ -247,7 +247,8 @@ def test_ladder_quantum_constructed_sweep():
                 assert (qp.n, qp.k) == mp7_shape(q, d, variant), (q, d, variant)
                 assert qp.d == d and not qp.d_is_exact
                 assert qp.ancestor["certification"] == "FULL"
-                assert singleton_check(qp) != "violated"
+                assert 2 * qp.d <= qp.n - qp.k + 2
+                assert singleton_check(qp) == ("saturated" if 2 * qp.d == qp.n - qp.k + 2 else "strict")
 
 
 def test_ladder_closed_forms_symbolically():
@@ -342,4 +343,5 @@ def test_table_rows_beat_prior_parameters(table_rows):
 
 def test_no_violated_records_anywhere(table_rows):
     for row in table_rows:
-        assert singleton_check(row) != "violated"
+        assert 2 * row.d <= row.n - row.k + 2
+        assert singleton_check(row) == ("saturated" if 2 * row.d == row.n - row.k + 2 else "strict")
