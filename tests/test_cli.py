@@ -635,19 +635,17 @@ def test_table1_honours_q_max(capsys):
         assert (rc, out, json.loads(err)["error"]) == (2, "", error)
 
 
-def test_table1_builds_only_the_fields_its_rows_use(tmp_path):
+def test_table1_builds_only_the_fields_its_rows_use():
     # the rows sit at q = 3, 5, 7 and 9; testing every q up to --q-max for a
-    # prime power would build GF(11^2) and GF(13^2) as well
+    # prime power would build GF(11^2) and GF(13^2) as well.  A fresh
+    # interpreter, so fields other tests built do not count
     src = str(Path(qmds.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = (
-        "import io, contextlib\n"
-        "from qmds import cli, gf\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['table', '--which', 'table1']) == 0\n"
-        "print(sorted(gf._CANONICAL))\n"
+    probe = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r}); from qmds import cli, gf\n"
+        "with contextlib.redirect_stdout(io.StringIO()): assert cli.main(['table', '--which', 'table1']) == 0\n"
+        "print(sorted(gf._CANONICAL))"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.strip() == "[(3, 1), (3, 2), (5, 1), (7, 1)]"
 
