@@ -74,7 +74,8 @@ def code_file_payload(code: LinearCode, provenance: dict, certificates: list[dic
 
 
 def load_code_file(path: str) -> LinearCode:
-    """Parse and validate a code file; any defect maps to FileMalformed.
+    """Parse and validate a code file; any defect maps to FileMalformed,
+    whose message names the file.
 
     The code lands on gf.field_with_modulus's field: the instance shared
     with every code built in this process when the file names the canonical
@@ -109,8 +110,9 @@ def load_code_file(path: str) -> LinearCode:
         known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
         code.known_distance = None if known is None else _distance(known)
         code.claimed_distance_lb = None if lb is None else _distance(lb)
-    except FileMalformed:
-        raise
+    except FileMalformed as e:
+        # the checks above say what is wrong; the file is named here
+        raise FileMalformed(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
         raise FileMalformed(f"{path} does not match the code file schema: {e}") from e
     except QmdsError as e:

@@ -18,8 +18,8 @@ Fields of at most _TABLE_CAP elements get a full q^2 x q^2 addition table
 instead, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
 the packing whatever the modulus, so that table is filled digit by digit
 from runs of one list of the q^2 elements (see _addition_table).  Single
-sums, vadd and clear_column use the addition table where there is one and
-Zech logarithms past it.
+additions, vadd, sums and clear_column use the addition table where there
+is one and Zech logarithms past it.
 
 Inner products, in every field, go through hermitian_products alone, as
 integer sums of digit polynomials (Kronecker substitution): two more
@@ -28,7 +28,7 @@ conjugate with its 2t base-p digits in slots of one int, so one integer
 product holds the coefficients of a product polynomial and a sum of those
 is left unreduced until the entry is done (delayed reduction).  Only this
 module reads the tables: other modules call the element methods or the
-vector kernels (scale, vmul, vadd, vdiv, conjugate, clear_column,
+vector kernels (scale, vmul, vadd, sums, vdiv, conjugate, clear_column,
 hermitian_products), each of which picks its way of adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
@@ -48,8 +48,9 @@ Convention used throughout the package: 0^0 == 1.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
-from operator import mul
+from operator import getitem, mul
 
 from .errors import (
     DimensionMismatch,
@@ -235,6 +236,19 @@ class Field:
             else:
                 out.append(x or y)
         return out
+
+    def sums(self, u: list[int], vs: list[list[int]]):
+        """u + v for each v in vs, each an iterable of its entries.
+
+        With an addition table, the table rows of u's entries are gathered
+        once and each sum is read off them lazily, entry by entry, so no
+        list is built per v; past the table each sum is vadd(u, v).
+        """
+        addtab = self._add
+        if addtab is None:
+            return map(partial(self.vadd, u), vs)
+        rows = list(map(addtab.__getitem__, u))
+        return map(partial(map, getitem, rows), vs)
 
     def clear_column(self, rows: list[list[int]], prow: list[int], c: int) -> None:
         """Subtract from every row other than prow the multiple of prow that

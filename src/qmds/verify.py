@@ -9,6 +9,14 @@ Every code qmds builds to contain its dual carries that dual, so its
 containment verdict is the dual's Gram verdict, kept on the dual once
 decided; a loaded code carries none and takes the rank route each time.
 
+The exact distance is a depth-first walk over the generator's rows, one
+scalar class at a time, once the columns are arranged to make the last row
+all ones and zeros: each visited word scores all q^2 multiples of that row
+from its most frequent entry.  A node that fixes every row but the last two
+scores its q^2 children in one pass each over the addition-table rows of
+its word (Field.sums), counting their entries into plain dicts; see
+_min_weight.
+
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  Its distance
 and MDS checks take one route, which is_mds takes too: enumerate when the
@@ -20,9 +28,11 @@ exactly when the code is MDS."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from functools import cache
+from itertools import chain, repeat
 from math import comb
+from operator import countOf
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
@@ -125,25 +135,57 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     frequent value of u[:m].  So a depth-first walk over the first k - 1
     rows (leading coefficient 1) scores q^2 codewords per visited word, and
     the class of the last row alone has weight m.
+
+    Above the last of those k - 1 rows the walk adds each word out in full.
+    A word u that fixes all of them but the last scores its q^2 children
+    u + c * head[-1], c = 0 included, in one pass each: Field.sums reads
+    them off the addition-table rows of u without building them, and the
+    entries of each are counted into a plain dict.  When m < n, the first m
+    entries and the tail are summed apart, and only the tail's zeros are
+    counted.
     """
     head, m = _last_row_to_ones(f, rows)
     k1, n = len(head), len(rows[0])
     # row * c at index c - 1 for every nonzero c; row 0 only ever enters
     # with coefficient 1
     mults = [None] + [[f.scale(c, row) for c in range(1, f.q2)] for row in head[1:]]
-    vadd = f.vadd
+    vadd, sums = f.vadd, f.sums
+    split = m < n
+    last = mults[-1] if k1 > 1 else []
+    # the slices are copied only when there is a tail to count apart
+    last_heads, last_tails = ([v[:m] for v in last], [v[m:] for v in last]) if split else (last, None)
     best = m
 
-    def dfs(level: int, acc: list[int]) -> None:
+    def score(u: list[int], heads, tails) -> None:
+        """Lower best to the lightest word u + v + c * last, for every c and
+        for v = 0 or v a word whose first m entries are in heads and whose
+        tail is in tails."""
         nonlocal best
-        if level == k1:
-            w = n - acc[m:].count(0) - max(Counter(acc[:m]).values())
+        if split:
+            first, tail = u[:m], u[m:]
+            words = chain((first,), sums(first, heads))
+            zeros = chain((tail.count(0),), map(countOf, sums(tail, tails), repeat(0)))
+        else:
+            words, zeros = chain((u,), sums(u, heads)), repeat(0)
+        for word, z in zip(words, zeros):
+            # _count_elements is the C loop Counter runs; calling it on a
+            # plain dict skips Counter's construction and type checks, which
+            # cost more than the count itself on words this short
+            counts = {}
+            _count_elements(counts, word)
+            w = n - z - max(counts.values())
             if w < best:
                 best = w
-            return
-        dfs(level + 1, acc)
-        for v in mults[level]:
-            dfs(level + 1, vadd(acc, v))
+
+    def dfs(level: int, acc: list[int]) -> None:
+        if level == k1:  # the class led by the last row of head
+            score(acc, (), ())
+        elif level == k1 - 1:
+            score(acc, last_heads, last_tails)
+        else:
+            dfs(level + 1, acc)
+            for v in mults[level]:
+                dfs(level + 1, vadd(acc, v))
 
     for lead, row in enumerate(head):
         dfs(lead + 1, row)

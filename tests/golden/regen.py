@@ -12,9 +12,10 @@ commit, and lists every command whose hash changed:
 Before hashing, the scratch directory's path reads TMP (construct prints
 "wrote TMP/code.json"), and an error argparse reports (UsageError) keeps
 only its exit code and class, since its text comes from the standard
-library.  Every file construct writes is verified with `--check all` and
-then deleted, before the next command runs; the hand-written files in
-LOADED are verified too.
+library.  Every file construct writes is verified with `--check all`, and
+with the further flags VERIFY_AGAIN lists for its command, and then
+deleted, before the next command runs; the hand-written files in LOADED
+are verified too.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ LOADED = (
     ("negative-length.json", _code_file(-5, 0, [])),
     ("wide-dual-containing.json", _code_file(4200, 1, [[1] * 4200])),
 )
+
+# further verify flags for some construct command lines, each run after
+# `verify --check all`: grs-a q=7 a=1 d=5 is [48, 4] over GF(49), whose
+# 49^4 = 5,764,801 messages the default cap refuses, so this is the one
+# k = 4 code the corpus enumerates
+VERIFY_AGAIN = {"--family grs-a --q 7 --a 1 --d 5": ("--check all --max-enum 6000000",)}
 
 
 def _constructs():
@@ -163,8 +170,9 @@ def corpus_hashes() -> dict[str, str]:
                 written = os.path.exists(path)
                 hashes[command] = _digest(rc, out, err, Path(path).read_bytes() if written else None)
                 if written:
-                    check = _run(["verify", "--in", path, "--check", "all"], tmp)
-                    hashes[f"{command} && verify --check all"] = _digest(*check, None)
+                    for verify_flags in ("--check all", *VERIFY_AGAIN.get(flags, ())):
+                        check = _run(["verify", "--in", path, *verify_flags.split()], tmp)
+                        hashes[f"{command} && verify {verify_flags}"] = _digest(*check, None)
                     os.remove(path)
             for name, text in LOADED:
                 loaded = os.path.join(tmp, name)

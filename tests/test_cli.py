@@ -227,6 +227,29 @@ def test_malformed_files_exit_4(tmp_path, capsys):
     assert run_cli(["verify", "--in", str(tmp_path / "absent.json"), "--check", "all"], capsys)[0] == 4
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda payload: payload.update(schema_version=2),
+        lambda payload: payload["code"].update(k=1),
+        lambda payload: payload.update(provenance=[1, 2]),
+        lambda payload: payload["provenance"]["claims"].update(orthogonality=["x"]),
+        lambda payload: payload["provenance"]["claims"].update(known_distance=0),
+    ],
+    ids=["schema-version", "generator-shape", "provenance", "orthogonality", "distance-claim"],
+)
+def test_every_malformed_file_is_named_in_its_error(tmp_path, capsys, mangle):
+    good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
+    payload = json.loads(good.read_text())
+    mangle(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
+    detail = json.loads(err)
+    assert rc == 4 and detail["error"] == "FileMalformed"
+    assert detail["message"].startswith(f"{bad}: "), detail["message"]
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     flags = ["--family", "grs-a", "--q", "3", "--a", "1", "--d", "3"]
     for out in (tmp_path / "missing" / "x.json", tmp_path):

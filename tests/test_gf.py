@@ -473,6 +473,19 @@ def test_vector_kernels_match_oracle(fv, c):
     assert f.hermitian_products([u], [v]) == [[acc]]
 
 
+@pytest.mark.parametrize("q", [3, 5, 23], ids=["GF9", "GF25", "GF529"])
+def test_sums_match_elementwise_add(q):
+    # u runs over every element, so with the constant vectors among vs every
+    # pair of elements is summed, zero included; GF(529) adds by Zech logs
+    f = field_for_q(q)
+    rng = random.Random(q)
+    u = list(f.elements())
+    rng.shuffle(u)
+    vs = [[c] * f.q2 for c in f.elements()] + [[rng.choice((0, rng.randrange(f.q2))) for _ in u]]
+    assert [list(s) for s in f.sums(u, vs)] == [[f.add(x, y) for x, y in zip(u, v)] for v in vs]
+    assert list(f.sums(u, [])) == []
+
+
 @PROPERTY
 @given(field_and_vectors(4), st.data())
 def test_clear_column_matches_oracle(fv, data):

@@ -3,12 +3,17 @@ independence floor against naive oracles.
 
 `min_distance_exact` arranges the columns so that the last generator row is
 (1, ..., 1, 0, ..., 0) and scores all q^2 multiples of that row at once.
+The node that fixes every row but the last two scores its q^2 children
+u + c * row in one pass each through `Field.sums`, without adding them
+out, and counts their tail zeros apart when m < n; only k >= 3 reaches it.
 Here it is compared with two enumerators that take no such shortcut:
 `naive_min_distance` (every message, from tests/test_verify.py) over GF(4),
-GF(9), GF(25) and GF(49), and, over GF(529), where the naive one is too
-slow, the earlier depth-first enumerator that adds every codeword out in
-full.  Generator entries are drawn with many zeros, so last rows that are
-zero on some columns (m < n) and k = 1 codes are common.
+GF(9), GF(25) and GF(49), up to k = 4 over GF(9) and k = 3 over GF(25),
+and, over GF(529), where the naive one is too slow, the earlier depth-first
+enumerator that adds every codeword out in full.  Generator entries are
+mostly drawn with many zeros, so last rows that are zero on some columns
+(m < n) and k = 1 codes are common; the deepest codes are also drawn with
+no zero entry, so m = n.
 
 The floor check `min_distance_at_least` must answer d >= w exactly as the
 naive distance does, for every w up to the Singleton bound.  Its walk
@@ -56,6 +61,8 @@ from test_verify import naive_min_distance
 # field and the largest k whose q^(2k) messages the naive oracle can walk
 SMALL_FIELDS = [(field_new(2), 4), (field_new(3), 3), (field_new(5), 2), (field_new(7), 2)]
 GF529 = field_new(23)
+# k >= 3 reaches the node that scores its q^2 children through Field.sums
+DEEP_FIELDS = [(field_new(3), 4), (field_new(5), 3)]
 
 # fixed example sequence, so every run of the suite checks the same codes
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=80)
@@ -83,11 +90,11 @@ def dfs_min_distance(f, gen: Matrix) -> int:
 
 
 @st.composite
-def codes(draw, fields, k_min=1):
+def codes(draw, fields, k_min=1, zeros=True):
     f, k_max = draw(st.sampled_from(fields))
     k = draw(st.integers(k_min, k_max))
     n = draw(st.integers(k, k + 5))
-    entry = st.one_of(st.just(0), st.integers(0, f.q2 - 1))
+    entry = st.one_of(st.just(0), st.integers(0, f.q2 - 1)) if zeros else st.integers(1, f.q2 - 1)
     data = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
     gen = Matrix(f, data, cols=n)
     assume(rank(gen) == k)
@@ -95,7 +102,14 @@ def codes(draw, fields, k_min=1):
 
 
 @PROPERTY
-@given(st.one_of(codes(SMALL_FIELDS), codes(SMALL_FIELDS[:2], k_min=3)))
+@given(
+    st.one_of(
+        codes(SMALL_FIELDS),
+        codes(SMALL_FIELDS[:2], k_min=3),
+        codes(DEEP_FIELDS, k_min=3),
+        codes(DEEP_FIELDS, k_min=3, zeros=False),
+    )
+)
 def test_exact_distance_matches_every_message(code):
     # a cap of exactly q^(2k) messages admits the code
     cap = code.field.q2**code.k
