@@ -40,30 +40,43 @@ MDS_Q = (2, 3, 4, 5, 7)
 LADDER_Q = (3, 5, 7)
 
 
-def _code_file(n: int, k: int, generator: list[list[int]]) -> str:
-    """A GF(9) code file claiming dual containment."""
+def _code_file(n: int, k: int, generator: list[list[int]], orthogonality: str = "dual-containing") -> str:
+    """A GF(9) code file claiming the given orthogonality."""
     return json.dumps({
         "schema_version": 1,
         "field": {"p": 3, "t": 1, "modulus": [2, 1, 1]},
         "code": {"n": n, "k": k, "generator": generator},
-        "provenance": {"claims": {"orthogonality": "dual-containing"}},
+        "provenance": {"claims": {"orthogonality": orthogonality}},
     }) + "\n"
 
 
 # files verify reads as written: a schema this qmds does not read and a
-# negative length (exit 4, FileMalformed), and a [4200, 1] code whose
-# [4200, 4199] kernel would pass grs.DUAL_CELL_CAP (exit 2, DimensionOutOfRange)
+# negative length (exit 4, FileMalformed), a [4200, 1] code whose
+# [4200, 4199] kernel would pass grs.DUAL_CELL_CAP (exit 2,
+# DimensionOutOfRange), and a [3, 1] code claiming self-orthogonality on a
+# row whose Hermitian norm is 1, so its Gram check fails (exit 3)
 LOADED = (
     ("schema-version-2.json", '{"schema_version": 2}\n'),
     ("negative-length.json", _code_file(-5, 0, [])),
     ("wide-dual-containing.json", _code_file(4200, 1, [[1] * 4200])),
+    ("false-self-orthogonal.json", _code_file(3, 1, [[1, 0, 0]], "self-orthogonal")),
 )
+
+# each check on its own, for one code of each orthogonality claim and for a
+# forced ladder that claims none
+EACH_CHECK = tuple(f"--check {name}" for name in ("gram", "dual-containing", "min-distance", "mds"))
 
 # further verify flags for some construct command lines, each run after
 # `verify --check all`: grs-a q=7 a=1 d=5 is [48, 4] over GF(49), whose
 # 49^4 = 5,764,801 messages the default cap refuses, so this is the one
 # k = 4 code the corpus enumerates
-VERIFY_AGAIN = {"--family grs-a --q 7 --a 1 --d 5": ("--check all --max-enum 6000000",)}
+VERIFY_AGAIN = {
+    "--family grs-a --q 7 --a 1 --d 5": ("--check all --max-enum 6000000",),
+    "--family grs-a --q 3 --a 1 --d 3": EACH_CHECK,
+    "--family full-field --q 5 --k 2": EACH_CHECK,
+    "--family mp7 --q 3 --d 3 --variant 2": EACH_CHECK,
+    "--family mp6 --q 5 --d 8 --variant 5 --force": EACH_CHECK,
+}
 
 
 def _constructs():
