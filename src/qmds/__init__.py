@@ -36,7 +36,6 @@ from .quantum import (
     theorem_mp7,
 )
 from .verify import (
-    VerificationReport,
     dual_containing_check,
     is_mds,
     min_distance_at_least,
@@ -52,7 +51,6 @@ __all__ = [
     "MpcSpec",
     "QmdsError",
     "QuantumParams",
-    "VerificationReport",
     "construct_extended",
     "construct_family_A",
     "construct_family_B",

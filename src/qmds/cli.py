@@ -46,7 +46,7 @@ from .quantum import (
     singleton_check,
     table1,
 )
-from .verify import CHECKS, DEFAULT_ENUM_CAP, CheckResult, VerificationReport, run_checks
+from .verify import CHECKS, DEFAULT_ENUM_CAP, report, run_checks
 
 SCHEMA_VERSION = 1
 
@@ -218,23 +218,18 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     here too."""
     claim = provenance["claims"]["orthogonality"]
     if claim is None:
-        check = CheckResult(
-            name="orthogonality",
-            verdict="skipped",
-            method="none",
-            detail="forced construction carries no orthogonality claim",
-        )
+        check = {"name": "orthogonality", "verdict": "skipped", "method": "none", "work_count": 0}
+        detail = "forced construction carries no orthogonality claim"
     else:
         if claim == "self-orthogonal":
             name = "gram"
         else:
             name = "dual-containing"
             code = LinearCode(field=code.field, generator=code.generator)
-        [ran] = run_checks(code, (name,), claim).checks
-        check = CheckResult(
-            ran.name, ran.verdict, ran.method, ran.work_count, "construction-time self-certification"
-        )
-    return VerificationReport(target=provenance["construction"], checks=[check]).to_dict()
+        [check] = run_checks(code, (name,), claim)["checks"]
+        detail = "construction-time self-certification"
+    check["detail"] = detail
+    return report(provenance["construction"], [check])
 
 
 # -- verify -----------------------------------------------------------------------
@@ -255,9 +250,9 @@ def cmd_verify(args) -> int:
         raise BadDimension(f"{source} must be at least 0, got {cap}")
     orthogonality = code.provenance.get("claims", {}).get("orthogonality")
     names = CHECKS if args.check == "all" else (args.check,)
-    report = run_checks(code, names, orthogonality, cap)
-    sys.stdout.write(canonical_json(report.to_dict()))
-    return 0 if report.overall == "pass" else VerificationFailure.exit_code
+    result = run_checks(code, names, orthogonality, cap)
+    sys.stdout.write(canonical_json(result))
+    return 0 if result["overall"] == "pass" else VerificationFailure.exit_code
 
 
 # -- table ------------------------------------------------------------------------

@@ -18,7 +18,10 @@ its word (Field.sums), counting their entries into plain dicts; see
 _min_weight.
 
 run_checks is the one place a file's claims become check results, for
-`qmds verify` and for the certificate `qmds construct` writes.  Its distance
+`qmds verify` and for the certificate `qmds construct` writes.  It returns
+the report as the plain dict canonical_json prints, built by report; each
+check in it is a dict of name, verdict, method, work_count and detail, so
+a new check is one branch and a new field is one key.  Its distance
 and MDS checks take one route, which is_mds takes too: enumerate when the
 q^(2k) messages fit the cap, else test the column floor, else report the
 check skipped.  The floor tests d >= w on the w - 1 subsets of the
@@ -41,51 +44,6 @@ from .linalg import entrywise_frobenius, nullspace, row_space_contains, transpos
 
 DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_WORK_BUDGET = 10**8
-
-
-class CheckResult:
-    __slots__ = ("name", "verdict", "method", "work_count", "detail")
-
-    def __init__(self, name: str, verdict: str, method: str, work_count: int = 0, detail: str = ""):
-        self.name = name
-        self.verdict = verdict  # "pass" | "fail" | "skipped"
-        self.method = method
-        self.work_count = work_count
-        self.detail = detail
-
-
-class VerificationReport:
-    """Outcome of a batch of checks against one code.
-
-    A skipped check (for example an enumeration over the cap) never fails
-    the report; only an explicit "fail" verdict does.
-    """
-
-    __slots__ = ("target", "checks")
-
-    def __init__(self, target: str, checks: list[CheckResult] | None = None):
-        self.target = target
-        self.checks = [] if checks is None else checks
-
-    @property
-    def overall(self) -> str:
-        return "fail" if any(c.verdict == "fail" for c in self.checks) else "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "verdict": c.verdict,
-                    "method": c.method,
-                    "work_count": c.work_count,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
 
 
 def min_distance_exact(code: LinearCode, cap: int = DEFAULT_ENUM_CAP, workers: int = 1) -> int:
@@ -329,15 +287,25 @@ _ENUMERATION = "exhaustive message enumeration"
 _Outcome = tuple[bool | None, str, int, str]
 
 
+def report(target: str, checks: list[dict]) -> dict:
+    """The report on a batch of checks against one target, as printed.
+
+    A skipped check (for example an enumeration over the cap) never fails
+    the report; only an explicit "fail" verdict does.
+    """
+    overall = "fail" if any(check["verdict"] == "fail" for check in checks) else "pass"
+    return {"target": target, "overall": overall, "checks": checks}
+
+
 def run_checks(
     code: LinearCode, names: tuple[str, ...], orthogonality: str | None, cap: int = DEFAULT_ENUM_CAP
-) -> VerificationReport:
-    """Run the named checks (from CHECKS) against what the code's file
-    claims: its orthogonality, and the distance claim on the code object.
-    A check whose property is not claimed reports skipped.  The distance and
-    MDS checks share one run of _distance_route, so a code is enumerated,
-    or floor-checked, at most once."""
-    report = VerificationReport(target=f"[{code.n},{code.k}] over GF({code.field.q2})")
+) -> dict:
+    """The report of the named checks (from CHECKS, in the order given)
+    against what the code's file claims: its orthogonality, and the distance
+    claim on the code object.  A check whose property is not claimed reports
+    skipped.  The distance and MDS checks share one run of _distance_route,
+    so a code is enumerated, or floor-checked, at most once."""
+    checks = []
     route = cache(lambda: _distance_route(code, code.distance_claim, cap, code.known_distance is not None))
     for name in names:
         if name == "gram":
@@ -349,8 +317,8 @@ def run_checks(
         else:
             ok, method, work_count, detail = _mds(code, route)
         verdict = "skipped" if ok is None else "pass" if ok else "fail"
-        report.checks.append(CheckResult(name, verdict, method, work_count, detail))
-    return report
+        checks.append(dict(name=name, verdict=verdict, method=method, work_count=work_count, detail=detail))
+    return report(f"[{code.n},{code.k}] over GF({code.field.q2})", checks)
 
 
 def _gram(code: LinearCode, claimed: bool) -> _Outcome:

@@ -27,14 +27,13 @@ from qmds.grs import (
 from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.verify import (
     CHECKS,
-    CheckResult,
-    VerificationReport,
     _subsets_independent,
     dual_containing_check,
     enumeration_classes,
     is_mds,
     min_distance_at_least,
     min_distance_exact,
+    report,
     run_checks,
 )
 
@@ -188,8 +187,8 @@ def test_mds_claim_with_k_below_n_minus_k_walks_the_generator(monkeypatch, code)
     assert is_mds(code, cap=10)
     # grs_generator records the MDS claim itself
     assert code.claimed_distance_lb == code.n - code.k + 1
-    checks = run_checks(code, ("min-distance", "mds"), None, cap=10).checks
-    assert [c.verdict for c in checks] == ["pass", "pass"]
+    checks = run_checks(code, ("min-distance", "mds"), None, cap=10)["checks"]
+    assert [c["verdict"] for c in checks] == ["pass", "pass"]
     assert calls == []
 
 
@@ -237,9 +236,9 @@ def test_min_distance_past_printable_counts_is_skipped():
     for i, row in enumerate(rows):
         row[i] = row[k + i] = 1
     code = LinearCode(field=f, generator=Matrix(f, rows, cols=2 * k), claimed_distance_lb=k + 1)
-    (check,) = run_checks(code, ("min-distance",), None).checks
-    assert (check.verdict, check.work_count) == ("skipped", 0)
-    assert check.detail == (
+    (check,) = run_checks(code, ("min-distance",), None)["checks"]
+    assert (check["verdict"], check["work_count"]) == ("skipped", 0)
+    assert check["detail"] == (
         "q^2k = 63001^900 messages exceed the cap of 4194304; "
         "estimated work C(1800, 900)*900^3 exceeds the budget 100000000"
     )
@@ -311,14 +310,11 @@ def test_gram_gate_equals_the_ladder_ingredient_verdict(q):
 
 
 def test_report_overall():
-    r = VerificationReport(target="demo")
-    assert r.overall == "pass"
-    r.checks.append(CheckResult(name="a", verdict="pass", method="x"))
-    r.checks.append(CheckResult(name="b", verdict="skipped", method="x"))
-    assert r.overall == "pass"
-    r.checks.append(CheckResult(name="c", verdict="fail", method="x"))
-    assert r.overall == "fail"
-    d = r.to_dict()
+    assert report("demo", []) == {"target": "demo", "overall": "pass", "checks": []}
+    checks = [{"name": "a", "verdict": "pass"}, {"name": "b", "verdict": "skipped"}]
+    assert report("demo", checks)["overall"] == "pass"
+    checks.append({"name": "c", "verdict": "fail"})
+    d = report("demo", checks)
     assert d["overall"] == "fail"
     assert [c["name"] for c in d["checks"]] == ["a", "b", "c"]
 
@@ -331,8 +327,8 @@ def test_past_cap_refusals_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        report = run_checks(code, CHECKS, "self-orthogonal")
-        del report
+        result = run_checks(code, CHECKS, "self-orthogonal")
+        del result
         assert gc.collect() == 0
     finally:
         gc.enable()

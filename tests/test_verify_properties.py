@@ -262,14 +262,14 @@ def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
     d = naive_min_distance(code.field, code.generator)
     claim, w = code.distance_claim, code.n - code.k + 1
     enumerated = cap >= code.field.q2**code.k
-    distance, mds = run_checks(code, ("min-distance", "mds"), None, cap).checks
+    distance, mds = run_checks(code, ("min-distance", "mds"), None, cap)["checks"]
     # an exact claim is checked as one on either side of the cap
     holds = d == claim if code.known_distance is not None else d >= claim
-    assert distance.verdict == ("pass" if holds else "fail"), (d, claim)
-    assert distance.method.startswith("exhaustive") == enumerated
+    assert distance["verdict"] == ("pass" if holds else "fail"), (d, claim)
+    assert distance["method"].startswith("exhaustive") == enumerated
     if claim == w:
-        assert mds.verdict == ("pass" if d == w else "fail")
-        assert mds.method.startswith("exhaustive") == enumerated
+        assert mds["verdict"] == ("pass" if d == w else "fail")
+        assert mds["method"].startswith("exhaustive") == enumerated
     else:
-        assert mds.verdict == "skipped"
+        assert mds["verdict"] == "skipped"
     assert is_mds(code, cap) == (d == w)
