@@ -85,8 +85,9 @@ class GrsSpec:
 class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
-    known_distance is an exact distance that a code file claims: within
-    qmds only cli.load_code_file sets it, never a construction.  A
+    known_distance is an exact distance that a code file claims.  It
+    starts unset, and within qmds only cli.load_code_file sets it, after
+    construction; no constructor takes it.  A
     constructed code carries its best provable lower bound in
     claimed_distance_lb.
     provenance starts empty; only a ladder (whether it was certified) and a
@@ -115,12 +116,11 @@ class LinearCode:
         self,
         field: Field,
         generator: Matrix,
-        known_distance: int | None = None,
         claimed_distance_lb: int | None = None,
     ):
         self.field = field
         self.generator = generator
-        self.known_distance = known_distance
+        self.known_distance: int | None = None
         self.claimed_distance_lb = claimed_distance_lb
         self.provenance: dict = {}
         self._self_orthogonal: bool | None = None

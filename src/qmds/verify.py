@@ -170,7 +170,7 @@ def enumeration_classes(code: LinearCode) -> int:
     return (q2**k - 1) // (q2 - 1)
 
 
-def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_BUDGET) -> bool:
+def min_distance_at_least(code: LinearCode, w: int) -> bool:
     """True exactly when d >= w: every (w-1)-subset of parity-check columns
     must be linearly independent.
 
@@ -186,7 +186,8 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
     side stays.
 
     The work estimate C(n, w-1) (w-1)^3, one elimination per subset, is
-    checked against the budget before starting.  It bounds either walk's
+    checked against DEFAULT_WORK_BUDGET, read at each call, before
+    starting.  It bounds either walk's
     work from above and is kept as it was, so every pass or refusal stays
     the same."""
     n = code.n
@@ -200,9 +201,9 @@ def min_distance_at_least(code: LinearCode, w: int, budget: int = DEFAULT_WORK_B
         # always dependent; equivalently Singleton gives d <= r + 1 < w
         return False
     cost = comb(n, w - 1) * (w - 1) ** 3
-    if cost > budget:
+    if cost > DEFAULT_WORK_BUDGET:
         count = _count(cost, f"C({n}, {w - 1})*{w - 1}^3")
-        raise WorkBudgetExceeded(f"estimated work {count} exceeds the budget {budget}")
+        raise WorkBudgetExceeded(f"estimated work {count} exceeds the budget {DEFAULT_WORK_BUDGET}")
     if w - 1 == r and 0 < code.k < r:
         return _subsets_independent(code.field, transpose(code.generator).data, code.k)
     cols = transpose(nullspace(code.generator)).data

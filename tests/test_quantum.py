@@ -214,7 +214,8 @@ def test_hermitian_construction_rejects_non_containing():
 
 def test_hermitian_construction_full_space():
     f = field_for_q(3)
-    full = LinearCode(field=f, generator=Matrix.identity(f, 6), known_distance=1)
+    full = LinearCode(field=f, generator=Matrix.identity(f, 6))
+    full.known_distance = 1
     qp = hermitian_construction(full)
     assert (qp.n, qp.k, qp.d) == (6, 6, 1)
     assert singleton_check(qp) == "saturated"

@@ -147,8 +147,9 @@ def test_distance_floor_walks_99_columns_deep():
 
 def test_distance_floor_budget(monkeypatch):
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
+    monkeypatch.setattr("qmds.verify.DEFAULT_WORK_BUDGET", 1)
     with pytest.raises(WorkBudgetExceeded):
-        min_distance_at_least(code, 4, budget=1)
+        min_distance_at_least(code, 4)
 
     # a refusal, and a w past the dual's dimension, come before the parity
     # check matrix is computed
@@ -157,7 +158,7 @@ def test_distance_floor_budget(monkeypatch):
 
     monkeypatch.setattr("qmds.verify.nullspace", no_nullspace)
     with pytest.raises(WorkBudgetExceeded):
-        min_distance_at_least(code, 4, budget=1)
+        min_distance_at_least(code, 4)
     assert not min_distance_at_least(code, 8)
 
 
@@ -211,14 +212,16 @@ def test_zero_code_floor_keeps_the_parity_side(monkeypatch):
     assert calls == [(0, 8)]
 
 
-def test_huge_counts_are_written_as_formulas():
+def test_huge_counts_are_written_as_formulas(monkeypatch):
     # up to 30 digits a count is printed in decimal, as it always was
     f = field_for_q(3)
     with pytest.raises(EnumerationTooLarge, match=r"q\^2k = 282429536481 messages exceed"):
         min_distance_exact(LinearCode(field=f, generator=Matrix.identity(f, 12)))
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
-    with pytest.raises(WorkBudgetExceeded, match=r"estimated work 1512 exceeds the budget 1$"):
-        min_distance_at_least(code, 4, budget=1)
+    with monkeypatch.context() as patched:
+        patched.setattr("qmds.verify.DEFAULT_WORK_BUDGET", 1)
+        with pytest.raises(WorkBudgetExceeded, match=r"estimated work 1512 exceeds the budget 1$"):
+            min_distance_at_least(code, 4)
     # a longer one as the power or product it comes from; the [16000, 1]
     # estimate has about 4800 digits, past what Python prints
     wide = LinearCode(field=f, generator=Matrix(f, [[1] * 16000]))
