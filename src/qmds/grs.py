@@ -54,7 +54,8 @@ DUAL_CELL_CAP = 17_000_000
 class GrsSpec:
     """Evaluation data for a GRS code: points, column multipliers, dimension.
 
-    Treat instances as immutable.
+    Treat instances as immutable.  Every point and multiplier must be a
+    field element, 0..q^2 - 1, the rule Matrix applies to its entries.
     """
 
     __slots__ = ("field", "points", "multipliers", "k", "_code")
@@ -72,6 +73,10 @@ class GrsSpec:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
         if len(self.multipliers) != n:
             raise BadDimension(f"{n} points against {len(self.multipliers)} multipliers")
+        entries, q2 = self.points + self.multipliers, field.q2
+        if entries and not (0 <= min(entries) and max(entries) < q2):
+            bad = next(x for x in entries if not 0 <= x < q2)
+            raise DimensionMismatch(f"entry {bad} outside field of size {q2}")
         if any(v == 0 for v in self.multipliers):
             raise ZeroMultiplier("column multipliers must be nonzero")
         if not 1 <= self.k <= n:
@@ -178,10 +183,12 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     the points, entry by entry, so no power is taken; a point 0 keeps v in
     row 0 and 0 after it, the 0^0 = 1 convention.
 
-    The generator is marked full rank: GrsSpec has refused duplicate
-    points, zero multipliers and k outside 1..n, and k rows on distinct
-    points with nonzero multipliers are independent, since every k x k
-    minor is a column-scaled Vandermonde determinant.  For the same reason
+    The generator's entries are products of field elements GrsSpec has
+    checked, so they are not checked again.  It is marked full rank:
+    GrsSpec has refused duplicate points, zero multipliers and k outside
+    1..n, and k rows on distinct points with nonzero multipliers are
+    independent, since every k x k minor is a column-scaled Vandermonde
+    determinant.  For the same reason
     GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
     bound; known_distance stays unset, as on every constructed code.
 
@@ -191,7 +198,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     """
     if spec._code is None:
         f = spec.field
-        generator = Matrix(f, _running_product_rows(f, spec.multipliers, spec.points, spec.k), cols=spec.n)
+        generator = Matrix._trusted(f, _running_product_rows(f, spec.multipliers, spec.points, spec.k), spec.n)
         generator._full_rank = True
         spec._code = LinearCode(field=f, generator=generator, claimed_distance_lb=spec.n - spec.k + 1)
     return spec._code

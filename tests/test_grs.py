@@ -1,12 +1,11 @@
 """GRS construction tests.
 
-Expected values follow the oracle-first rule: distances come from a
-test-local exhaustive enumeration and orthogonality from a test-local
-double loop over generator rows, independent of the library's power-sum
-shortcut.
+Expected values follow the oracle-first rule: distances come from the
+exhaustive enumeration in tests/test_verify.py and orthogonality from a
+test-local double loop over generator rows, independent of the library's
+power-sum shortcut.
 """
 
-import itertools
 import random
 
 import pytest
@@ -49,25 +48,7 @@ from qmds.grs import (
 )
 from qmds.linalg import Matrix, rank, row_space_contains, stack
 from test_linalg_properties import naive_nullspace
-
-
-def naive_min_distance(field, gen):
-    """Minimum nonzero weight by enumerating every message."""
-    k, n = len(gen), len(gen[0])
-    best = n
-    for msg in itertools.product(range(field.q2), repeat=k):
-        if not any(msg):
-            continue
-        w = 0
-        for t in range(n):
-            acc = 0
-            for c, row in zip(msg, gen):
-                if c and row[t]:
-                    acc = field.add(acc, field.mul(c, row[t]))
-            if acc:
-                w += 1
-        best = min(best, w)
-    return best
+from test_verify import naive_min_distance
 
 
 def gram_oracle(field, spec):
@@ -136,7 +117,7 @@ def test_family_a_q3_distance_seven():
     code = grs_generator(spec)
     assert grs_generator(spec) is code
     assert code.claimed_distance_lb == 7
-    assert naive_min_distance(spec.field, code.generator.data) == 7
+    assert naive_min_distance(spec.field, code.generator) == 7
 
 
 def test_family_a_generator_shape_and_rank():
@@ -343,7 +324,7 @@ def test_dual_cell_cap_admits_q64_and_refuses_q67():
 def test_full_field_primal_distance_eight():
     f = field_for_q(3)
     code = grs_generator(full_field_spec(f, 2))
-    assert naive_min_distance(f, code.generator.data) == 8
+    assert naive_min_distance(f, code.generator) == 8
 
 
 def test_extended_q3_all_ones_identity():
@@ -410,7 +391,7 @@ def test_extended_primal_distance_is_mds():
     f = field_for_q(3)
     primal = extended_self_orthogonal(f, 2)
     assert primal.claimed_distance_lb == 9
-    assert naive_min_distance(f, primal.generator.data) == 9
+    assert naive_min_distance(f, primal.generator) == 9
 
 
 def test_repetition_code():
@@ -418,7 +399,7 @@ def test_repetition_code():
     spec = GrsSpec(field=f, points=tuple(range(5)), multipliers=(1,) * 5, k=1)
     code = grs_generator(spec)
     assert code.generator.data == [[1] * 5]
-    assert naive_min_distance(f, code.generator.data) == 5
+    assert naive_min_distance(f, code.generator) == 5
 
 
 def test_hermitian_dual_properties():
@@ -465,6 +446,23 @@ def test_spec_validation_errors():
         GrsSpec(field=f, points=(1, 2), multipliers=(1, 1), k=3)
     with pytest.raises(BadDimension):
         GrsSpec(field=f, points=(1, 2), multipliers=(1, 1, 1), k=1)
+
+
+def test_spec_entries_outside_the_field_are_refused():
+    # -1 would alias element 8 of GF(9) through the log table, and 100 would
+    # index past it; both are refused where the spec is made
+    f = field_for_q(3)
+    for points, multipliers in (
+        ((-1, 8, 1, 2), (1, 1, 1, 1)),
+        ((100, 1, 2, 3), (1, 1, 1, 1)),
+        ((0, 1, 2, 3), (1, 9, 1, 1)),
+        ((0, 1, 2, 3), (1, -1, 1, 1)),
+    ):
+        with pytest.raises(DimensionMismatch, match="outside field of size 9"):
+            GrsSpec(field=f, points=points, multipliers=multipliers, k=2)
+    # the field's last element, 8, is one
+    spec = GrsSpec(field=f, points=(0, 8, 1, 2), multipliers=(8, 1, 1, 1), k=2)
+    assert naive_min_distance(f, grs_generator(spec).generator) == 3
 
 
 def test_construction_errors():
