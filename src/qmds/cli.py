@@ -221,10 +221,8 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
         check = {"name": "orthogonality", "verdict": "skipped", "method": "none", "work_count": 0}
         detail = "forced construction carries no orthogonality claim"
     else:
-        if claim == "self-orthogonal":
-            name = "gram"
-        else:
-            name = "dual-containing"
+        name = "gram" if claim == "self-orthogonal" else "dual-containing"
+        if name == "dual-containing":
             code = LinearCode(field=code.field, generator=code.generator)
         [check] = run_checks(code, (name,), claim)["checks"]
         detail = "construction-time self-certification"

@@ -54,8 +54,7 @@ DUAL_CELL_CAP = 17_000_000
 class GrsSpec:
     """Evaluation data for a GRS code: points, column multipliers, dimension.
 
-    Treat instances as immutable.  Every point and multiplier must be a
-    field element, 0..q^2 - 1, the rule Matrix applies to its entries.
+    Treat instances as immutable; every point and multiplier is a field element.
     """
 
     __slots__ = ("field", "points", "multipliers", "k", "_code")
@@ -90,9 +89,8 @@ class GrsSpec:
 class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
-    known_distance is an exact distance that a code file claims.  It
-    starts unset, and within qmds only cli.load_code_file sets it, after
-    construction; no constructor takes it.  A
+    known_distance is an exact distance that a code file claims: it starts
+    unset, and only cli.load_code_file sets it, after construction.  A
     constructed code carries its best provable lower bound in
     claimed_distance_lb.
     provenance starts empty; only a ladder (whether it was certified) and a
@@ -183,14 +181,13 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     the points, entry by entry, so no power is taken; a point 0 keeps v in
     row 0 and 0 after it, the 0^0 = 1 convention.
 
-    The generator's entries are products of field elements GrsSpec has
-    checked, so they are not checked again.  It is marked full rank:
-    GrsSpec has refused duplicate points, zero multipliers and k outside
-    1..n, and k rows on distinct points with nonzero multipliers are
-    independent, since every k x k minor is a column-scaled Vandermonde
-    determinant.  For the same reason
-    GRS codes are MDS, so n - k + 1 is recorded as a claimed distance lower
-    bound; known_distance stays unset, as on every constructed code.
+    Its entries are products of elements GrsSpec has checked, so none is
+    checked again, and it is marked full rank: GrsSpec has refused
+    duplicate points, zero multipliers and k outside 1..n, and k rows on
+    distinct points with nonzero multipliers are independent, since every
+    k x k minor is a column-scaled Vandermonde determinant.  For the same
+    reason GRS codes are MDS, so n - k + 1 is recorded as a claimed distance
+    lower bound; known_distance stays unset, as on every constructed code.
 
     The code is built at the first call, kept in spec._code and returned
     by every later call, Gram verdict and all: callers share it and write

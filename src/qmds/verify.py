@@ -19,15 +19,14 @@ _min_weight.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  It returns
-the report as the plain dict canonical_json prints, built by report; each
-check in it is a dict of name, verdict, method, work_count and detail, so
-a new check is one branch and a new field is one key.  Its distance
-and MDS checks take one route, which is_mds takes too: enumerate when the
-q^(2k) messages fit the cap, else test the column floor, else report the
-check skipped.  The floor tests d >= w on the w - 1 subsets of the
-parity-check columns; an MDS claim on a code with k < n - k is tested on
-the k-subsets of the generator's columns instead, which are independent
-exactly when the code is MDS."""
+the plain dict canonical_json prints, so a new check is one branch and a
+new report field one key.  Its distance and MDS checks take one route,
+which is_mds takes too: enumerate when the q^(2k) messages fit the cap,
+else test the column floor, else report the check skipped.  The floor
+tests d >= w on the w - 1 subsets of the parity-check columns; an MDS
+claim on a code with k < n - k is tested on the k-subsets of the
+generator's columns instead, which are independent exactly when the code
+is MDS."""
 
 from __future__ import annotations
 
@@ -186,10 +185,9 @@ def min_distance_at_least(code: LinearCode, w: int) -> bool:
     side stays.
 
     The work estimate C(n, w-1) (w-1)^3, one elimination per subset, is
-    checked against DEFAULT_WORK_BUDGET, read at each call, before
-    starting.  It bounds either walk's
-    work from above and is kept as it was, so every pass or refusal stays
-    the same."""
+    checked against DEFAULT_WORK_BUDGET, read at each call, before starting.
+    It bounds either walk's work from above and is kept as it was, so every
+    pass or refusal stays the same."""
     n = code.n
     if w <= 1:
         return True
@@ -289,11 +287,8 @@ _Outcome = tuple[bool | None, str, int, str]
 
 
 def report(target: str, checks: list[dict]) -> dict:
-    """The report on a batch of checks against one target, as printed.
-
-    A skipped check (for example an enumeration over the cap) never fails
-    the report; only an explicit "fail" verdict does.
-    """
+    """The report on checks against one target, as printed: a skipped check
+    (an enumeration over the cap, say) never fails it, only a "fail" does."""
     overall = "fail" if any(check["verdict"] == "fail" for check in checks) else "pass"
     return {"target": target, "overall": overall, "checks": checks}
 
