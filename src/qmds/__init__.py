@@ -37,7 +37,6 @@ from .quantum import (
 )
 from .verify import (
     dual_containing_check,
-    is_mds,
     min_distance_at_least,
     min_distance_exact,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "hermitian_construction",
     "hermitian_dual",
     "hermitian_gram",
-    "is_mds",
     "is_self_orthogonal",
     "matrix_product",
     "min_distance_at_least",

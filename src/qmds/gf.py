@@ -172,13 +172,6 @@ class Field:
             raise DivisionByZero("inverse of zero")
         return self._exp[-self._log[a] % (self.q2 - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] - self._log[b]) % (self.q2 - 1)]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -353,10 +346,6 @@ class Field:
         return self._gram[1]
 
     # -- tower structure ------------------------------------------------------
-
-    def frobenius_q(self, a: int) -> int:
-        """The conjugation x -> x^q; an involution fixing exactly GF(q)."""
-        return self._conj[a]
 
     def norm(self, a: int) -> int:
         """x -> x^(q+1), multiplicative onto GF(q); fibers have size q+1."""

@@ -54,7 +54,8 @@ DUAL_CELL_CAP = 17_000_000
 class GrsSpec:
     """Evaluation data for a GRS code: points, column multipliers, dimension.
 
-    Treat instances as immutable; every point and multiplier is a field element.
+    Treat instances as immutable; every point and multiplier is a field
+    element, an int in 0..q^2 - 1, and k is an int.
     """
 
     __slots__ = ("field", "points", "multipliers", "k", "_code")
@@ -67,19 +68,19 @@ class GrsSpec:
         # the code grs_generator builds from this spec, once; a new spec
         # over the same data starts without one
         self._code: LinearCode | None = None
+        q2 = field.q2
+        for x in self.points + self.multipliers:
+            if type(x) is not int or not 0 <= x < q2:
+                raise DimensionMismatch(f"entry {x!r} outside field of size {q2}")
         n = len(self.points)
         if len(set(self.points)) != n:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
         if len(self.multipliers) != n:
             raise BadDimension(f"{n} points against {len(self.multipliers)} multipliers")
-        entries, q2 = self.points + self.multipliers, field.q2
-        if entries and not (0 <= min(entries) and max(entries) < q2):
-            bad = next(x for x in entries if not 0 <= x < q2)
-            raise DimensionMismatch(f"entry {bad} outside field of size {q2}")
         if any(v == 0 for v in self.multipliers):
             raise ZeroMultiplier("column multipliers must be nonzero")
-        if not 1 <= self.k <= n:
-            raise BadDimension(f"dimension {self.k} outside 1..{n}")
+        if type(self.k) is not int or not 1 <= self.k <= n:
+            raise BadDimension(f"dimension {self.k!r} outside 1..{n}")
 
     @property
     def n(self) -> int:

@@ -29,7 +29,8 @@ from .gf import Field
 
 
 class Matrix:
-    """A rows x cols grid of field element indices.
+    """A rows x cols grid of field element indices, each an int in
+    0..q^2 - 1; any other entry is refused with DimensionMismatch.
 
     Treat instances as immutable; operations always return fresh objects.
     Zero-row matrices are legal (kernels of injective maps, generators of
@@ -61,8 +62,8 @@ class Matrix:
         q2 = field.q2
         for row in self.data:
             for x in row:
-                if not 0 <= x < q2:
-                    raise DimensionMismatch(f"entry {x} outside field of size {q2}")
+                if type(x) is not int or not 0 <= x < q2:
+                    raise DimensionMismatch(f"entry {x!r} outside field of size {q2}")
 
     @classmethod
     def _trusted(cls, field: Field, data: list[list[int]], cols: int) -> "Matrix":
@@ -74,10 +75,6 @@ class Matrix:
         m.field, m.data, m.rows, m.cols = field, data, len(data), cols
         m._echelon, m._full_rank = None, False
         return m
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -132,12 +129,6 @@ def _eliminate(m: Matrix) -> tuple[list[list[int]], list[int]]:
             r += 1
         m._echelon = (rows, pivots)
     return m._echelon
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    rows, pivots = _eliminate(m)
-    # the cached rows are copied, so a caller writing the result cannot reach the cache
-    return Matrix._trusted(m.field, [list(r) for r in rows], m.cols), list(pivots)
 
 
 def rank(m: Matrix) -> int:

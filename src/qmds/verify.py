@@ -20,13 +20,12 @@ _min_weight.
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes.  It returns
 the plain dict canonical_json prints, so a new check is one branch and a
-new report field one key.  Its distance and MDS checks take one route,
-which is_mds takes too: enumerate when the q^(2k) messages fit the cap,
-else test the column floor, else report the check skipped.  The floor
-tests d >= w on the w - 1 subsets of the parity-check columns; an MDS
-claim on a code with k < n - k is tested on the k-subsets of the
-generator's columns instead, which are independent exactly when the code
-is MDS."""
+new report field one key.  Its distance and MDS checks take one route:
+enumerate when the q^(2k) messages fit the cap, else test the column
+floor, else report the check skipped.  The floor tests d >= w on the
+w - 1 subsets of the parity-check columns; an MDS claim on a code with
+k < n - k is tested on the k-subsets of the generator's columns instead,
+which are independent exactly when the code is MDS."""
 
 from __future__ import annotations
 
@@ -243,18 +242,6 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
         return True
 
     return all(map(any, vectors)) and (s == 1 or walk(vectors, s))
-
-
-def is_mds(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Certified d = n - k + 1, by the route the verify checks take: full
-    enumeration when it fits the cap, otherwise the column-independence
-    floor (Singleton pins d from above, so the floor alone settles it).
-    Budget overruns and the zero code's BadDimension propagate."""
-    w = code.n - code.k + 1
-    try:
-        return min_distance_exact(code, cap=cap) == w
-    except EnumerationTooLarge:
-        return min_distance_at_least(code, w)
 
 
 def dual_containing_check(code: LinearCode) -> bool:

@@ -47,6 +47,7 @@ from qmds.grs import (
     _subfield_kernel,
 )
 from qmds.linalg import Matrix, rank, row_space_contains, stack
+from test_linalg import identity
 from test_linalg_properties import naive_nullspace
 from test_verify import naive_min_distance
 
@@ -235,9 +236,9 @@ def test_power_sum_full_subgroup():
 
 def test_gram_identity_generator_not_self_orthogonal():
     f = field_for_q(3)
-    code = LinearCode(field=f, generator=Matrix.identity(f, 2))
+    code = LinearCode(field=f, generator=identity(f, 2))
     gram = hermitian_gram(code)
-    assert gram == Matrix.identity(f, 2)
+    assert gram == identity(f, 2)
 
 
 def test_gram_hermitian_symmetry():
@@ -250,7 +251,7 @@ def test_gram_hermitian_symmetry():
         gram = hermitian_gram(code)
         for i in range(3):
             for j in range(3):
-                assert gram.data[i][j] == f.frobenius_q(gram.data[j][i])
+                assert [gram.data[i][j]] == f.conjugate([gram.data[j][i]])
 
 
 def test_gram_power_sum_equivalence_smoke():
@@ -404,7 +405,7 @@ def test_repetition_code():
 
 def test_hermitian_dual_properties():
     f = field_for_q(3)
-    full = LinearCode(field=f, generator=Matrix.identity(f, 4))
+    full = LinearCode(field=f, generator=identity(f, 4))
     zero = hermitian_dual(full)
     assert zero.k == 0 and zero.n == 4
     rng = random.Random(3)
@@ -433,7 +434,7 @@ def test_construction_params_refuse_a_negative_a_or_an_m_below_one(a, m):
 def test_a_generator_over_another_field_is_refused():
     f, other = field_for_q(3), field_for_q(5)
     with pytest.raises(DimensionMismatch):
-        LinearCode(field=f, generator=Matrix.identity(other, 2))
+        LinearCode(field=f, generator=identity(other, 2))
 
 
 def test_spec_validation_errors():
@@ -446,17 +447,25 @@ def test_spec_validation_errors():
         GrsSpec(field=f, points=(1, 2), multipliers=(1, 1), k=3)
     with pytest.raises(BadDimension):
         GrsSpec(field=f, points=(1, 2), multipliers=(1, 1, 1), k=1)
+    # k = 2.0 passes the range check and would claim d >= 3.0
+    with pytest.raises(BadDimension, match=r"^dimension 2\.0 outside 1\.\.4$"):
+        GrsSpec(field=f, points=(0, 1, 2, 3), multipliers=(1, 1, 1, 1), k=2.0)
 
 
 def test_spec_entries_outside_the_field_are_refused():
     # -1 would alias element 8 of GF(9) through the log table, and 100 would
-    # index past it; both are refused where the spec is made
+    # index past it; 1.0 and True pass the range check, but a float indexes
+    # no table; all are refused where the spec is made
     f = field_for_q(3)
     for points, multipliers in (
         ((-1, 8, 1, 2), (1, 1, 1, 1)),
         ((100, 1, 2, 3), (1, 1, 1, 1)),
         ((0, 1, 2, 3), (1, 9, 1, 1)),
         ((0, 1, 2, 3), (1, -1, 1, 1)),
+        ((0, 1.0, 2, 3), (1, 1, 1, 1)),
+        ((0, 1, 1.0, 3), (1, 1, 1, 1)),  # refused as a non-int, not as a duplicate
+        ((0, 1.5, 2, 3), (1, 1, 1, 1)),
+        ((0, 2, 3, 4), (1, True, 1, 1)),
     ):
         with pytest.raises(DimensionMismatch, match="outside field of size 9"):
             GrsSpec(field=f, points=points, multipliers=multipliers, k=2)

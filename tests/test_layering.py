@@ -1,8 +1,9 @@
 """Layering: only qmds.gf reads the tables of a Field, the command-line
 front end chooses no oracle, importing it loads no process pool and no
 dataclasses, each cached fact is written only by the function that computes
-it, no module imports a name it never uses, and every source file parses as
-the oldest Python the package supports.
+it, no module imports a name it never uses, every public function has a
+caller outside the unit tests, and every source file parses as the oldest
+Python the package supports.
 
 Every other module of the package does its arithmetic through the field's
 element methods and vector kernels, so the choice between the addition
@@ -21,6 +22,8 @@ import subprocess
 import sys
 from functools import cache
 from pathlib import Path
+
+import pytest
 
 import qmds
 from qmds.gf import field_for_q
@@ -170,6 +173,102 @@ def test_every_module_uses_what_it_imports():
         for entry in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not unused, unused
+
+
+ROOT = PACKAGE.parents[1]
+# public functions that only the unit tests call, each with its reason
+TEST_ONLY = {
+    # tests check containment and code equality against rank(stack(...)),
+    # an oracle that shares no code with row_space_contains
+    "linalg.stack",
+}
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """Each module of the package by name; __init__ only re-exports."""
+    return {path.stem: parsed(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def caller_trees() -> list[ast.Module]:
+    """The callers outside the package that count: the benchmark, the
+    acceptance criteria and the golden-corpus script."""
+    tests = ROOT / "tests"
+    paths = [*sorted((ROOT / "perfbench").glob("*.py")), tests / "test_acceptance.py", tests / "golden" / "regen.py"]
+    return [parsed(path) for path in paths]
+
+
+def owned_nodes(module: str, tree: ast.Module):
+    """(owner, node) for the top-level nodes of a module, with each class
+    split into its statements: owner is the qualified name of a function or
+    method, module.name or module.Class.name, and None for anything else."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                method = isinstance(item, ast.FunctionDef)
+                yield (f"{module}.{node.name}.{item.name}" if method else None), item
+            yield from ((None, n) for n in node.bases + node.decorator_list)
+        else:
+            yield (f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else None), node
+
+
+def names_read(tree: ast.AST):
+    """("attr", name) for each attribute read, ("import", name) for each
+    name imported from a module and ("name", name) for each bare name read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield "attr", node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (("import", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id
+
+
+def uncalled(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The public functions and methods of modules that nothing outside
+    their own body reads: a method through an attribute, and a function
+    through an attribute, an import, or a bare name in its own module.  A
+    bare name elsewhere is some other variable."""
+    defined, reads = set(), set()
+    for module, tree in modules.items():
+        for owner, node in owned_nodes(module, tree):
+            if owner and not owner.rsplit(".", 1)[1].startswith("_"):
+                defined.add(owner)
+            reads |= {(kind, name, module, owner) for kind, name in names_read(node)}
+    for tree in callers:
+        reads |= {(kind, name, None, None) for kind, name in names_read(tree)}
+
+    def called(qualname: str) -> bool:
+        module, *cls, name = qualname.split(".")
+        return any(
+            read == name and owner != qualname and (kind == "attr" or not cls and (kind == "import" or where == module))
+            for kind, read, where, owner in reads
+        )
+
+    return sorted(q for q in defined if not called(q))
+
+
+def test_every_public_function_has_a_caller_outside_the_unit_tests():
+    # a public name only the unit tests call is a second way to an answer
+    # some other function owns; TEST_ONLY lists the ones kept on purpose
+    assert uncalled(package_trees(), caller_trees()) == sorted(TEST_ONLY)
+
+
+@pytest.mark.parametrize(
+    "qualname", ["verify.is_mds", "linalg.rref", "linalg.Matrix.identity", "gf.Field.div", "gf.Field.frobenius_q"]
+)
+def test_the_caller_check_sees_a_returning_test_only_name(qualname):
+    # the public names that went because only tests called them
+    modules = package_trees()
+    module, *cls, name = qualname.split(".")
+    body = modules[module].body
+    if cls:
+        body = next(node for node in body if isinstance(node, ast.ClassDef) and node.name == cls[0]).body
+    body += ast.parse(f"def {name}(a, b):\n    return {name}").body
+    assert uncalled(modules, caller_trees()) == sorted([qualname, *TEST_ONLY])
 
 
 def test_every_exported_name_resolves():

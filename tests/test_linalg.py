@@ -11,17 +11,22 @@ from qmds.gf import Field, field_new
 from qmds.grs import LinearCode
 from qmds.linalg import (
     Matrix,
+    _eliminate,
     entrywise_frobenius,
     inverse,
     nullspace,
     rank,
     row_equivalent,
     row_space_contains,
-    rref,
     stack,
     transpose,
 )
 from qmds.verify import dual_containing_check
+
+
+def identity(f, n):
+    """The n x n identity matrix over f."""
+    return Matrix(f, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
 def det3(f, m):
@@ -63,7 +68,7 @@ def random_invertible(f, rng, n):
 
 def test_identity_rank_and_nullspace():
     f = field_new(3)
-    eye = Matrix.identity(f, 4)
+    eye = identity(f, 4)
     assert rank(eye) == 4
     assert nullspace(eye).rows == 0
     assert nullspace(eye).cols == 4
@@ -74,8 +79,8 @@ def test_pair_mixer_inverse_small_primes():
         f = field_new(p)
         a = Matrix(f, [[1, 1], [1, f.element(p - 1)]])
         ainv = inverse(a)
-        assert naive_matmul(a, ainv) == Matrix.identity(f, 2)
-        assert naive_matmul(ainv, a) == Matrix.identity(f, 2)
+        assert naive_matmul(a, ainv) == identity(f, 2)
+        assert naive_matmul(ainv, a) == identity(f, 2)
 
 
 def test_vandermonde_rank_q5():
@@ -123,7 +128,7 @@ def test_inverse_randomized():
     for _ in range(25):
         n = rng.randrange(1, 5)
         m = random_invertible(f, rng, n)
-        assert naive_matmul(m, inverse(m)) == Matrix.identity(f, n)
+        assert naive_matmul(m, inverse(m)) == identity(f, n)
 
 
 def test_rref_is_idempotent_and_pivots_sorted():
@@ -131,10 +136,9 @@ def test_rref_is_idempotent_and_pivots_sorted():
     f = field_new(5)
     for _ in range(20):
         m = random_matrix(f, rng, 4, 6)
-        r, piv = rref(m)
+        r, piv = _eliminate(m)
         assert piv == sorted(piv)
-        r2, piv2 = rref(r)
-        assert r2 == r and piv2 == piv
+        assert _eliminate(Matrix(f, r, cols=m.cols)) == (r, piv)
 
 
 def test_a_wide_matrix_and_its_conjugate_share_one_elimination(monkeypatch):
@@ -179,6 +183,8 @@ def test_entrywise_frobenius_fixes_subfield_matrices():
         ([[0, 9]], None),  # past GF(9)
         ([[-1, 0]], None),
         ([], -5),  # zero rows and a negative width
+        ([[1.5, 2]], None),  # not an int
+        ([[True, 0]], None),  # equal to 1, but not an int
     ],
 )
 def test_public_constructor_refuses_bad_data(data, cols):
@@ -228,5 +234,5 @@ def test_zero_row_matrix_edge_cases():
     assert rank(empty) == 0
     ns = nullspace(empty)
     assert ns.rows == 3  # whole space
-    assert stack(empty, Matrix.identity(f, 3)).rows == 3
+    assert stack(empty, identity(f, 3)).rows == 3
     assert transpose(empty).cols == 0

@@ -44,6 +44,8 @@ from qmds.mpc import (
 )
 from qmds.verify import dual_containing_check, min_distance_at_least, min_distance_exact
 
+from test_linalg import identity
+
 
 def random_code(f, rng, n, k=None):
     while True:
@@ -86,7 +88,7 @@ def test_identity_mixer_preserves_code():
     f = field_for_q(3)
     rng = random.Random(3)
     code = random_code(f, rng, 5, k=2)
-    prod = matrix_product(MpcSpec(codes=(code,), mixer=Matrix.identity(f, 1)))
+    prod = matrix_product(MpcSpec(codes=(code,), mixer=identity(f, 1)))
     assert prod.n == code.n and prod.k == code.k
     assert row_equivalent(prod.generator, code.generator)
 
@@ -94,7 +96,7 @@ def test_identity_mixer_preserves_code():
 def test_mixer_prefix_distances():
     f = field_for_q(3)
     assert mixer_prefix_distances(pair_mixer(f)) == [2, 1]
-    assert mixer_prefix_distances(Matrix.identity(f, 3)) == [1, 1, 1]
+    assert mixer_prefix_distances(identity(f, 3)) == [1, 1, 1]
     # [[1,1,1]] alone spans the repetition code of length 3
     assert mixer_prefix_distances(Matrix(f, [[1, 1, 1]])) == [3]
 
@@ -103,7 +105,7 @@ def test_a_mixer_past_the_enumeration_cap_is_refused_at_once():
     # GF(64)^9 messages exceed the cap; the 8-row prefix alone would take
     # about 4.4e12 scalar classes
     f = field_for_q(8)
-    mixer = Matrix.identity(f, 9)
+    mixer = identity(f, 9)
     codes = [LinearCode(field=f, generator=Matrix(f, [[1]]))] * 9
     for call in (lambda: mixer_prefix_distances(mixer), lambda: matrix_product(MpcSpec(codes, mixer))):
         start = time.perf_counter()
@@ -155,20 +157,20 @@ def test_spec_validation():
     c9 = random_code(f9, rng, 3, k=1)
     c25 = random_code(f25, rng, 3, k=1)
     with pytest.raises(MixedFields):
-        MpcSpec(codes=(c9, c25), mixer=Matrix.identity(f9, 2))
+        MpcSpec(codes=(c9, c25), mixer=identity(f9, 2))
     with pytest.raises(MixedFields):
-        MpcSpec(codes=(c9,), mixer=Matrix.identity(f25, 1))
+        MpcSpec(codes=(c9,), mixer=identity(f25, 1))
     with pytest.raises(LengthMismatch):
-        MpcSpec(codes=(c9, random_code(f9, rng, 4, k=1)), mixer=Matrix.identity(f9, 2))
+        MpcSpec(codes=(c9, random_code(f9, rng, 4, k=1)), mixer=identity(f9, 2))
     with pytest.raises(RankDeficientMixer):
         MpcSpec(codes=(c9, c9), mixer=Matrix(f9, [[1, 1], [2, 2]]))
     with pytest.raises(RankDeficientMixer):
         # more rows than columns can never have full row rank
         MpcSpec(codes=(c9, c9), mixer=Matrix(f9, [[1], [2]]))
     with pytest.raises(BadDimension):
-        MpcSpec(codes=(c9,), mixer=Matrix.identity(f9, 2))
+        MpcSpec(codes=(c9,), mixer=identity(f9, 2))
     with pytest.raises(BadDimension):
-        MpcSpec(codes=(), mixer=Matrix.identity(f9, 1))
+        MpcSpec(codes=(), mixer=identity(f9, 1))
 
 
 def test_dual_needs_square_mixer():

@@ -41,6 +41,8 @@ from qmds.quantum import (
     theorem_mp7,
 )
 
+from test_linalg import identity
+
 
 @pytest.fixture(scope="module")
 def table_rows():
@@ -214,7 +216,7 @@ def test_hermitian_construction_rejects_non_containing():
 
 def test_hermitian_construction_full_space():
     f = field_for_q(3)
-    full = LinearCode(field=f, generator=Matrix.identity(f, 6))
+    full = LinearCode(field=f, generator=identity(f, 6))
     full.known_distance = 1
     qp = hermitian_construction(full)
     assert (qp.n, qp.k, qp.d) == (6, 6, 1)

@@ -27,15 +27,17 @@ from qmds.grs import (
 from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.verify import (
     CHECKS,
+    DEFAULT_ENUM_CAP,
     _subsets_independent,
     dual_containing_check,
     enumeration_classes,
-    is_mds,
     min_distance_at_least,
     min_distance_exact,
     report,
     run_checks,
 )
+
+from test_linalg import identity
 
 
 def naive_min_distance(field, gen: Matrix) -> int:
@@ -51,6 +53,13 @@ def naive_min_distance(field, gen: Matrix) -> int:
         w = sum(1 for x in word if x)
         best = min(best, w)
     return best
+
+
+def mds_check(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> dict:
+    """The mds check of run_checks on a code that claims d >= n - k + 1."""
+    assert code.distance_claim == code.n - code.k + 1
+    (check,) = run_checks(code, ("mds",), None, cap)["checks"]
+    return check
 
 
 def random_code(f, rng, n, k):
@@ -96,10 +105,10 @@ def test_exact_distance_refuses_a_worker_count():
 
 def test_exact_distance_cap():
     f = field_for_q(3)
-    big = LinearCode(field=f, generator=Matrix.identity(f, 12))
+    big = LinearCode(field=f, generator=identity(f, 12))
     with pytest.raises(EnumerationTooLarge):
         min_distance_exact(big)  # 9^12 messages
-    small = LinearCode(field=f, generator=Matrix.identity(f, 2))
+    small = LinearCode(field=f, generator=identity(f, 2))
     with pytest.raises(EnumerationTooLarge):
         min_distance_exact(small, cap=10)
     with pytest.raises(BadDimension):
@@ -126,7 +135,7 @@ def test_distance_floor_trivial_and_edge_cases():
     with pytest.raises(BadDimension):
         min_distance_at_least(code, 6)  # w-1 exceeds the length
     # the full space has distance 1, caught before any subset search
-    full = LinearCode(field=f, generator=Matrix.identity(f, 4))
+    full = LinearCode(field=f, generator=identity(f, 4))
     assert not min_distance_at_least(full, 2)
 
 
@@ -185,7 +194,7 @@ def test_mds_claim_with_k_below_n_minus_k_walks_the_generator(monkeypatch, code)
     # and no parity-check matrix is computed
     calls = count_nullspace_calls(monkeypatch)
     assert min_distance_at_least(code, code.n - code.k + 1)
-    assert is_mds(code, cap=10)
+    assert mds_check(code, cap=10)["verdict"] == "pass"
     # grs_generator records the MDS claim itself
     assert code.claimed_distance_lb == code.n - code.k + 1
     checks = run_checks(code, ("min-distance", "mds"), None, cap=10)["checks"]
@@ -198,7 +207,8 @@ def test_mds_claim_with_k_past_n_minus_k_walks_the_parity_checks(monkeypatch):
     # columns are the small side
     code = construct_extended(field_for_q(5), 4)
     calls = count_nullspace_calls(monkeypatch)
-    assert is_mds(code)
+    check = mds_check(code)
+    assert (check["verdict"], check["method"]) == ("pass", "column-independence floor")
     assert calls == [(22, 26)]
 
 
@@ -216,7 +226,7 @@ def test_huge_counts_are_written_as_formulas(monkeypatch):
     # up to 30 digits a count is printed in decimal, as it always was
     f = field_for_q(3)
     with pytest.raises(EnumerationTooLarge, match=r"q\^2k = 282429536481 messages exceed"):
-        min_distance_exact(LinearCode(field=f, generator=Matrix.identity(f, 12)))
+        min_distance_exact(LinearCode(field=f, generator=identity(f, 12)))
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
     with monkeypatch.context() as patched:
         patched.setattr("qmds.verify.DEFAULT_WORK_BUDGET", 1)
@@ -250,19 +260,24 @@ def test_min_distance_past_printable_counts_is_skipped():
 def test_is_mds():
     f = field_for_q(3)
     code = grs_generator(construct_family_A(ConstructionParams(3, 1, 1, 3)))
-    assert is_mds(code)
-    not_mds = LinearCode(field=f, generator=Matrix(f, [[1, 0, 0], [0, 1, 0]]))
-    assert not is_mds(not_mds)  # d = 1 < 2
+    assert mds_check(code)["verdict"] == "pass"
+    not_mds = LinearCode(field=f, generator=Matrix(f, [[1, 0, 0], [0, 1, 0]]), claimed_distance_lb=2)
+    assert mds_check(not_mds)["verdict"] == "fail"  # d = 1 < 2
     # too big to enumerate, settled by the column floor instead
-    full = LinearCode(field=f, generator=Matrix.identity(f, 16))
-    assert is_mds(full)  # [n, n, 1]
+    full = LinearCode(field=f, generator=identity(f, 16), claimed_distance_lb=1)
+    check = mds_check(full)  # [n, n, 1]
+    assert (check["verdict"], check["method"]) == ("pass", "column-independence floor")
 
 
-def test_is_mds_past_the_cap_and_the_floor_budget_raises():
+def test_mds_check_past_the_cap_and_the_floor_budget_is_skipped():
     # [81, 76] over GF(81): too many messages to enumerate, and about 3.2e9
     # column-subset steps for the floor
-    with pytest.raises(WorkBudgetExceeded):
-        is_mds(construct_full_field(field_for_q(9), 5))
+    code = construct_full_field(field_for_q(9), 5)
+    check = mds_check(code)
+    assert (check["verdict"], check["work_count"]) == ("skipped", 0)
+    with pytest.raises(WorkBudgetExceeded) as over:
+        min_distance_at_least(code, code.n - code.k + 1)
+    assert check["detail"] == str(over.value)
 
 
 def test_is_mds_on_duals():
@@ -270,7 +285,8 @@ def test_is_mds_on_duals():
     # for naive tooling but fine here
     f = field_for_q(3)
     dual = construct_full_field(f, 2)
-    assert is_mds(dual, cap=10**7)
+    check = mds_check(dual, cap=10**7)
+    assert (check["verdict"], check["method"]) == ("pass", "exhaustive message enumeration")
 
 
 def test_hermitian_checks():
@@ -331,10 +347,14 @@ def test_past_cap_refusals_leave_no_reference_cycle():
     gc.disable()
     try:
         result = run_checks(code, CHECKS, "self-orthogonal")
+        mds = result["checks"][-1]
         del result
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # is_mds raises the floor's refusal itself
-    with pytest.raises(WorkBudgetExceeded):
-        is_mds(code, cap=0)
+    # the mds check past the cap and the floor budget reports the floor's
+    # refusal as its detail
+    assert (mds["name"], mds["verdict"]) == ("mds", "skipped")
+    with pytest.raises(WorkBudgetExceeded) as over:
+        min_distance_at_least(code, code.n - code.k + 1)
+    assert mds["detail"] == str(over.value)

@@ -32,8 +32,9 @@ enumerator over GF(529)) and with the parity-check walk called directly.
 `run_checks` reaches both oracles by one route: enumerate when q^(2k) fits
 the cap, else test the column floor (twice for an exact claim w, at w and
 w + 1).  With caps on both sides of q^(2k), its min-distance and mds
-verdicts on random distance claims, exact or lower bounds, and `is_mds`,
-must agree with the naive distance over GF(4), GF(9) and GF(25).
+verdicts on random distance claims, exact or lower bounds, and its mds
+verdict on the same generator claiming n - k + 1, must agree with the naive
+distance over GF(4), GF(9) and GF(25).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.mpc import mixer_prefix_distances
 from qmds.verify import (
     _subsets_independent,
-    is_mds,
     min_distance_at_least,
     min_distance_exact,
     run_checks,
@@ -272,4 +272,7 @@ def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
         assert mds["method"].startswith("exhaustive") == enumerated
     else:
         assert mds["verdict"] == "skipped"
-    assert is_mds(code, cap) == (d == w)
+    # the same generator claiming d >= w: its mds check passes exactly when d = w
+    claims_w = LinearCode(field=code.field, generator=code.generator, claimed_distance_lb=w)
+    (mds,) = run_checks(claims_w, ("mds",), None, cap)["checks"]
+    assert mds["verdict"] == ("pass" if d == w else "fail")
