@@ -95,9 +95,10 @@ def load_code_file(path: str) -> LinearCode:
         field = field_with_modulus(_integer(fld["p"]), _integer(fld["t"]), tuple(map(_integer, fld["modulus"])))
         sec = raw["code"]
         n, k = _integer(sec["n"]), _integer(sec["k"])
-        gen = [list(map(_integer, row)) for row in sec["generator"]]
+        gen = sec["generator"]
         if len(gen) != k or any(len(row) != n for row in gen):
             raise FileMalformed("generator shape disagrees with the declared n, k")
+        # Matrix refuses every entry that is not an int in 0..q^2 - 1
         code = LinearCode(field=field, generator=Matrix(field, gen, cols=n))
         # only an absent provenance or claims section means "claims nothing"
         provenance = raw.get("provenance", {})
@@ -212,18 +213,15 @@ def _build(args) -> tuple[LinearCode, dict]:
 def _self_certificate(code: LinearCode, provenance: dict) -> dict:
     """Construction-time re-check of the orthogonality claim, by the same
     run_checks that verify uses for it.  A self-orthogonality claim keeps
-    the Gram verdict the constructor decided.  A dual-containment claim is
-    checked on a fresh code over the same generator, which carries no dual,
-    so the rank route that verify takes on the file is the one that runs
-    here too."""
+    the Gram verdict the constructor decided.  A dual-containment claim
+    takes the rank route, which reads no carried dual, so the check that
+    verify runs on the file is the one that runs here too."""
     claim = provenance["claims"]["orthogonality"]
     if claim is None:
         check = {"name": "orthogonality", "verdict": "skipped", "method": "none", "work_count": 0}
         detail = "forced construction carries no orthogonality claim"
     else:
         name = "gram" if claim == "self-orthogonal" else "dual-containing"
-        if name == "dual-containing":
-            code = LinearCode(field=code.field, generator=code.generator)
         [check] = run_checks(code, (name,), claim)["checks"]
         detail = "construction-time self-certification"
     check["detail"] = detail

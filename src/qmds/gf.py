@@ -369,10 +369,6 @@ class Field:
         assert lu % (self.q + 1) == 0
         return self._exp[(lu // (self.q + 1)) % (self.q - 1)]
 
-    def element(self, c: int) -> int:
-        """Embed an integer through the prime subfield."""
-        return c % self.p
-
     def elements(self) -> range:
         return range(self.q2)
 
@@ -496,8 +492,8 @@ def _canonical_field(p: int, t: int) -> Field:
 
 def field_for_q(q: int) -> Field:
     """GF(q^2) for a prime power q, factoring q as p^t."""
-    if q * q > SIZE_CAP:
-        raise FieldTooLarge(f"q^2 = {q}^2 exceeds {SIZE_CAP}")
+    if type(q) is not int or q * q > SIZE_CAP:
+        raise FieldTooLarge(f"q^2 = {q}^2 exceeds {SIZE_CAP}" if type(q) is int else f"q = {q!r} is not an int")
     p = 2
     while p * p <= q:
         if q % p == 0:

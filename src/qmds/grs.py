@@ -29,6 +29,7 @@ and extended constructors have decided that verdict already.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .errors import (
     BadDimension,
@@ -152,27 +153,20 @@ class LinearCode:
 
 
 def _require_odd_q(q: int) -> None:
-    """Refuse a q that is not odd and at least 3."""
-    if q < 3 or q % 2 == 0:
-        raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q}")
+    """Refuse a q that is not an odd int of at least 3."""
+    if type(q) is not int or q < 3 or q % 2 == 0:
+        raise EvenCharacteristic(f"q must be an odd prime power >= 3, got {q!r}")
 
 
-class ConstructionParams:
-    """(q, a, m, d) for the parametric families.  Treat instances as immutable.
+class ConstructionParams(NamedTuple):
+    """(q, a, m, d) for the parametric families.  It refuses nothing: each
+    family's constructor runs _check_window on it before building anything,
+    and family_params derives m from the family's congruence."""
 
-    Family-specific congruences between q, a and m live in GRS_FAMILIES,
-    and family_params derives m from them; only shape sanity lives here.
-    """
-
-    __slots__ = ("q", "a", "m", "d")
-
-    def __init__(self, q: int, a: int, m: int, d: int):
-        self.q, self.a, self.m, self.d = q, a, m, d
-        _require_odd_q(q)
-        if a < 0 or m < 1:
-            raise CongruenceViolated(f"bad divisor parameters a={a}, m={m}")
-        if d < 2:
-            raise DistanceOutOfRange("design distance starts at 2")
+    q: int
+    a: int
+    m: int
+    d: int
 
 
 def grs_generator(spec: GrsSpec) -> LinearCode:
@@ -390,16 +384,18 @@ def _family(family: str) -> tuple:
 
 
 def _check_window(family: str, params: ConstructionParams) -> None:
-    """Refuse (q, a, m, d) outside the family's congruence and distance window."""
+    """Refuse (q, a, m, d) outside the family's window, or not all ints: the
+    one check of a family's parameters, run before anything is built."""
     _, congruence, divide, a_min, m_min, d_max = GRS_FAMILIES[family]
-    q, a, m, d = params.q, params.a, params.m, params.d
+    q, a, m, d = params
+    _require_odd_q(q)
     name = "family " + family[-1].upper()
-    if a < a_min or divide(q, a) != (m, 0):
-        raise CongruenceViolated(f"{name} needs q = {congruence}, got q={q}, a={a}, m={m}")
+    if type(a) is not int or type(m) is not int or a < a_min or divide(q, a) != (m, 0):
+        raise CongruenceViolated(f"{name} needs q = {congruence}, got q={q}, a={a!r}, m={m!r}")
     if m < m_min:
         raise BadDimension(f"{name} is empty for m < {m_min}")
-    if not 2 <= d <= d_max(a, m):
-        raise DistanceOutOfRange(f"{name} supports 2 <= d <= {d_max(a, m)}, got d={d}")
+    if type(d) is not int or not 2 <= d <= d_max(a, m):
+        raise DistanceOutOfRange(f"{name} supports 2 <= d <= {d_max(a, m)}, got d={d!r}")
 
 
 def family_params(family: str, q: int, a: int, d: int) -> ConstructionParams:
@@ -455,8 +451,8 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
     zero over a full field); what is returned is its Hermitian dual.
     """
     q = field.q
-    if not 1 <= k <= q - 1:
-        raise DimensionOutOfRange(f"need 1 <= k <= q - 1 = {q - 1}, got k={k}")
+    if type(k) is not int or not 1 <= k <= q - 1:
+        raise DimensionOutOfRange(f"need 1 <= k <= q - 1 = {q - 1}, got k={k!r}")
     _check_dual_cells(field.q2, k)
     primal = grs_generator(full_field_spec(field, k))
     if not is_self_orthogonal(primal):
@@ -504,8 +500,8 @@ def extended_self_orthogonal(field: Field, k: int) -> LinearCode:
     there the one closed form provably has a zero entry.
     """
     q, q2 = field.q, field.q2
-    if not 1 <= k <= q:
-        raise DimensionOutOfRange(f"need 1 <= k <= q = {q}, got k={k}")
+    if type(k) is not int or not 1 <= k <= q:
+        raise DimensionOutOfRange(f"need 1 <= k <= q = {q}, got k={k!r}")
     if field.p == 2 and k == q - 1:
         # with c^2 = b and x^2 = N(c), x in GF(q), the point alpha = x/c has
         # N(alpha) = 1 and Tr(b*alpha^2) = Tr(x)^2 = 0, so u_b(alpha) = 0

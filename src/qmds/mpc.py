@@ -140,7 +140,7 @@ def pair_mixer(field: Field) -> Matrix:
     """[[1, 1], [1, p-1]] over GF(q^2); needs odd characteristic."""
     if field.p == 2:
         raise EvenCharacteristic("the pairing mixer needs odd characteristic")
-    return Matrix(field, [[1, 1], [1, field.element(field.p - 1)]])
+    return Matrix(field, [[1, 1], [1, field.neg(1)]])
 
 
 def pair_construction(c1: LinearCode, c2: LinearCode) -> LinearCode:
@@ -210,14 +210,14 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     provenance says only whether the output is certified, plus those
     verdicts when it is not.
     """
-    if variant not in LADDER_VARIANTS:
-        raise BadDimension(f"variant must be 1..6, got {variant}")
+    if type(variant) is not int or variant not in LADDER_VARIANTS:
+        raise BadDimension(f"variant must be 1..6, got {variant!r}")
     _require_odd_q(q)
+    if type(d) is not int or d < 2:
+        raise DistanceOutOfRange(f"design distance is an int from 2, got {d!r}")
     parity = LADDER_VARIANTS[variant][1]
     if d % 2 != parity:
         raise ParityMismatch(f"variant {variant} needs {'even' if parity == 0 else 'odd'} d, got {d}")
-    if d < 2:
-        raise DistanceOutOfRange("design distance starts at 2")
     in_range = ladder_in_window(q, d, variant)
     if not in_range and not force:
         raise DistanceOutOfRange(

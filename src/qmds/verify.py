@@ -1,13 +1,14 @@
 """Independent certification oracles: exact distance by enumeration, distance
 floors by column independence, MDS certification, and the two Hermitian
 duality checks.  Everything here recomputes from the generator matrix and
-never trusts a claim recorded on the code object.  The one thing read off
-the object is the code spanning its Hermitian dual: grs.hermitian_dual
-links the kernel it computes back to its primal, and mpc.matrix_product
-keeps a product's dual only after checking it on the two generators.
-Every code qmds builds to contain its dual carries that dual, so its
-containment verdict is the dual's Gram verdict, kept on the dual once
-decided; a loaded code carries none and takes the rank route each time.
+never trusts a claim recorded on the code object.  The one thing
+dual_containing_check reads off the object, for the constructors, is the
+code spanning its Hermitian dual: grs.hermitian_dual links the kernel it
+computes back to its primal, and mpc.matrix_product keeps a product's dual
+only after checking it on the two generators.  Every code qmds builds to
+contain its dual carries that dual, so its containment verdict is the
+dual's Gram verdict, kept on the dual once decided.  A report reads no
+carried dual: run_checks decides containment by the rank route alone.
 
 The exact distance is a depth-first walk over the generator's rows, one
 scalar class at a time, once the columns are arranged to make the last row
@@ -18,7 +19,8 @@ its word (Field.sums), counting their entries into plain dicts; see
 _min_weight.
 
 run_checks is the one place a file's claims become check results, for
-`qmds verify` and for the certificate `qmds construct` writes.  It returns
+`qmds verify` and for the certificate `qmds construct` writes, and a
+report depends only on the generator, the claims and the cap.  It returns
 the plain dict canonical_json prints, so a new check is one branch and a
 new report field one key.  Its distance and MDS checks take one route:
 enumerate when the q^(2k) messages fit the cap, else test the column
@@ -38,7 +40,7 @@ from operator import countOf
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
 from .grs import LinearCode, _check_dual_cells, is_self_orthogonal
-from .linalg import entrywise_frobenius, nullspace, row_space_contains, transpose
+from .linalg import Matrix, entrywise_frobenius, nullspace, row_space_contains, transpose
 
 DEFAULT_ENUM_CAP = 1 << 22
 DEFAULT_WORK_BUDGET = 10**8
@@ -188,10 +190,10 @@ def min_distance_at_least(code: LinearCode, w: int) -> bool:
     It bounds either walk's work from above and is kept as it was, so every
     pass or refusal stays the same."""
     n = code.n
+    if type(w) is not int or w - 1 > n:
+        raise BadDimension(f"w = {w!r} must be an int with w - 1 <= the length {n}")
     if w <= 1:
         return True
-    if w - 1 > n:
-        raise BadDimension(f"w - 1 = {w - 1} exceeds the length {n}")
     r = n - code.k  # the generator has full row rank
     if w - 1 > r:
         # columns live in an r-dimensional space, so w-1 of them are
@@ -251,16 +253,19 @@ def dual_containing_check(code: LinearCode) -> bool:
     exactly when D is self-orthogonal, because D's own Hermitian dual is
     the code (Ketkar-Klappenecker-Kumar-Sarvepalli, IEEE T-IT 2006); that
     takes D's Gram matrix only, and is_self_orthogonal keeps the verdict on
-    D.  Every code qmds builds to contain its dual carries it; a loaded
-    code, which carries none, is tested by reducing the conjugate of its
-    generator's kernel against the generator's echelon form, so the
-    generator is eliminated once and read twice.  That kernel is refused
-    with DimensionOutOfRange past the DUAL_CELL_CAP every constructor
-    applies to a Hermitian dual, before it is built."""
+    D.  Every code qmds builds to contain its dual carries it; a code
+    carrying none takes _rank_route, the one route run_checks takes."""
     if code._hermitian_dual is not None:
         return is_self_orthogonal(code._hermitian_dual)
-    _check_dual_cells(code.n, code.k)
-    g = code.generator  # the conjugate of its kernel spans the Hermitian dual
+    return _rank_route(code.generator)
+
+
+def _rank_route(g: Matrix) -> bool:
+    """Whether g's row space holds its Hermitian dual, the conjugate of its
+    kernel, reduced against g's echelon form: g is eliminated once and read
+    twice.  Past the DUAL_CELL_CAP every constructor applies to a Hermitian
+    dual, that kernel is refused with DimensionOutOfRange before it is built."""
+    _check_dual_cells(g.cols, g.rows)
     return row_space_contains(g, entrywise_frobenius(nullspace(g)))
 
 
@@ -315,13 +320,10 @@ def _gram(code: LinearCode, claimed: bool) -> _Outcome:
 
 
 def _dual_containing(code: LinearCode, claimed: bool) -> _Outcome:
-    if code._hermitian_dual is None:
-        method = "rank of stacked generators"
-    else:
-        method = "hermitian gram matrix of the carried dual"
+    method = "rank of stacked generators"
     if not claimed:
         return None, method, 0, "file does not claim dual containment"
-    ok = dual_containing_check(code)
+    ok = _rank_route(code.generator)
     return ok, method, code.n, "hermitian dual is contained" if ok else "hermitian dual escapes the code"
 
 

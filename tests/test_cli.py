@@ -439,8 +439,7 @@ def test_mp7_decides_each_containment_once(tmp_path, capsys, monkeypatch, entry)
     # the ingredients and the [52, 48] output carry their Hermitian duals, so
     # the pairing and the quantum record decide containment by Gram matrices
     # and reduce nothing against a row space; only the construct-time
-    # certificate, on a fresh code over the output's generator, takes the
-    # rank route
+    # certificate, which reads no carried dual, takes the rank route
     calls = {}  # id(outer) -> [outer, count]; holding outer keeps ids unique
     real = qmds.verify.row_space_contains
 

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from qmds import grs, linalg, mpc
+from qmds import gf, grs, linalg, mpc
 from qmds.errors import (
+    BadDimension,
+    CongruenceViolated,
     DimensionOutOfRange,
+    DistanceOutOfRange,
+    EvenCharacteristic,
+    FieldTooLarge,
     NotDualContaining,
     NotMds,
     NotSelfOrthogonal,
@@ -22,7 +27,10 @@ from qmds.grs import (
     construct_family_A,
     construct_family_B,
     construct_family_C,
+    construct_extended,
     construct_full_field,
+    extended_self_orthogonal,
+    family_params,
     grs_generator,
     valid_parameter_sets,
 )
@@ -40,6 +48,7 @@ from qmds.quantum import (
     table1,
     theorem_mp7,
 )
+from qmds.verify import min_distance_at_least
 
 from test_linalg import identity
 
@@ -348,3 +357,34 @@ def test_no_violated_records_anywhere(table_rows):
     for row in table_rows:
         assert 2 * row.d <= row.n - row.k + 2
         assert singleton_check(row) == ("saturated" if 2 * row.d == row.n - row.k + 2 else "strict")
+
+
+# a float or a bool where a library entry point takes an int: each call used
+# to raise a bare TypeError or to go through, and gets the class of the
+# range check that now refuses it
+NON_INT_CALLS = {
+    "mp6 d=3.0": (lambda: mp6_ladder(3, 3.0, 2), DistanceOutOfRange),
+    "mp6 d=2.5": (lambda: mp6_ladder(3, 2.5, 2), DistanceOutOfRange),
+    "mp6 variant=1.0": (lambda: mp6_ladder(3, 2, 1.0), BadDimension),
+    "mp7 d=3.0": (lambda: theorem_mp7(3, 3.0, 2), DistanceOutOfRange),
+    "mp7 variant=True": (lambda: theorem_mp7(3, 2, True), BadDimension),
+    "extended k=2.0": (lambda: construct_extended(field_for_q(3), 2.0), DimensionOutOfRange),
+    "extended primal k=True": (lambda: extended_self_orthogonal(field_for_q(3), True), DimensionOutOfRange),
+    "full-field k=1.0": (lambda: construct_full_field(field_for_q(3), 1.0), DimensionOutOfRange),
+    "sets q=5.0": (lambda: valid_parameter_sets("grs-a", 5.0), EvenCharacteristic),
+    "grs-a a=True": (lambda: construct_family_A(family_params("grs-a", 5, True, 3)), CongruenceViolated),
+    "grs-b m=3.0": (lambda: construct_family_B(ConstructionParams(5, 1, 3.0, 3)), CongruenceViolated),
+    "grs-a d=3.0": (lambda: construct_family_A(ConstructionParams(5, 2, 1, 3.0)), DistanceOutOfRange),
+    "floor w=2.5": (lambda: min_distance_at_least(construct_full_field(field_for_q(3), 1), 2.5), BadDimension),
+    "field q=7.0": (lambda: field_for_q(7.0), FieldTooLarge),
+    "field q=9.0": (lambda: field_for_q(9.0), FieldTooLarge),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INT_CALLS))
+def test_library_entry_points_refuse_non_int_parameters(monkeypatch, name):
+    # no field is built yet, so field_for_q(7.0) meets no GF(49) keyed (7, 1)
+    monkeypatch.setattr(gf, "_CANONICAL", {})
+    call, refusal = NON_INT_CALLS[name]
+    with pytest.raises(refusal):
+        call()

@@ -10,8 +10,9 @@ the generator itself: the same verdicts, methods, work counts and details.
 The codes are every grs-a, grs-b and grs-c code, every full-field and
 extended code and every certified mp6/mp7 ladder code at q = 3 and q = 5.
 Both sides are fresh LinearCode objects with the constructed distance
-claim and no carried Hermitian dual, so dual containment takes the rank
-route on both.
+claim and no carried Hermitian dual.  The constructed code object itself,
+which may carry its dual and a Gram verdict, must get the same report:
+run_checks reads neither.
 
 One column scaled by an element whose norm is not one is no such map, and
 the orthogonality verdict must then be that of a naive Gram sum: over the
@@ -106,6 +107,12 @@ def isometric_images(draw, code: LinearCode) -> list[list[int]]:
             acc = f.vadd(acc, f.scale(c, row))
         image.append(acc)
     return image
+
+
+@each_code
+def test_the_constructed_code_gets_the_report_of_a_fresh_one(name):
+    code, orthogonality = CODES[name]
+    assert run_checks(code, CHECKS, orthogonality) == original_report(name)
 
 
 @each_code
