@@ -40,26 +40,42 @@ MDS_Q = (2, 3, 4, 5, 7)
 LADDER_Q = (3, 5, 7)
 
 
-def _code_file(n: int, k: int, generator: list[list[int]], orthogonality: str = "dual-containing") -> str:
-    """A GF(9) code file claiming the given orthogonality."""
+def _code_file(
+    n: int, k: int, generator: list[list[int]], orthogonality: str = "dual-containing", **distances: int
+) -> str:
+    """A GF(9) code file claiming the given orthogonality and distances."""
     return json.dumps({
         "schema_version": 1,
         "field": {"p": 3, "t": 1, "modulus": [2, 1, 1]},
         "code": {"n": n, "k": k, "generator": generator},
-        "provenance": {"claims": {"orthogonality": orthogonality}},
+        "provenance": {"claims": {"orthogonality": orthogonality, **distances}},
     }) + "\n"
+
+
+# the self-orthogonal [8, 2] code construct writes for grs-a q=3 a=1 d=3,
+# whose distance is 7
+GRS_A_Q3 = [[7, 7, 3, 3, 7, 7, 3, 3], [8, 2, 2, 6, 4, 1, 1, 3]]
+
+
+def _grs_a_q3(known: int, lb: int) -> str:
+    return _code_file(8, 2, GRS_A_Q3, "self-orthogonal", known_distance=known, claimed_distance_lb=lb)
 
 
 # files verify reads as written: a schema this qmds does not read and a
 # negative length (exit 4, FileMalformed), a [4200, 1] code whose
 # [4200, 4199] kernel would pass grs.DUAL_CELL_CAP (exit 2,
-# DimensionOutOfRange), and a [3, 1] code claiming self-orthogonality on a
-# row whose Hermitian norm is 1, so its Gram check fails (exit 3)
+# DimensionOutOfRange), a [3, 1] code claiming self-orthogonality on a
+# row whose Hermitian norm is 1, so its Gram check fails (exit 3), and the
+# grs-a q=3 code claiming d = 7 (true), d = 6 (false) and both d = 7 and
+# d >= 9, which no length-8 code has
 LOADED = (
     ("schema-version-2.json", '{"schema_version": 2}\n'),
     ("negative-length.json", _code_file(-5, 0, [])),
     ("wide-dual-containing.json", _code_file(4200, 1, [[1] * 4200])),
     ("false-self-orthogonal.json", _code_file(3, 1, [[1, 0, 0]], "self-orthogonal")),
+    ("true-exact-distance.json", _grs_a_q3(7, 7)),
+    ("false-exact-distance.json", _grs_a_q3(6, 6)),
+    ("contradictory-distances.json", _grs_a_q3(7, 9)),
 )
 
 # each check on its own, for one code of each orthogonality claim and for a
