@@ -73,9 +73,10 @@ def code_file_payload(code: LinearCode, provenance: dict, certificates: list[dic
     }
 
 
-def load_code_file(path: str) -> LinearCode:
-    """Parse and validate a code file; any defect maps to FileMalformed,
-    whose message names the file.
+def load_code_file(path: str) -> tuple[LinearCode, dict]:
+    """Parse and validate a code file into its code and its claims section;
+    any defect, a claimed_distance_lb above the known_distance among them,
+    maps to FileMalformed, whose message names the file.
 
     The code lands on gf.field_with_modulus's field: the instance shared
     with every code built in this process when the file names the canonical
@@ -107,10 +108,9 @@ def load_code_file(path: str) -> LinearCode:
             raise FileMalformed("provenance and its claims must be JSON objects")
         if claims.get("orthogonality") not in (None, "self-orthogonal", "dual-containing"):
             raise FileMalformed(f"unknown orthogonality claim {claims['orthogonality']!r}")
-        code.provenance = provenance
-        known, lb = claims.get("known_distance"), claims.get("claimed_distance_lb")
-        code.known_distance = None if known is None else _distance(known)
-        code.claimed_distance_lb = None if lb is None else _distance(lb)
+        known, lb = map(_distance, (claims.get("known_distance"), claims.get("claimed_distance_lb")))
+        if None not in (known, lb) and lb > known:
+            raise FileMalformed(f"claimed_distance_lb {lb} exceeds known_distance {known}")
     except FileMalformed as e:
         # the checks above say what is wrong; the file is named here
         raise FileMalformed(f"{path}: {e}") from None
@@ -118,7 +118,7 @@ def load_code_file(path: str) -> LinearCode:
         raise FileMalformed(f"{path} does not match the code file schema: {e}") from e
     except QmdsError as e:
         raise FileMalformed(f"{path} holds invalid code data: {e}") from e
-    return code
+    return code, claims
 
 
 def _integer(x) -> int:
@@ -128,10 +128,10 @@ def _integer(x) -> int:
     return x
 
 
-def _distance(x) -> int:
-    """A distance claim: a JSON integer of at least 1, the least weight a
-    nonzero word can have; a lower claim says nothing and would always pass."""
-    if _integer(x) < 1:
+def _distance(x) -> int | None:
+    """A distance claim: null, or a JSON integer of at least 1, the least
+    weight a nonzero word can have; a lower claim would always pass."""
+    if x is not None and _integer(x) < 1:
         raise FileMalformed(f"distance claim {x} is below 1")
     return x
 
@@ -205,7 +205,7 @@ def _build(args) -> tuple[LinearCode, dict]:
     claims = {
         "orthogonality": orthogonality,
         "claimed_distance_lb": code.claimed_distance_lb,
-        "known_distance": code.known_distance,
+        "known_distance": None,
     }
     return code, {"construction": args.family, "parameters": parameters, "claims": claims, **extra}
 
@@ -222,7 +222,7 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
         detail = "forced construction carries no orthogonality claim"
     else:
         name = "gram" if claim == "self-orthogonal" else "dual-containing"
-        [check] = run_checks(code, (name,), claim)["checks"]
+        [check] = run_checks(code, (name,), provenance["claims"])["checks"]
         detail = "construction-time self-certification"
     check["detail"] = detail
     return report(provenance["construction"], [check])
@@ -232,7 +232,7 @@ def _self_certificate(code: LinearCode, provenance: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
-    code = load_code_file(args.infile)
+    code, claims = load_code_file(args.infile)
     if args.max_enum is not None:
         cap = args.max_enum
     else:
@@ -244,9 +244,8 @@ def cmd_verify(args) -> int:
     if cap < 0:
         source = "--max-enum" if args.max_enum is not None else "QMDS_MAX_ENUM"
         raise BadDimension(f"{source} must be at least 0, got {cap}")
-    orthogonality = code.provenance.get("claims", {}).get("orthogonality")
     names = CHECKS if args.check == "all" else (args.check,)
-    result = run_checks(code, names, orthogonality, cap)
+    result = run_checks(code, names, claims, cap)
     sys.stdout.write(canonical_json(result))
     return 0 if result["overall"] == "pass" else VerificationFailure.exit_code
 

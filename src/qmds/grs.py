@@ -91,12 +91,11 @@ class GrsSpec:
 class LinearCode:
     """An [n, k] code presented by a full-rank generator matrix.
 
-    known_distance is an exact distance that a code file claims: it starts
-    unset, and only cli.load_code_file sets it, after construction.  A
-    constructed code carries its best provable lower bound in
-    claimed_distance_lb.
-    provenance starts empty; only a ladder (whether it was certified) and a
-    loaded code file (its provenance section) fill it in.  The generator is
+    It holds only what its constructor proved: claimed_distance_lb is the
+    best lower bound on its distance that the construction gives, or None.
+    A code file's claims stay with the file (cli.load_code_file returns
+    them beside the code).  provenance starts empty; only a ladder forced
+    past its window fills it in, with its failed checks.  The generator is
     never reassigned after construction, so is_self_orthogonal keeps its
     verdict in _self_orthogonal.
 
@@ -110,7 +109,6 @@ class LinearCode:
     __slots__ = (
         "field",
         "generator",
-        "known_distance",
         "claimed_distance_lb",
         "provenance",
         "_self_orthogonal",
@@ -125,7 +123,6 @@ class LinearCode:
     ):
         self.field = field
         self.generator = generator
-        self.known_distance: int | None = None
         self.claimed_distance_lb = claimed_distance_lb
         self.provenance: dict = {}
         self._self_orthogonal: bool | None = None
@@ -142,11 +139,6 @@ class LinearCode:
     @property
     def k(self) -> int:
         return self.generator.rows
-
-    @property
-    def distance_claim(self) -> int | None:
-        """The exact distance when known, else the claimed lower bound."""
-        return self.known_distance if self.known_distance is not None else self.claimed_distance_lb
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q2}))"
@@ -182,7 +174,7 @@ def grs_generator(spec: GrsSpec) -> LinearCode:
     distinct points with nonzero multipliers are independent, since every
     k x k minor is a column-scaled Vandermonde determinant.  For the same
     reason GRS codes are MDS, so n - k + 1 is recorded as a claimed distance
-    lower bound; known_distance stays unset, as on every constructed code.
+    lower bound.
 
     The code is built at the first call, kept in spec._code and returned
     by every later call, Gram verdict and all: callers share it and write

@@ -73,7 +73,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     the mixer has full row rank, and each G_i has it.  The recorded
     distance bound is min_i {d_i * delta_i}, where delta_i is the exact
     minimum distance of the code spanned by the first i mixer rows and d_i
-    is ingredient i's distance claim (1 when it claims nothing).
+    is ingredient i's claimed distance lower bound (1 when it has none).
 
     When the mixer A is square and every ingredient carries the code D_i
     spanning its Hermitian dual, the product carries D, the D_i mixed
@@ -86,7 +86,7 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     mix = spec.mixer
     gen = _block_generator(spec.codes, mix)
     deltas = mixer_prefix_distances(mix)
-    bound = min((c.distance_claim or 1) * de for c, de in zip(spec.codes, deltas))
+    bound = min((c.claimed_distance_lb or 1) * de for c, de in zip(spec.codes, deltas))
     code = LinearCode(field=f, generator=gen, claimed_distance_lb=bound)
     duals = [c._hermitian_dual for c in spec.codes]
     if mix.rows == mix.cols and all(d is not None for d in duals):

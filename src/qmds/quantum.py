@@ -53,7 +53,7 @@ def singleton_check(params: QuantumParams) -> str:
 
 def hermitian_construction(code: LinearCode) -> QuantumParams:
     """[[n, 2k - n, >= d]]_q from a dual-containing [n, k] code over GF(q^2),
-    with d the code's own distance claim, or 1 when it claims none.
+    with d the code's claimed distance lower bound, or 1 when it has none.
 
     Containment is checked, never assumed: by the Gram verdict of the dual
     the code carries, or by the rank route on a code that carries none.
@@ -65,7 +65,7 @@ def hermitian_construction(code: LinearCode) -> QuantumParams:
         q=code.field.q,
         n=n,
         k=kq,
-        d=code.distance_claim or 1,
+        d=code.claimed_distance_lb or 1,
         d_is_exact=False,
         ancestor={"classical": [n, code.k]},
     )
@@ -78,7 +78,7 @@ def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
         raise NotSelfOrthogonal("ancestor is not Hermitian self-orthogonal")
     n, k = code.n, code.k
     mds_distance = n - k + 1
-    if code.known_distance != mds_distance and code.claimed_distance_lb != mds_distance:
+    if code.claimed_distance_lb != mds_distance:
         raise NotMds("ancestor carries no MDS distance certificate")
     return QuantumParams(
         q=code.field.q,

@@ -1,7 +1,7 @@
 """Independent certification oracles: exact distance by enumeration, distance
 floors by column independence, MDS certification, and the two Hermitian
 duality checks.  Everything here recomputes from the generator matrix and
-never trusts a claim recorded on the code object.  The one thing
+reads no claim off the code object.  The one thing
 dual_containing_check reads off the object, for the constructors, is the
 code spanning its Hermitian dual: grs.hermitian_dual links the kernel it
 computes back to its primal, and mpc.matrix_product keeps a product's dual
@@ -285,25 +285,25 @@ def report(target: str, checks: list[dict]) -> dict:
     return {"target": target, "overall": overall, "checks": checks}
 
 
-def run_checks(
-    code: LinearCode, names: tuple[str, ...], orthogonality: str | None, cap: int = DEFAULT_ENUM_CAP
-) -> dict:
+def run_checks(code: LinearCode, names: tuple[str, ...], claims: dict, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """The report of the named checks (from CHECKS, in the order given)
-    against what the code's file claims: its orthogonality, and the distance
-    claim on the code object.  A check whose property is not claimed reports
-    skipped.  The distance and MDS checks share one run of _distance_route,
-    so a code is enumerated, or floor-checked, at most once."""
+    against claims, a file's claims section: its orthogonality, and its
+    known_distance, else its claimed_distance_lb.  An unclaimed property's
+    check is skipped.  The distance and MDS checks share one run of
+    _distance_route, so a code is enumerated, or floor-checked, at most once."""
+    orthogonality, known = claims.get("orthogonality"), claims.get("known_distance")
+    w = claims.get("claimed_distance_lb") if known is None else known
     checks = []
-    route = cache(lambda: _distance_route(code, code.distance_claim, cap, code.known_distance is not None))
+    route = cache(lambda: _distance_route(code, w, cap, known is not None))
     for name in names:
         if name == "gram":
             ok, method, work_count, detail = _gram(code, orthogonality == "self-orthogonal")
         elif name == "dual-containing":
             ok, method, work_count, detail = _dual_containing(code, orthogonality == "dual-containing")
         elif name == "min-distance":
-            ok, method, work_count, detail = _min_distance(code, route)
+            ok, method, work_count, detail = _min_distance(w, known is not None, route)
         else:
-            ok, method, work_count, detail = _mds(code, route)
+            ok, method, work_count, detail = _mds(code, w, route)
         verdict = "skipped" if ok is None else "pass" if ok else "fail"
         checks.append(dict(name=name, verdict=verdict, method=method, work_count=work_count, detail=detail))
     return report(f"[{code.n},{code.k}] over GF({code.field.q2})", checks)
@@ -361,11 +361,10 @@ def _distance_route(
     return d, d == w if exact else d >= w, enumeration_classes(code), []
 
 
-def _min_distance(code: LinearCode, route) -> _Outcome:
-    w = code.distance_claim
+def _min_distance(w: int | None, exact: bool, route) -> _Outcome:
     if w is None:
         return None, "none", 0, "file carries no distance claim"
-    claim = f"d >= {w}" if code.known_distance is None else f"d = {w}"
+    claim = f"d = {w}" if exact else f"d >= {w}"
     d, ok, work_count, refusals = route()
     if ok is None:
         return None, "column-independence floor", 0, "; ".join(refusals)
@@ -375,9 +374,9 @@ def _min_distance(code: LinearCode, route) -> _Outcome:
     return ok, _ENUMERATION, work_count, f"exact d = {d}, claimed {claim}"
 
 
-def _mds(code: LinearCode, route) -> _Outcome:
+def _mds(code: LinearCode, claim: int | None, route) -> _Outcome:
     w = code.n - code.k + 1
-    if code.distance_claim != w:
+    if claim != w:
         return None, "none", 0, "file does not claim an MDS distance"
     # Singleton pins d <= w from above, so d >= w settles d = w
     d, ok, work_count, refusals = route()

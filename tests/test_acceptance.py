@@ -160,7 +160,7 @@ def test_criterion_5_product_bound_and_dimension():
                 gen = Matrix(f, [[rng.randrange(f.q2) for _ in range(m)] for _ in range(k)])
                 if rank(gen) == k:
                     code = LinearCode(field=f, generator=gen)
-                    code.known_distance = min_distance_exact(code)
+                    code.claimed_distance_lb = min_distance_exact(code)
                     codes.append(code)
                     break
         while True:
@@ -170,7 +170,7 @@ def test_criterion_5_product_bound_and_dimension():
         spec = MpcSpec(codes=tuple(codes), mixer=mixer)
         prod = matrix_product(spec)
         deltas = mixer_prefix_distances(mixer)
-        bound = min(c.known_distance * delta for c, delta in zip(codes, deltas))
+        bound = min(c.claimed_distance_lb * delta for c, delta in zip(codes, deltas))
         exact = min_distance_exact(prod)
         if prod.k == sum(c.k for c in codes) and prod.claimed_distance_lb == bound and exact >= bound:
             good += 1

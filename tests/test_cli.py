@@ -90,7 +90,7 @@ def test_verify_all_on_fresh_file(tmp_path, capsys):
     edited = tmp_path / "edited.json"
     for known, lb, want_rc, want in (
         (7, 7, 0, ("pass", "exact d = 7, claimed d = 7")),
-        (6, 7, 3, ("fail", "exact d = 7, claimed d = 6")),
+        (6, None, 3, ("fail", "exact d = 7, claimed d = 6")),
         (None, None, 0, ("skipped", "file carries no distance claim")),
     ):
         payload = json.loads(path.read_text())
@@ -737,7 +737,7 @@ def test_exact_distance_claim_does_not_depend_on_the_cap(tmp_path, capsys, cap, 
     # and d >= w + 1 fails
     path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
     payload = json.loads(path.read_text())
-    payload["provenance"]["claims"]["known_distance"] = known
+    payload["provenance"]["claims"].update(known_distance=known, claimed_distance_lb=None)
     path.write_text(json.dumps(payload))
     rc, out, err = run_cli(["verify", "--in", str(path), "--check", "min-distance", *cap], capsys)
     assert rc == (0 if verdict == "pass" else 3), err
@@ -753,7 +753,7 @@ def test_exact_distance_claim_over_the_floor_budget_is_skipped(tmp_path, capsys)
     path = construct(tmp_path, capsys, "big.json", "--family", "grs-a", "--q", "7", "--a", "1", "--d", "5")
     for known, verdict in ((44, "skipped"), (45, "skipped"), (46, "fail")):
         payload = json.loads(path.read_text())
-        payload["provenance"]["claims"]["known_distance"] = known
+        payload["provenance"]["claims"].update(known_distance=known, claimed_distance_lb=None)
         edited = tmp_path / f"known{known}.json"
         edited.write_text(json.dumps(payload))
         rc, out, _ = run_cli(["verify", "--in", str(edited), "--check", "min-distance"], capsys)
@@ -761,6 +761,27 @@ def test_exact_distance_claim_over_the_floor_budget_is_skipped(tmp_path, capsys)
         assert (rc, check["verdict"]) == (3 if verdict == "fail" else 0, verdict), known
         if verdict == "skipped":
             assert "exceeds the budget" in check["detail"]
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-enum", "10"]])
+@pytest.mark.parametrize(
+    "q, d, known",
+    [(3, 3, 6), (3, 3, 2), (7, 5, 44)],
+    ids=["q3-known6", "q3-known2", "q7-known44"],
+)
+def test_a_lower_bound_above_the_exact_claim_is_malformed(tmp_path, capsys, cap, q, d, known):
+    # construct claims d >= n - k + 1 (7 on the [8, 2] code, 45 on the
+    # [48, 4] one); no code has a distance equal to known and at least that,
+    # so the file is refused before any check runs, whatever the cap
+    path = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", str(q), "--a", "1", "--d", str(d))
+    payload = json.loads(path.read_text())
+    payload["provenance"]["claims"]["known_distance"] = known
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["verify", "--in", str(path), "--check", "all", *cap], capsys)
+    assert (rc, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "FileMalformed"
+    assert error["message"].endswith(f"exceeds known_distance {known}")
 
 
 def write_code_file(path, f, generator, **claims):
@@ -961,7 +982,9 @@ def test_a_rebound_command_runs_after_the_parser_is_built(capsys, monkeypatch):
 )
 def test_canonical_files_load_onto_the_built_field(tmp_path, capsys, flags, rebuild):
     f = field_for_q(3)
-    code = load_code_file(str(construct(tmp_path, capsys, "c.json", *flags)))
+    path = construct(tmp_path, capsys, "c.json", *flags)
+    code, claims = load_code_file(str(path))
+    assert claims == json.loads(path.read_text())["provenance"]["claims"]
     assert code.field is f
     if rebuild is not None:
         built = rebuild(f)
@@ -977,7 +1000,7 @@ def test_other_moduli_load_onto_fields_of_their_own(tmp_path, capsys):
     bad = tmp_path / "other.json"
     payload["field"]["modulus"] = [2, 2, 1]
     bad.write_text(json.dumps(payload))
-    first, second = load_code_file(str(bad)), load_code_file(str(bad))
+    (first, _), (second, _) = load_code_file(str(bad)), load_code_file(str(bad))
     assert first.field.modulus == [2, 2, 1]
     assert first.field is not f and second.field is not first.field
 
@@ -986,7 +1009,7 @@ def test_other_moduli_load_onto_fields_of_their_own(tmp_path, capsys):
     rc, out, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
     assert (rc, out) == (4, "")
     assert json.loads(err)["error"] == "FileMalformed"
-    assert load_code_file(str(good)).field is f
+    assert load_code_file(str(good))[0].field is f
 
 
 def test_the_gram_check_reduces_in_the_files_own_field(tmp_path, capsys):

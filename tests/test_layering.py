@@ -12,7 +12,9 @@ attributes of a live Field are the tables, taken from one field on each
 side of the addition-table cap, so a table added later is covered without
 editing this test.  Likewise qmds.verify.run_checks alone turns a claim
 into a check result, so the CLI imports none of the oracles or the
-refusals that steer the choice between them.
+refusals that steer the choice between them, and a file's exact distance
+claim is named only where the file is read and where its claims are
+checked.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ def test_only_gf_reads_field_tables():
         if isinstance(node, ast.Attribute) and node.attr in TABLES
     ]
     assert not reads, reads
+
+
+def test_only_the_reader_and_the_checker_name_a_files_distance_claims():
+    # a code object holds what its constructor proved; known_distance lives
+    # in a file's claims section, which cli reads and verify checks
+    names = ("known_distance", "distance_claim")
+    found = [
+        f"{path.name}:{number} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("cli.py", "verify.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for name in names
+        if name in line
+    ]
+    assert not found, found
 
 
 ORACLES = {

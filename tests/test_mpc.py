@@ -139,7 +139,7 @@ def test_product_bound_never_exceeds_true_distance():
         n = rng.randrange(2, 5)
         codes = (random_code(f, rng, n, k=1), random_code(f, rng, n, k=rng.randrange(1, n + 1)))
         for c in codes:
-            c.known_distance = min_distance_exact(c)
+            c.claimed_distance_lb = min_distance_exact(c)
         prod = matrix_product(MpcSpec(codes=codes, mixer=random_square_mixer(f, rng, 2)))
         assert prod.claimed_distance_lb <= min_distance_exact(prod)
 

@@ -202,7 +202,8 @@ def test_a_tampered_ingredient_dual_fails_the_certificate(tamper, q, monkeypatch
 def test_run_checks_names_the_route_it_took():
     # a report reads no carried dual, so both codes take the rank route
     code = mp6_ladder(5, 4, 1)
-    [carried] = run_checks(code, ("dual-containing",), "dual-containing")["checks"]
-    [ranked] = run_checks(fresh(code), ("dual-containing",), "dual-containing")["checks"]
+    claims = {"orthogonality": "dual-containing"}
+    [carried] = run_checks(code, ("dual-containing",), claims)["checks"]
+    [ranked] = run_checks(fresh(code), ("dual-containing",), claims)["checks"]
     assert (carried["verdict"], carried["method"]) == ("pass", "rank of stacked generators")
     assert (ranked["verdict"], ranked["method"]) == ("pass", "rank of stacked generators")

@@ -226,7 +226,7 @@ def test_hermitian_construction_rejects_non_containing():
 def test_hermitian_construction_full_space():
     f = field_for_q(3)
     full = LinearCode(field=f, generator=identity(f, 6))
-    full.known_distance = 1
+    full.claimed_distance_lb = 1
     qp = hermitian_construction(full)
     assert (qp.n, qp.k, qp.d) == (6, 6, 1)
     assert singleton_check(qp) == "saturated"

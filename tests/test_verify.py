@@ -57,8 +57,8 @@ def naive_min_distance(field, gen: Matrix) -> int:
 
 def mds_check(code: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """The mds check of run_checks on a code that claims d >= n - k + 1."""
-    assert code.distance_claim == code.n - code.k + 1
-    (check,) = run_checks(code, ("mds",), None, cap)["checks"]
+    assert code.claimed_distance_lb == code.n - code.k + 1
+    (check,) = run_checks(code, ("mds",), {"claimed_distance_lb": code.claimed_distance_lb}, cap)["checks"]
     return check
 
 
@@ -197,7 +197,8 @@ def test_mds_claim_with_k_below_n_minus_k_walks_the_generator(monkeypatch, code)
     assert mds_check(code, cap=10)["verdict"] == "pass"
     # grs_generator records the MDS claim itself
     assert code.claimed_distance_lb == code.n - code.k + 1
-    checks = run_checks(code, ("min-distance", "mds"), None, cap=10)["checks"]
+    claims = {"claimed_distance_lb": code.claimed_distance_lb}
+    checks = run_checks(code, ("min-distance", "mds"), claims, cap=10)["checks"]
     assert [c["verdict"] for c in checks] == ["pass", "pass"]
     assert calls == []
 
@@ -249,7 +250,7 @@ def test_min_distance_past_printable_counts_is_skipped():
     for i, row in enumerate(rows):
         row[i] = row[k + i] = 1
     code = LinearCode(field=f, generator=Matrix(f, rows, cols=2 * k), claimed_distance_lb=k + 1)
-    (check,) = run_checks(code, ("min-distance",), None)["checks"]
+    (check,) = run_checks(code, ("min-distance",), {"claimed_distance_lb": k + 1})["checks"]
     assert (check["verdict"], check["work_count"]) == ("skipped", 0)
     assert check["detail"] == (
         "q^2k = 63001^900 messages exceed the cap of 4194304; "
@@ -346,7 +347,8 @@ def test_past_cap_refusals_leave_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        result = run_checks(code, CHECKS, "self-orthogonal")
+        claims = {"orthogonality": "self-orthogonal", "claimed_distance_lb": code.claimed_distance_lb}
+        result = run_checks(code, CHECKS, claims)
         mds = result["checks"][-1]
         del result
         assert gc.collect() == 0

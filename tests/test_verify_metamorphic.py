@@ -9,10 +9,10 @@ generator under a composite of these must return the report it returns on
 the generator itself: the same verdicts, methods, work counts and details.
 The codes are every grs-a, grs-b and grs-c code, every full-field and
 extended code and every certified mp6/mp7 ladder code at q = 3 and q = 5.
-Both sides are fresh LinearCode objects with the constructed distance
-claim and no carried Hermitian dual.  The constructed code object itself,
-which may carry its dual and a Gram verdict, must get the same report:
-run_checks reads neither.
+Both sides are fresh LinearCode objects with no carried Hermitian dual,
+checked against the claims construct writes for the code.  The
+constructed code object itself, which may carry its dual and a Gram
+verdict, must get the same report: run_checks reads neither.
 
 One column scaled by an element whose norm is not one is no such map, and
 the orthogonality verdict must then be that of a naive Gram sum: over the
@@ -68,11 +68,15 @@ CODES = constructed_codes()
 each_code = pytest.mark.parametrize("name", list(CODES))
 
 
+def claims(code: LinearCode, orthogonality: str) -> dict:
+    """The claims section construct writes for code."""
+    return {"orthogonality": orthogonality, "claimed_distance_lb": code.claimed_distance_lb, "known_distance": None}
+
+
 def fresh_report(code: LinearCode, rows: list[list[int]], orthogonality: str, checks=CHECKS) -> dict:
-    """run_checks on a new code over rows, with code's distance claim."""
+    """run_checks on a new code over rows, against code's claims."""
     f = code.field
-    fresh = LinearCode(f, Matrix(f, rows, cols=code.n), claimed_distance_lb=code.claimed_distance_lb)
-    return run_checks(fresh, checks, orthogonality)
+    return run_checks(LinearCode(f, Matrix(f, rows, cols=code.n)), checks, claims(code, orthogonality))
 
 
 @cache
@@ -112,7 +116,7 @@ def isometric_images(draw, code: LinearCode) -> list[list[int]]:
 @each_code
 def test_the_constructed_code_gets_the_report_of_a_fresh_one(name):
     code, orthogonality = CODES[name]
-    assert run_checks(code, CHECKS, orthogonality) == original_report(name)
+    assert run_checks(code, CHECKS, claims(code, orthogonality)) == original_report(name)
 
 
 @each_code

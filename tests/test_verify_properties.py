@@ -247,24 +247,21 @@ def claimed_codes(draw):
     and a cap that admits its q^(2k) messages or falls one short."""
     code = draw(codes(SMALL_FIELDS[:3]))
     claim = draw(st.one_of(st.just(code.n - code.k + 1), st.integers(0, code.n + 2)))
-    if draw(st.booleans()):
-        code.known_distance = claim
-    else:
-        code.claimed_distance_lb = claim
+    claims = {"known_distance" if draw(st.booleans()) else "claimed_distance_lb": claim}
     cap = code.field.q2**code.k - draw(st.sampled_from([0, 1]))
-    return code, cap
+    return code, claims, cap
 
 
 @PROPERTY
 @given(claimed_codes())
 def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
-    code, cap = inputs
+    code, claims, cap = inputs
     d = naive_min_distance(code.field, code.generator)
-    claim, w = code.distance_claim, code.n - code.k + 1
+    [(kind, claim)], w = claims.items(), code.n - code.k + 1
     enumerated = cap >= code.field.q2**code.k
-    distance, mds = run_checks(code, ("min-distance", "mds"), None, cap)["checks"]
+    distance, mds = run_checks(code, ("min-distance", "mds"), claims, cap)["checks"]
     # an exact claim is checked as one on either side of the cap
-    holds = d == claim if code.known_distance is not None else d >= claim
+    holds = d == claim if kind == "known_distance" else d >= claim
     assert distance["verdict"] == ("pass" if holds else "fail"), (d, claim)
     assert distance["method"].startswith("exhaustive") == enumerated
     if claim == w:
@@ -273,6 +270,5 @@ def test_distance_checks_take_one_route_to_the_naive_verdict(inputs):
     else:
         assert mds["verdict"] == "skipped"
     # the same generator claiming d >= w: its mds check passes exactly when d = w
-    claims_w = LinearCode(field=code.field, generator=code.generator, claimed_distance_lb=w)
-    (mds,) = run_checks(claims_w, ("mds",), None, cap)["checks"]
+    (mds,) = run_checks(code, ("mds",), {"claimed_distance_lb": w}, cap)["checks"]
     assert mds["verdict"] == ("pass" if d == w else "fail")
