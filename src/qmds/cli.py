@@ -39,7 +39,7 @@ from .grs import (
     valid_parameter_sets,
 )
 from .linalg import Matrix
-from .mpc import mp6_ladder
+from .mpc import ladder_in_window, mp6_ladder
 from .quantum import (
     ladder_quantum_record,
     quantum_mds_from_self_orthogonal,
@@ -166,7 +166,7 @@ def _ladder_code(args, quantum: bool):
     """The ladder code; a forced one claims no orthogonality and carries its
     failed checks instead, and mp7 adds the quantum record it descends to."""
     code = mp6_ladder(args.q, args.d, args.variant, force=args.force)
-    certified = code.provenance["certified"]
+    certified = ladder_in_window(args.q, args.d, args.variant)
     parameters = {"q": args.q, "d": args.d, "variant": args.variant, "forced": not certified}
     extra = {} if certified else {"construction_checks": code.provenance["forced_checks"]}
     if quantum:

@@ -397,8 +397,8 @@ def family_params(family: str, q: int, a: int, d: int) -> ConstructionParams:
     q >= 3 a zero remainder leaves m >= 1.  The constructor checks the rest.
     """
     _, congruence, divide, a_min, _, _ = _family(family)
-    if a < a_min:
-        raise CongruenceViolated(f"{family} needs a >= {a_min}, got {a}")
+    if type(a) is not int or a < a_min:
+        raise CongruenceViolated(f"{family} needs a >= {a_min}, got {a!r}")
     _require_odd_q(q)
     m, rest = divide(q, a)
     if rest:
@@ -454,7 +454,10 @@ def construct_full_field(field: Field, k: int) -> LinearCode:
 
 def _check_dual_cells(n: int, k: int) -> None:
     """Refuse a length-n code whose [n, n - k] Hermitian dual would have more
-    than DUAL_CELL_CAP cells; called before either code is built."""
+    than DUAL_CELL_CAP cells, or a k that is no int; called before either
+    code is built."""
+    if type(k) is not int:
+        raise DimensionOutOfRange(f"k = {k!r} is not an int")
     cells = (n - k) * n
     if cells > DUAL_CELL_CAP:
         raise DimensionOutOfRange(f"the [{n}, {n - k}] dual would have {cells} cells, over {DUAL_CELL_CAP}")

@@ -194,9 +194,10 @@ def ladder_ceiling(q: int, variant: int) -> int:
 
 
 def ladder_in_window(q: int, d: int, variant: int) -> bool:
-    """Whether d has the variant's parity and 2 <= d <= its ceiling at q:
-    the window in which mp6_ladder certifies its output unforced."""
-    return d % 2 == LADDER_VARIANTS[variant][1] and 2 <= d <= ladder_ceiling(q, variant)
+    """Whether d is an int of the variant's parity with 2 <= d <= its
+    ceiling at q: the window in which mp6_ladder certifies its output
+    unforced, and the one decision of whether a ladder is certified."""
+    return type(d) is int and d % 2 == LADDER_VARIANTS[variant][1] and 2 <= d <= ladder_ceiling(q, variant)
 
 
 def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
@@ -206,9 +207,8 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     LADDER_VARIANTS gives each variant's ingredient kind, length n', parity
     of d and ceiling.  Out-of-range d raises unless force is set, in which
     case the object is assembled the same way and its containment verdicts
-    are recorded in the provenance instead of being enforced.  The
-    provenance says only whether the output is certified, plus those
-    verdicts when it is not.
+    are recorded in provenance["forced_checks"] instead of being enforced;
+    ladder_in_window says whether the output is certified.
     """
     if type(variant) is not int or variant not in LADDER_VARIANTS:
         raise BadDimension(f"variant must be 1..6, got {variant!r}")
@@ -228,7 +228,6 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     c1 = _ladder_ingredient(field, variant, (d + 1) // 2)
     c2 = _ladder_ingredient(field, variant, d)
     out, checks = _pair(c1, c2, force=not in_range)
-    out.provenance["certified"] = in_range
     if not in_range:
         out.provenance["forced_checks"] = checks
     assert (out.n, out.k) == ladder_shape(q, d, variant)

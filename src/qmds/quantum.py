@@ -116,10 +116,10 @@ def theorem_mp7(q: int, d: int, variant: int) -> QuantumParams:
 
 
 def ladder_quantum_record(classical: LinearCode, q: int, d: int, variant: int) -> QuantumParams:
-    """Quantum record for an already-built ladder output: FULL when the
-    ancestor carries its dual-containment certificate, else, for a ladder
-    forced past the window, the closed-form record table1 emits for it."""
-    if not classical.provenance["certified"]:
+    """Quantum record for an already-built ladder output: FULL when (q, d)
+    is in the variant's certified window, else, for a ladder forced past
+    it, the closed-form record table1 emits for it."""
+    if not ladder_in_window(q, d, variant):
         return _formula_only(q, d, variant)
     params = hermitian_construction(classical)
     params.ancestor.update(family=f"mp7-v{variant}", q=q, d=d, variant=variant, certification="FULL")

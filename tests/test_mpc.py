@@ -35,6 +35,7 @@ from qmds.linalg import (
 from qmds.mpc import (
     MpcSpec,
     _ladder_ingredient,
+    ladder_in_window,
     matrix_product,
     mixer_prefix_distances,
     mp6_ladder,
@@ -250,7 +251,7 @@ def test_ladder_q3_d2_v5():
     code = mp6_ladder(3, 2, 5)
     assert (code.n, code.k) == (16, 15)
     assert code.claimed_distance_lb == 2
-    assert code.provenance["certified"]
+    assert ladder_in_window(3, 2, 5)
     # the bound is tight here
     assert min_distance_at_least(code, 2)
     assert not min_distance_at_least(code, 3)
@@ -307,7 +308,7 @@ def test_ladder_forced_beyond_range():
     # force assembles the object anyway and reports the failed certificates
     code = mp6_ladder(3, 4, 5, force=True)
     assert (code.n, code.k) == (16, 12)
-    assert not code.provenance["certified"]
+    assert not ladder_in_window(3, 4, 5)
     checks = code.provenance["forced_checks"]
     assert checks["output_dual_containing"] is False
     # the first ingredient (design distance 2) is still inside its window
@@ -335,9 +336,10 @@ def test_a_ladder_leaves_no_reference_cycle():
 
 
 def test_ladder_provenance_holds_only_what_its_readers_read():
-    assert mp6_ladder(3, 2, 5).provenance == {"certified": True}
+    # ladder_in_window alone says whether a ladder is certified
+    assert mp6_ladder(3, 2, 5).provenance == {}
     forced = mp6_ladder(3, 4, 5, force=True)
-    assert set(forced.provenance) == {"certified", "forced_checks"}
+    assert set(forced.provenance) == {"forced_checks"}
 
 
 def test_products_carry_no_provenance():

@@ -300,6 +300,14 @@ def test_mp7_in_range_is_the_window_an_unforced_ladder_gets_past(monkeypatch, q)
             assert passed == mp7_in_range(q, d, variant), (variant, d)
 
 
+@pytest.mark.parametrize("d", [3.0, True, "3"])
+def test_the_window_holds_only_int_distances(d):
+    # mp6_ladder refuses each of these d, so the window table1 reads must too
+    assert not mp7_in_range(3, d, 2)
+    with pytest.raises(DistanceOutOfRange):
+        mp6_ladder(3, d, 2)
+
+
 def test_ladder_forced_is_formula_only(table_rows):
     qp = ladder_quantum_record(mp6_ladder(5, 8, 5, force=True), 5, 8, 5)
     [row] = [r for r in table_rows if (r.q, r.d, r.ancestor["variant"]) == (5, 8, 5)]
@@ -359,9 +367,9 @@ def test_no_violated_records_anywhere(table_rows):
         assert singleton_check(row) == ("saturated" if 2 * row.d == row.n - row.k + 2 else "strict")
 
 
-# a float or a bool where a library entry point takes an int: each call used
-# to raise a bare TypeError or to go through, and gets the class of the
-# range check that now refuses it
+# a float, a bool or a string where a library entry point takes an int: each
+# call used to raise a bare TypeError or to go through, and gets the class of
+# the range check that now refuses it
 NON_INT_CALLS = {
     "mp6 d=3.0": (lambda: mp6_ladder(3, 3.0, 2), DistanceOutOfRange),
     "mp6 d=2.5": (lambda: mp6_ladder(3, 2.5, 2), DistanceOutOfRange),
@@ -378,6 +386,9 @@ NON_INT_CALLS = {
     "floor w=2.5": (lambda: min_distance_at_least(construct_full_field(field_for_q(3), 1), 2.5), BadDimension),
     "field q=7.0": (lambda: field_for_q(7.0), FieldTooLarge),
     "field q=9.0": (lambda: field_for_q(9.0), FieldTooLarge),
+    "extended k='2'": (lambda: construct_extended(field_for_q(3), "2"), DimensionOutOfRange),
+    "grs-a a='1'": (lambda: family_params("grs-a", 5, "1", 3), CongruenceViolated),
+    "grs-a a=1.0": (lambda: family_params("grs-a", 5, 1.0, 3), CongruenceViolated),
 }
 
 
