@@ -26,7 +26,10 @@ integer sums of digit polynomials (Kronecker substitution): two more
 tables, built at its first call, hold each element and each element's
 conjugate with its 2t base-p digits in slots of one int, so one integer
 product holds the coefficients of a product polynomial and a sum of those
-is left unreduced until the entry is done (delayed reduction).  Only this
+is left unreduced until the entry is done (delayed reduction).  A row more
+than half of whose entries are zero is summed over its support alone, so
+the sparse block rows of a matrix-product code cost their nonzero entries,
+not their length; denser rows are summed entry by entry.  Only this
 module reads the tables: other modules call the element methods or the
 vector kernels (scale, vmul, vadd, sums, vdiv, conjugate, clear_column,
 hermitian_products), each of which picks its way of adding once per call.
@@ -49,8 +52,8 @@ Convention used throughout the package: 0^0 == 1.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
-from operator import getitem, mul
+from itertools import chain, compress
+from operator import getitem, itemgetter, mul
 
 from .errors import (
     DimensionMismatch,
@@ -193,9 +196,11 @@ class Field:
     # -- vector kernels: each chooses how to add once per call ---------------
 
     def scale(self, c: int, v: list[int]) -> list[int]:
-        """c * v."""
+        """c * v, a new list even when c is one."""
         if not c:
             return [0] * len(v)
+        if c == 1:
+            return list(v)
         exp, log = self._exp, self._log
         lc = log[c]
         return [exp[lc + log[x]] if x else 0 for x in v]
@@ -284,7 +289,11 @@ class Field:
         Each row, and each conjugate row, is gathered once through the
         digit tables (see _gram_tables), so one integer multiply gives the
         product polynomial of two entries and one sum of those gives an
-        entry's unreduced coefficients, slot by slot.  The entry is reduced
+        entry's unreduced coefficients, slot by slot.  A row more than half
+        of whose entries are zero is summed over its support alone: its
+        nonzero digits against the entries of each conjugate row at the
+        same positions, the zero terms adding nothing to the sum.  Denser
+        rows are summed over every position.  Either way the entry is reduced
         once: the 2t - 1 slots above degree 2t - 1 are taken mod p and
         folded back through x^(2t + h) in this field, and every low slot is
         taken mod p.
@@ -299,9 +308,19 @@ class Field:
         conj = [[conj_digits[x] for x in row] for row in (rows if gram else others)]
         out = []
         for i, row in enumerate(rows):
-            row = [digits[x] for x in row]
+            targets = conj[i:] if gram else conj
+            if 2 * row.count(0) > n:
+                # mostly zero: sum over the support, against the matching
+                # entries of each conjugate row
+                support = list(compress(range(n), row))
+                row = [digits[x] for x in row if x]
+                pick = itemgetter(*support) if len(support) > 1 else lambda c: [c[l] for l in support]
+                sums = [sum(map(mul, row, pick(c))) for c in targets]
+            else:
+                row = [digits[x] for x in row]
+                sums = [sum(map(mul, row, c)) for c in targets]
             entries = []
-            for s in [sum(map(mul, row, c)) for c in (conj[i:] if gram else conj)]:
+            for s in sums:
                 low, high = s & low_mask, s >> split
                 for x_power in fold:
                     low += (high & mask) % p * x_power

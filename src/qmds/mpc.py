@@ -81,6 +81,9 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     when its rows are Hermitian-orthogonal to the product's, checked on
     the two generators, and the dimensions add up to the length; D then
     spans the product's whole Hermitian dual.  D itself carries none.
+    Block rows are mostly zero (for a ladder, only 6-25% of their entries
+    are nonzero), and Field.hermitian_products sums each such row over its
+    support, so the check costs what the nonzero entries do.
     """
     f = spec.field
     mix = spec.mixer
@@ -102,12 +105,17 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
 def _block_generator(codes, mixer: Matrix) -> Matrix:
     """The block rows (a_ij G_i), marked full rank: the caller passes a
     mixer of full row rank and codes of one length, whose generators have
-    full row rank as every LinearCode's does."""
+    full row rank as every LinearCode's does.  Each block row is the
+    concatenation of its ingredient row scaled by a_i1, ..., a_il; a zero
+    a_ij gives a zero block and a one a copy of the row."""
     f = mixer.field
     rows = []
     for arow, code in zip(mixer.data, codes):
         for grow in code.generator.data:
-            rows.append([x for aij in arow for x in f.scale(aij, grow)])
+            row = []
+            for aij in arow:
+                row += f.scale(aij, grow)
+            rows.append(row)
     # every entry is a scaled entry of a valid generator
     gen = Matrix._trusted(f, rows, mixer.cols * codes[0].n)
     gen._full_rank = True
@@ -194,10 +202,18 @@ def ladder_ceiling(q: int, variant: int) -> int:
 
 
 def ladder_in_window(q: int, d: int, variant: int) -> bool:
-    """Whether d is an int of the variant's parity with 2 <= d <= its
-    ceiling at q: the window in which mp6_ladder certifies its output
-    unforced, and the one decision of whether a ladder is certified."""
-    return type(d) is int and d % 2 == LADDER_VARIANTS[variant][1] and 2 <= d <= ladder_ceiling(q, variant)
+    """Whether variant is an int of LADDER_VARIANTS and d an int of its
+    parity with 2 <= d <= its ceiling at q: the window in which mp6_ladder
+    certifies its output unforced, and the one decision of whether a ladder
+    is certified.  Any other variant is outside every window, as mp6_ladder
+    refuses it."""
+    return (
+        type(variant) is int
+        and variant in LADDER_VARIANTS
+        and type(d) is int
+        and d % 2 == LADDER_VARIANTS[variant][1]
+        and 2 <= d <= ladder_ceiling(q, variant)
+    )
 
 
 def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:

@@ -290,9 +290,15 @@ def run_checks(code: LinearCode, names: tuple[str, ...], claims: dict, cap: int 
     against claims, a file's claims section: its orthogonality, and its
     known_distance, else its claimed_distance_lb.  An unclaimed property's
     check is skipped.  The distance and MDS checks share one run of
-    _distance_route, so a code is enumerated, or floor-checked, at most once."""
+    _distance_route, so a code is enumerated, or floor-checked, at most once.
+    A claimed_distance_lb above the known_distance, which no code meets and
+    whose lower bound the exact check would leave unchecked, raises
+    BadDimension before any check runs."""
     orthogonality, known = claims.get("orthogonality"), claims.get("known_distance")
-    w = claims.get("claimed_distance_lb") if known is None else known
+    lb = claims.get("claimed_distance_lb")
+    if None not in (known, lb) and lb > known:
+        raise BadDimension(f"claimed_distance_lb {lb} exceeds known_distance {known}")
+    w = lb if known is None else known
     checks = []
     route = cache(lambda: _distance_route(code, w, cap, known is not None))
     for name in names:

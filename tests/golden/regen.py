@@ -145,6 +145,11 @@ def _constructs():
     yield "--family grs-c --q 23 --a 0 --d 3"
     yield "--family extended --q 19 --k 18"
     yield "--family full-field --q 23 --k 2"
+    # Table 1's two q = 9 rows: ladders over GF(81), a t = 2 tower whose
+    # packed sums pass 62 bits, each checking its product's dual on
+    # block rows that are mostly zero
+    yield "--family mp7 --q 9 --d 5 --variant 2"
+    yield "--family mp7 --q 9 --d 4 --variant 1"
     # each family with a flag it does not take
     yield "--family grs-a --q 5 --a 1 --d 3 --k 9 --variant 4 --force"
     yield "--family grs-b --q 5 --a 1 --d 3 --variant 2"

@@ -466,6 +466,9 @@ def test_vector_kernels_match_oracle(fv, c):
     f, (u, v) = fv
     c %= f.q2
     assert f.scale(c, u) == [oracle_mul(f, c, x) for x in u]
+    # scaling by one copies, so a caller may extend what it gets back
+    assert f.scale(1, u) == u
+    assert f.scale(1, u) is not u
     assert f.vadd(u, v) == [oracle_add(f, x, y) for x, y in zip(u, v)]
     units = [y or 1 for y in v]
     assert f.vdiv(u, units) == [oracle_mul(f, x, oracle_power(f, y, f.q2 - 2)) for x, y in zip(u, units)]

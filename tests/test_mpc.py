@@ -304,6 +304,15 @@ def test_ladder_validation():
         mp6_ladder(3, 4, 5)  # q=3 caps even variants at d=3
 
 
+@pytest.mark.parametrize("variant", [2.0, True, "2", 0, 7, None])
+def test_the_window_holds_only_the_variants_mp6_ladder_takes(variant):
+    # LADDER_VARIANTS[2.0] would find variant 2, and LADDER_VARIANTS[7] raise
+    # a bare KeyError; mp6_ladder refuses each of these variants
+    assert not ladder_in_window(3, 3, variant)
+    with pytest.raises(BadDimension):
+        mp6_ladder(3, 3, variant)
+
+
 def test_ladder_forced_beyond_range():
     # force assembles the object anyway and reports the failed certificates
     code = mp6_ladder(3, 4, 5, force=True)

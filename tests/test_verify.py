@@ -339,6 +339,20 @@ def test_report_overall():
     assert [c["name"] for c in d["checks"]] == ["a", "b", "c"]
 
 
+def test_a_lower_bound_above_the_exact_claim_is_refused_before_any_check():
+    # the [8, 2] grs-a q=3 code has d = 7: checking d = 7 alone would pass
+    # the claims, and no code has d = 7 and d >= 9
+    code = grs_generator(construct_family_A(ConstructionParams(q=3, a=1, m=1, d=3)))
+    assert min_distance_exact(code) == 7
+    with pytest.raises(BadDimension):
+        run_checks(code, CHECKS, {"known_distance": 7, "claimed_distance_lb": 9})
+    with pytest.raises(BadDimension):
+        run_checks(code, (), {"known_distance": 7, "claimed_distance_lb": 8})
+    for lb in (None, 6, 7):
+        claims = {"known_distance": 7, "claimed_distance_lb": lb}
+        assert run_checks(code, CHECKS, claims)["overall"] == "pass"
+
+
 def test_past_cap_refusals_leave_no_reference_cycle():
     # refusals are kept as messages: an exception kept with its traceback
     # would pin run_checks' frame, the code and the report in a cycle only
