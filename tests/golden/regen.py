@@ -150,6 +150,20 @@ def _constructs():
     # block rows that are mostly zero
     yield "--family mp7 --q 9 --d 5 --variant 2"
     yield "--family mp7 --q 9 --d 4 --variant 1"
+    # forced and refused ladders: --force inside the window, Table 1's
+    # second FORMULA-ONLY row as a file, a forced ladder whose quantum
+    # dimension 2k - n = -4 is refused, a d past the extended solver's k
+    # range, a forced d of the wrong parity and an even q; then q = 15, no
+    # prime power, whose parity and ceiling are refused before its field is
+    # built
+    yield "--family mp7 --q 3 --d 3 --variant 2 --force"
+    yield "--family mp7 --q 7 --d 12 --variant 5 --force"
+    yield "--family mp7 --q 3 --d 8 --variant 5 --force"
+    yield "--family mp7 --q 5 --d 12 --variant 1 --force"
+    yield "--family mp6 --q 5 --d 7 --variant 5 --force"
+    yield "--family mp7 --q 4 --d 2 --variant 3 --force"
+    for flags in ("--d 2 --variant 3", "--d 3 --variant 3", "--d 20 --variant 3", "--d 20 --variant 3 --force"):
+        yield f"--family mp6 --q 15 {flags}"
     # each family with a flag it does not take
     yield "--family grs-a --q 5 --a 1 --d 3 --k 9 --variant 4 --force"
     yield "--family grs-b --q 5 --a 1 --d 3 --variant 2"
