@@ -1,6 +1,6 @@
 """Matrix-product codes: block generators, the duality identities, the
 two-code pairing with the [[1,1],[1,p-1]] mixer, and the distance ladder
-built on top of it."""
+built on top of it, whose (q, d, variant) ladder_shape alone checks."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .errors import (
     MixedFields,
     NotDualContaining,
     ParityMismatch,
+    QmdsError,
     RankDeficientMixer,
 )
 from .gf import Field, field_for_q
@@ -190,55 +191,50 @@ LADDER_VARIANTS = {
 }
 
 
-def ladder_shape(q: int, d: int, variant: int) -> tuple[int, int]:
-    """Closed-form [2n', 2n' + 2 - d - ceil(d/2)] of the variant's ladder code."""
-    n = 2 * (q * q + LADDER_VARIANTS[variant][2])
-    return n, n + 2 - d - (d + 1) // 2
-
-
-def ladder_ceiling(q: int, variant: int) -> int:
-    """The largest design distance the variant certifies at q."""
-    return q + LADDER_VARIANTS[variant][3]
+def ladder_shape(q: int, d: int, variant: int) -> tuple[int, int, int]:
+    """Closed-form [2n', 2n' + 2 - d - ceil(d/2)] of the variant's ladder
+    code and its ceiling at q, the largest d it certifies.  The one check
+    of a ladder's (q, d, variant): it refuses the variant (BadDimension),
+    then q (EvenCharacteristic), d (DistanceOutOfRange) and d's parity
+    (ParityMismatch), and leaves the ceiling and q's field to its callers."""
+    if type(variant) is not int or variant not in LADDER_VARIANTS:
+        raise BadDimension(f"variant must be 1..6, got {variant!r}")
+    _require_odd_q(q)
+    if type(d) is not int or d < 2:
+        raise DistanceOutOfRange(f"design distance is an int from 2, got {d!r}")
+    _, parity, length, ceiling = LADDER_VARIANTS[variant]
+    if d % 2 != parity:
+        raise ParityMismatch(f"variant {variant} needs {'even' if parity == 0 else 'odd'} d, got {d}")
+    n = 2 * (q * q + length)
+    return n, n + 2 - d - (d + 1) // 2, q + ceiling
 
 
 def ladder_in_window(q: int, d: int, variant: int) -> bool:
-    """Whether variant is an int of LADDER_VARIANTS and d an int of its
-    parity with 2 <= d <= its ceiling at q: the window in which mp6_ladder
+    """Whether ladder_shape accepts (q, d, variant), d is at most the
+    ceiling and field_for_q accepts q: the window in which mp6_ladder
     certifies its output unforced, and the one decision of whether a ladder
-    is certified.  Any other variant is outside every window, as mp6_ladder
-    refuses it."""
-    return (
-        type(variant) is int
-        and variant in LADDER_VARIANTS
-        and type(d) is int
-        and d % 2 == LADDER_VARIANTS[variant][1]
-        and 2 <= d <= ladder_ceiling(q, variant)
-    )
+    is certified.  Whatever mp6_ladder refuses unforced is outside it."""
+    try:
+        return d <= ladder_shape(q, d, variant)[2] and field_for_q(q) is not None
+    except QmdsError:
+        return False
 
 
 def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     """Dual-containing [2n', ...] code pairing a design-distance ceil(d/2)
     ingredient with a design-distance d one of the same length n'.
 
-    LADDER_VARIANTS gives each variant's ingredient kind, length n', parity
-    of d and ceiling.  Out-of-range d raises unless force is set, in which
-    case the object is assembled the same way and its containment verdicts
-    are recorded in provenance["forced_checks"] instead of being enforced;
-    ladder_in_window says whether the output is certified.
+    ladder_shape checks (q, d, variant).  A d past the ceiling raises unless
+    force is set, in which case the object is built the same way and its
+    containment verdicts are recorded in provenance["forced_checks"]
+    instead of being enforced; ladder_in_window says whether the output is
+    certified.
     """
-    if type(variant) is not int or variant not in LADDER_VARIANTS:
-        raise BadDimension(f"variant must be 1..6, got {variant!r}")
-    _require_odd_q(q)
-    if type(d) is not int or d < 2:
-        raise DistanceOutOfRange(f"design distance is an int from 2, got {d!r}")
-    parity = LADDER_VARIANTS[variant][1]
-    if d % 2 != parity:
-        raise ParityMismatch(f"variant {variant} needs {'even' if parity == 0 else 'odd'} d, got {d}")
-    in_range = ladder_in_window(q, d, variant)
-    if not in_range and not force:
+    n, k, ceiling = ladder_shape(q, d, variant)
+    in_range = d <= ceiling
+    if not (in_range or force):
         raise DistanceOutOfRange(
-            f"variant {variant} certifies 2 <= d <= {ladder_ceiling(q, variant)}; "
-            f"d={d} requires force and loses the certificate"
+            f"variant {variant} certifies 2 <= d <= {ceiling}; d={d} requires force and loses the certificate"
         )
     field = field_for_q(q)
     c1 = _ladder_ingredient(field, variant, (d + 1) // 2)
@@ -246,8 +242,7 @@ def mp6_ladder(q: int, d: int, variant: int, force: bool = False) -> LinearCode:
     out, checks = _pair(c1, c2, force=not in_range)
     if not in_range:
         out.provenance["forced_checks"] = checks
-    assert (out.n, out.k) == ladder_shape(q, d, variant)
-    assert out.claimed_distance_lb == d
+    assert (out.n, out.k, out.claimed_distance_lb) == (n, k, d)
     return out
 
 

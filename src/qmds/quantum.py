@@ -3,6 +3,8 @@
 Two doors in: a dual-containing code gives [[n, 2k - n, >= d]], and a
 self-orthogonal MDS code gives the Singleton-saturating [[n, n - 2k, k + 1]].
 Both check their hypothesis, reusing a verdict the code already carries.
+A ladder's record, FULL through the first door or FORMULA-ONLY from the
+closed forms past the variant's ceiling, is built by ladder_quantum_record.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from .errors import (
     NotSelfOrthogonal,
     VerificationFailure,
 )
+from .gf import field_for_q
 from .grs import LinearCode, is_self_orthogonal
-from .mpc import ladder_ceiling, ladder_in_window, ladder_shape, mp6_ladder
+from .mpc import ladder_in_window, ladder_shape, mp6_ladder
 from .verify import dual_containing_check
 
 
@@ -95,8 +98,8 @@ def quantum_mds_from_self_orthogonal(code: LinearCode) -> QuantumParams:
 
 def mp7_shape(q: int, d: int, variant: int) -> tuple[int, int]:
     """Closed-form (n, k) of the variant's quantum code: [[n, 2k - n]] from
-    the classical [n, k] ladder code."""
-    n, k = ladder_shape(q, d, variant)
+    the classical [n, k] ladder code.  Refuses what ladder_shape refuses."""
+    n, k, _ = ladder_shape(q, d, variant)
     return n, 2 * k - n
 
 
@@ -115,43 +118,32 @@ def theorem_mp7(q: int, d: int, variant: int) -> QuantumParams:
     return ladder_quantum_record(mp6_ladder(q, d, variant), q, d, variant)
 
 
-def ladder_quantum_record(classical: LinearCode, q: int, d: int, variant: int) -> QuantumParams:
-    """Quantum record for an already-built ladder output: FULL when (q, d)
-    is in the variant's certified window, else, for a ladder forced past
-    it, the closed-form record table1 emits for it."""
-    if not ladder_in_window(q, d, variant):
-        return _formula_only(q, d, variant)
-    params = hermitian_construction(classical)
-    params.ancestor.update(family=f"mp7-v{variant}", q=q, d=d, variant=variant, certification="FULL")
-    assert (params.n, params.k) == mp7_shape(q, d, variant)
-    return params
-
-
-def _formula_only(q: int, d: int, variant: int) -> QuantumParams:
-    """The closed-form record of a (q, d) past the variant's ceiling; no
-    certificate backs it, so it carries the conflict instead."""
-    n, k = mp7_shape(q, d, variant)
-    if k < 0:
-        raise DimensionOutOfRange(f"variant {variant} at q={q}, d={d} has quantum dimension 2k - n = {k}")
-    dmax = ladder_ceiling(q, variant)
-    return QuantumParams(
-        q=q,
-        n=n,
-        k=k,
-        d=d,
-        d_is_exact=False,
-        ancestor={
-            "family": f"mp7-v{variant}",
-            "q": q,
-            "d": d,
-            "variant": variant,
-            "certification": "FORMULA-ONLY",
-            "range_conflict": (
-                f"needs an ingredient of design distance {d}, but variant "
-                f"{variant} ingredients are certified only up to d = {dmax}"
-            ),
-        },
+def ladder_quantum_record(classical: LinearCode | None, q: int, d: int, variant: int) -> QuantumParams:
+    """The one builder of a ladder's record.  Inside the window, classical
+    is mp6_ladder's code for (q, d, variant) and the record is FULL,
+    hermitian_construction's.  Past the ceiling classical is not read
+    (table1 passes None) and the record is FORMULA-ONLY: the closed forms
+    and the range conflict.  It refuses a tuple ladder_shape refuses, a q
+    with no field GF(q^2) and a negative quantum dimension."""
+    n, k, ceiling = ladder_shape(q, d, variant)
+    kq = 2 * k - n
+    ancestor = {"family": f"mp7-v{variant}", "q": q, "d": d, "variant": variant}
+    if ladder_in_window(q, d, variant):
+        params = hermitian_construction(classical)
+        assert (params.n, params.k) == (n, kq)
+        params.ancestor.update(ancestor, certification="FULL")
+        return params
+    field_for_q(q)  # no record for a q that has no field GF(q^2)
+    if kq < 0:
+        raise DimensionOutOfRange(f"variant {variant} at q={q}, d={d} has quantum dimension 2k - n = {kq}")
+    ancestor.update(
+        certification="FORMULA-ONLY",
+        range_conflict=(
+            f"needs an ingredient of design distance {d}, but variant "
+            f"{variant} ingredients are certified only up to d = {ceiling}"
+        ),
     )
+    return QuantumParams(q=q, n=n, k=kq, d=d, d_is_exact=False, ancestor=ancestor)
 
 
 # (q, d, variant, previously published (n, k, d) at the same length)
@@ -170,15 +162,16 @@ TABLE1_LAYOUT = (
 def table1() -> list[QuantumParams]:
     """The eight headline rows, in publication order.
 
-    Rows inside the certified window are fully constructed and verified.
-    The two rows whose d exceeds the variant's ceiling are emitted from
-    the closed forms alone and flagged FORMULA-ONLY, with the conflict
-    spelled out; no construction is attempted for them.  Every row records
-    the prior published parameters it is measured against.
+    Every row is built by ladder_quantum_record.  Rows inside the certified
+    window pass it mp6_ladder's code and are FULL.  The two rows whose d
+    exceeds the variant's ceiling pass None and are FORMULA-ONLY, with the
+    conflict spelled out; no construction is attempted for them.  Every row
+    records the prior published parameters it is measured against.
     """
     rows = []
     for q, d, variant, compare in TABLE1_LAYOUT:
-        row = theorem_mp7(q, d, variant) if mp7_in_range(q, d, variant) else _formula_only(q, d, variant)
+        classical = mp6_ladder(q, d, variant) if mp7_in_range(q, d, variant) else None
+        row = ladder_quantum_record(classical, q, d, variant)
         row.ancestor["compare"] = {"n": compare[0], "k": compare[1], "d": compare[2]}
         rows.append(row)
     return rows

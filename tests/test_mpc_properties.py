@@ -37,7 +37,7 @@ from qmds.mpc import (
     MpcSpec,
     _ladder_ingredient,
     _pair,
-    ladder_ceiling,
+    ladder_in_window,
     matrix_product,
     mp6_ladder,
     pair_mixer,
@@ -76,15 +76,18 @@ def test_full_field_and_extended_duals_match_the_rank_route(family, q, k):
 
 def _ladders():
     """(q, variant, d) for every d of the variant's parity from 2 to 2q + 2
-    at q <= 7; an extended ingredient exists only up to the ceiling."""
+    at q <= 7; an extended ingredient exists only inside the window."""
     for q in (3, 5, 7):
         for variant, (kind, parity, _, _) in LADDER_VARIANTS.items():
-            top = ladder_ceiling(q, variant) if kind == "extended" else 2 * q + 2
-            for d in range(2 + parity, top + 1, 2):
-                yield q, variant, d
+            for d in range(2 + parity, 2 * q + 3, 2):
+                if kind != "extended" or ladder_in_window(q, d, variant):
+                    yield q, variant, d
 
 
-@pytest.mark.parametrize("q,variant,d", list(_ladders()))
+LADDERS = list(_ladders())
+
+
+@pytest.mark.parametrize("q,variant,d", LADDERS)
 def test_every_ladder_verdict_matches_the_rank_route(q, variant, d):
     field = field_for_q(q)
     dprimes = ((d + 1) // 2, d)
@@ -122,7 +125,9 @@ def test_a_d2_ladder_eliminates_only_its_primals_and_mixer(variant, monkeypatch)
 
 def test_the_forced_ladders_include_false_verdicts():
     # the comparison above covers both outcomes, not only True
-    forced = [mp6_ladder(q, d, v, force=True) for q, v, d in _ladders() if d > ladder_ceiling(q, v)]
+    forced = [mp6_ladder(q, d, v, force=True) for q, v, d in LADDERS if not ladder_in_window(q, d, v)]
+    # 39 ladders in the window and 42 forced past it
+    assert (len(LADDERS), len(forced)) == (81, 42)
     verdicts = [c.provenance["forced_checks"]["output_dual_containing"] for c in forced]
     assert verdicts and not any(verdicts)
 

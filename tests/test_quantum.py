@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qmds import gf, grs, linalg, mpc
+from qmds import gf, grs, linalg, mpc, quantum
 from qmds.errors import (
     BadDimension,
     CongruenceViolated,
@@ -12,6 +12,7 @@ from qmds.errors import (
     DistanceOutOfRange,
     EvenCharacteristic,
     FieldTooLarge,
+    NonPrimeCharacteristic,
     NotDualContaining,
     NotMds,
     NotSelfOrthogonal,
@@ -280,7 +281,9 @@ def test_ladder_closed_forms_symbolically():
     assert not mp7_in_range(5, 1, 2)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+# an even q, q = 15, which is no prime power, and two q's that are no int
+# besides the odd prime powers
+@pytest.mark.parametrize("q", [3, 5, 7, 4, 9, 15, 3.0, True])
 def test_mp7_in_range_is_the_window_an_unforced_ladder_gets_past(monkeypatch, q):
     class PastTheRefusals(Exception):
         pass
@@ -289,8 +292,8 @@ def test_mp7_in_range_is_the_window_an_unforced_ladder_gets_past(monkeypatch, q)
         raise PastTheRefusals
 
     monkeypatch.setattr(mpc, "_ladder_ingredient", no_ingredient)
-    for variant in LADDER_VARIANTS:
-        for d in range(q + 4):
+    for variant in (*LADDER_VARIANTS, 0, 7, 2.0):
+        for d in range(12):
             try:
                 mp6_ladder(q, d, variant)
             except PastTheRefusals:
@@ -306,6 +309,43 @@ def test_the_window_holds_only_int_distances(d):
     assert not mp7_in_range(3, d, 2)
     with pytest.raises(DistanceOutOfRange):
         mp6_ladder(3, d, 2)
+
+
+@pytest.mark.parametrize("q, d, variant", [(3, 3, 7), (3, 3, 2.0), (3, 3.0, 2), (3, 1, 2), (4, 2, 3), (3, 4, 2)])
+def test_the_closed_forms_refuse_what_mp6_ladder_refuses(q, d, variant):
+    # an unknown variant, a float variant, a float d, a d below 2, an even q
+    # and a d of the wrong parity, each refused with mp6_ladder's class and
+    # message, by the closed forms and by the record builder alike
+    with pytest.raises(QmdsError) as built:
+        mp6_ladder(q, d, variant, force=True)
+    for closed_form in (lambda: mp7_shape(q, d, variant), lambda: ladder_quantum_record(None, q, d, variant)):
+        with pytest.raises(QmdsError) as refused:
+            closed_form()
+        assert (type(refused.value), str(refused.value)) == (type(built.value), str(built.value))
+
+
+@pytest.mark.parametrize("d", [2, 20])
+def test_a_record_needs_the_field(d):
+    # q = 15 is no prime power, so a forced mp6_ladder refuses it on either
+    # side of variant 3's ceiling, 15; no FORMULA-ONLY record stands in
+    with pytest.raises(NonPrimeCharacteristic):
+        mp6_ladder(15, d, 3, force=True)
+    with pytest.raises(NonPrimeCharacteristic):
+        ladder_quantum_record(None, 15, d, 3)
+
+
+def test_table1_builds_every_row_through_the_record_builder(monkeypatch):
+    calls = []
+
+    def recording(classical, q, d, variant):
+        calls.append((q, d, variant, classical is None))
+        return ladder_quantum_record(classical, q, d, variant)
+
+    monkeypatch.setattr(quantum, "ladder_quantum_record", recording)
+    table1()
+    # the two rows past the ceiling pass no classical code
+    assert calls == [(q, d, v, not mp7_in_range(q, d, v)) for q, d, v, _ in TABLE1_LAYOUT]
+    assert sum(none for *_, none in calls) == 2
 
 
 def test_ladder_forced_is_formula_only(table_rows):
