@@ -30,6 +30,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from qmds.cli import main as qmds_main
+from qmds.gf import field_new
 from qmds.grs import valid_parameter_sets
 
 MANIFEST = Path(__file__).resolve().with_name("manifest.json")
@@ -41,9 +42,10 @@ LADDER_Q = (3, 5, 7)
 
 
 def _code_file(
-    n: int, k: int, generator: list[list[int]], orthogonality: str = "dual-containing", **distances: int
+    n: int, k: int, generator: list[list[int]], orthogonality: str | None = "dual-containing", **distances: int
 ) -> str:
-    """A GF(9) code file claiming the given orthogonality and distances."""
+    """A GF(9) code file claiming the given orthogonality (None: none) and
+    distances."""
     return json.dumps({
         "schema_version": 1,
         "field": {"p": 3, "t": 1, "modulus": [2, 1, 1]},
@@ -61,13 +63,37 @@ def _grs_a_q3(known: int, lb: int) -> str:
     return _code_file(8, 2, GRS_A_Q3, "self-orthogonal", known_distance=known, claimed_distance_lb=lb)
 
 
+# two GF(9) generators [I | P] past the 2^22 cap: a [10, 7] one whose first
+# row (1 at columns 0 and 7) has weight 2, so some 3 parity-check columns
+# are dependent; and a [15, 7] one whose last column is -1 times the one
+# before it, so some 7 generator columns are dependent
+WEIGHT_TWO_ROW = [
+    [int(i == j) for j in range(7)] + p
+    for i, p in enumerate([[1, 0, 0], [1, 2, 3], [4, 5, 6], [7, 8, 1], [2, 4, 8], [3, 6, 7], [5, 1, 4]])
+]
+PROPORTIONAL_COLUMNS = [
+    [int(i == j) for j in range(7)] + p + [field_new(3).neg(p[-1])]
+    for i, p in enumerate([
+        [1, 2, 3, 4, 5, 6, 7],
+        [2, 3, 4, 5, 6, 7, 8],
+        [3, 5, 7, 1, 2, 4, 6],
+        [4, 7, 1, 8, 3, 2, 5],
+        [5, 1, 6, 2, 8, 3, 7],
+        [6, 4, 2, 7, 1, 8, 3],
+        [7, 6, 5, 3, 4, 1, 2],
+    ])
+]
+
+
 # files verify reads as written: a schema this qmds does not read and a
 # negative length (exit 4, FileMalformed), a [4200, 1] code whose
 # [4200, 4199] kernel would pass grs.DUAL_CELL_CAP (exit 2,
 # DimensionOutOfRange), a [3, 1] code claiming self-orthogonality on a
 # row whose Hermitian norm is 1, so its Gram check fails (exit 3), and the
 # grs-a q=3 code claiming d = 7 (true), d = 6 (false) and both d = 7 and
-# d >= 9, which no length-8 code has
+# d >= 9, which no length-8 code has; then the two MDS claims the column
+# floor refutes, on the parity-check side (s = 3) and on the generator side
+# (s = 7)
 LOADED = (
     ("schema-version-2.json", '{"schema_version": 2}\n'),
     ("negative-length.json", _code_file(-5, 0, [])),
@@ -76,6 +102,8 @@ LOADED = (
     ("true-exact-distance.json", _grs_a_q3(7, 7)),
     ("false-exact-distance.json", _grs_a_q3(6, 6)),
     ("contradictory-distances.json", _grs_a_q3(7, 9)),
+    ("weight-two-row.json", _code_file(10, 7, WEIGHT_TWO_ROW, None, known_distance=4)),
+    ("proportional-columns.json", _code_file(15, 7, PROPORTIONAL_COLUMNS, None, known_distance=9)),
 )
 
 # each check on its own, for one code of each orthogonality claim and for a
@@ -143,6 +171,10 @@ def _constructs():
     yield "--family grs-a --q 23 --a 1 --d 18"
     yield "--family grs-b --q 23 --a 1 --d 3"
     yield "--family grs-c --q 23 --a 0 --d 3"
+    # [22, 3] and [22, 4] over GF(529), past the cap: the floor walks their
+    # generator columns at s = 3 and s = 4 through Zech sums
+    yield "--family grs-b --q 23 --a 6 --d 4"
+    yield "--family grs-b --q 23 --a 6 --d 5"
     yield "--family extended --q 19 --k 18"
     yield "--family full-field --q 23 --k 2"
     # Table 1's two q = 9 rows: ladders over GF(81), a t = 2 tower whose
