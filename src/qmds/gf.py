@@ -31,8 +31,9 @@ than half of whose entries are zero is summed over its support alone, so
 the sparse block rows of a matrix-product code cost their nonzero entries,
 not their length; denser rows are summed entry by entry.  Only this
 module reads the tables: other modules call the element methods or the
-vector kernels (scale, vmul, vadd, sums, vdiv, conjugate, clear_column,
-hermitian_products), each of which picks its way of adding once per call.
+vector kernels (scale, multiples, line_points, vmul, vadd, sums, vdiv,
+conjugate, clear_column, hermitian_products), each of which picks its way
+of adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
@@ -204,6 +205,44 @@ class Field:
         exp, log = self._exp, self._log
         lc = log[c]
         return [exp[lc + log[x]] if x else 0 for x in v]
+
+    def multiples(self, v: list[int]) -> list[tuple[int, ...]]:
+        """omega^j * v for j = 0, ..., q^2 - 2, each nonzero multiple of v
+        once, as tuples.  Entry i of them runs along the exp slice that
+        starts at log v_i (all zeros where v_i is zero), so one transpose of
+        those slices builds them all."""
+        exp, log, order = self._exp, self._log, self.q2 - 1
+        zeros = (0,) * order
+        return list(zip(*[exp[log[x] : log[x] + order] if x else zeros for x in v]))
+
+    def line_points(self, vectors, x: int, y: int, v=None, p: int = 0) -> list[int | None]:
+        """The point of the projective line that each vector's entries (a, b)
+        at x and y name: b / a, or q^2 (the point at infinity) when a is
+        zero; None for (0, 0), which names no point.  Two nonzero pairs are
+        proportional exactly when their points are equal.
+
+        With v, nonzero at p, each vector u is first reduced against v at p,
+        u - (u_p / v_p) v, and only that difference's entries at x and y are
+        formed.
+        """
+        exp, log, q2 = self._exp, self._log, self.q2
+        if v is None:
+            pairs = map(itemgetter(x, y), vectors)
+        else:
+            # u_p * (-v_x / v_p) is exp[log u_p + lx], a negative index
+            # wrapping mod q^2 - 1; a zero v_x leaves u_x as it is
+            neg, lp, vx, vy = self._neg, log[v[p]], v[x], v[y]
+            lx, ly = log[neg[vx]] - lp, log[neg[vy]] - lp
+            addtab, add, pairs = self._add, self.add, []
+            for up, a, b in map(itemgetter(p, x, y), vectors):
+                if up:
+                    lu = log[up]
+                    if vx:
+                        a = add(a, exp[lu + lx]) if addtab is None else addtab[a][exp[lu + lx]]
+                    if vy:
+                        b = add(b, exp[lu + ly]) if addtab is None else addtab[b][exp[lu + ly]]
+                pairs.append((a, b))
+        return [exp[log[b] - log[a]] if a and b else 0 if a else q2 if b else None for a, b in pairs]
 
     def vmul(self, u: list[int], v: list[int]) -> list[int]:
         """u_i * v_i for every i."""

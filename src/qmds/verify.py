@@ -15,8 +15,9 @@ scalar class at a time, once the columns are arranged to make the last row
 all ones and zeros: each visited word scores all q^2 multiples of that row
 from its most frequent entry.  A node that fixes every row but the last two
 scores its q^2 children in one pass each over the addition-table rows of
-its word (Field.sums), counting their entries into plain dicts; see
-_min_weight.
+its word (Field.sums), counting their entries into plain dicts; each row's
+nonzero multiples are slices of the exp table, transposed (Field.multiples);
+see _min_weight.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes, and a
@@ -27,7 +28,12 @@ enumerate when the q^(2k) messages fit the cap, else test the column
 floor, else report the check skipped.  The floor tests d >= w on the
 w - 1 subsets of the parity-check columns; an MDS claim on a code with
 k < n - k is tested on the k-subsets of the generator's columns instead,
-which are independent exactly when the code is MDS."""
+which are independent exactly when the code is MDS.  On either side an
+MDS claim walks vectors of length s, the subset size.  A vector not yet
+chosen is then zero at the pivots of those chosen and lives on the columns
+left free, one per vector still to choose; with three left, the walk reads
+each one only at the two free columns beside the next pivot, as a point of
+the projective line (see _subsets_independent)."""
 
 from __future__ import annotations
 
@@ -101,12 +107,19 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     entries of each are counted into a plain dict.  When m < n, the first m
     entries and the tail are summed apart, and only the tail's zeros are
     counted.
+
+    The q^2 - 1 nonzero multiples of each head row below the first are
+    built once by Field.multiples, in the order of their scalars' logs:
+    entry i of them runs along the exp slice from log row_i, so one
+    transpose builds them all.  The order differs from the scalars' own,
+    and best is a minimum, so the result does not depend on it.  A head of
+    one row or none builds no multiples.
     """
     head, m = _last_row_to_ones(f, rows)
     k1, n = len(head), len(rows[0])
-    # row * c at index c - 1 for every nonzero c; row 0 only ever enters
-    # with coefficient 1
-    mults = [None] + [[f.scale(c, row) for c in range(1, f.q2)] for row in head[1:]]
+    # every nonzero multiple of each row, read off exp slices; row 0 only
+    # ever enters with coefficient 1
+    mults = [None] + [f.multiples(row) for row in head[1:]]
     vadd, sums = f.vadd, f.sums
     split = m < n
     last = mults[-1] if k1 > 1 else []
@@ -224,9 +237,38 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
     others as they are, so the caller's vectors are never written.  With
     two vectors left to choose, the prefix extends to an independent set by
     any pair of rest exactly when no two of them are proportional.
+
+    In the square case, vectors of length s (every MDS claim, on either
+    side), each vector of rest is zero on the prefix's pivot columns, so it
+    lives on the columns still free, one per vector left to choose.  With
+    three left, taking v leaves two free columns x and y beside v's pivot
+    p, and each later vector u reduces against v to u - (u_p / v_p) v,
+    whose entries at x and y alone name a point of the projective line
+    (Field.line_points).  The prefix and v extend by any two of them
+    exactly when no reduced vector is zero and no two points are equal, so
+    that level copies nothing and calls neither clear_column nor a leaf.
+    Longer vectors, as for a ladder's lower-bound claims, take the walk
+    above throughout.
     """
 
-    def walk(rest: list[list[int]], s: int) -> bool:
+    square = len(vectors[0]) == s
+
+    def on_the_line(points: list[int | None]) -> bool:
+        """No vector is zero and no two are proportional."""
+        return None not in points and len(set(points)) == len(points)
+
+    def walk(rest: list[list[int]], s: int, free: list[int]) -> bool:
+        if square and s == 2:  # reached only when s is 2 from the start
+            return on_the_line(f.line_points(rest, 0, 1))
+        if square and s == 3:
+            a, b, c = free
+            for i in range(len(rest) - 2):
+                v = rest[i]
+                # v's pivot is its first nonzero entry, a free one
+                p, x, y = (a, b, c) if v[a] else (b, a, c) if v[b] else (c, a, b)
+                if not on_the_line(f.line_points(rest[i + 1 :], x, y, v, p)):
+                    return False
+            return True
         if s == 2:
             leading_one = {tuple(f.scale(f.inv(next(filter(None, u))), u)) for u in rest}
             return len(leading_one) == len(rest)
@@ -239,11 +281,11 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
             if not all(map(any, copies)):
                 return False
             reduced = iter(copies)
-            if not walk([next(reduced) if u[p] else u for u in later], s - 1):
+            if not walk([next(reduced) if u[p] else u for u in later], s - 1, [c for c in free if c != p]):
                 return False
         return True
 
-    return all(map(any, vectors)) and (s == 1 or walk(vectors, s))
+    return all(map(any, vectors)) and (s == 1 or walk(vectors, s, list(range(s))))
 
 
 def dual_containing_check(code: LinearCode) -> bool:

@@ -480,6 +480,43 @@ def test_vector_kernels_match_oracle(fv, c):
     assert f.hermitian_products([u], [v]) == [[acc]]
 
 
+@PROPERTY
+@given(field_and_vectors(1))
+def test_multiples_are_every_nonzero_multiple_in_log_order(fv):
+    # against the element methods, which the oracle checks above; the
+    # oracle itself would take seconds on the fields of 1024 elements
+    f, (u,) = fv
+    assert f.multiples(u) == [tuple(f.mul(f.exp(j), x) for x in u) for j in range(f.q2 - 1)]
+
+
+@PROPERTY
+@given(field_and_vectors(5), st.data())
+def test_line_points_name_each_pair_up_to_scale(fv, data):
+    # a point is b / a, q^2 at a = 0 and None at (0, 0); with a pivot row v
+    # the pairs are those of u - (u_p / v_p) v
+    f, vectors = fv
+    n = len(vectors[0])
+    x, y = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j] or [(0, 0)]))
+    expected_pairs = [(u[x], u[y]) for u in vectors]
+    pivots = [c for c in range(n) if c not in (x, y)]
+    v = None
+    if pivots and data.draw(st.booleans()):
+        p = data.draw(st.sampled_from(pivots))
+        v = list(vectors[0])
+        v[p] = v[p] or 1
+        inv_pivot = oracle_power(f, v[p], f.q2 - 2)
+        factors = [oracle_neg(f, oracle_mul(f, u[p], inv_pivot)) for u in vectors]
+        expected_pairs = [
+            (oracle_add(f, u[x], oracle_mul(f, c, v[x])), oracle_add(f, u[y], oracle_mul(f, c, v[y])))
+            for u, c in zip(vectors, factors)
+        ]
+    points = f.line_points(vectors, x, y) if v is None else f.line_points(vectors, x, y, v, p)
+    expected = [
+        oracle_mul(f, b, oracle_power(f, a, f.q2 - 2)) if a else f.q2 if b else None for a, b in expected_pairs
+    ]
+    assert points == expected
+
+
 @pytest.mark.parametrize("q", [3, 5, 23], ids=["GF9", "GF25", "GF529"])
 def test_sums_match_elementwise_add(q):
     # u runs over every element, so with the constant vectors among vs every

@@ -18,10 +18,19 @@ no zero entry, so m = n.
 The floor check `min_distance_at_least` must answer d >= w exactly as the
 naive distance does, for every w up to the Singleton bound.  Its walk
 `_subsets_independent` shares each prefix's elimination among all the
-subsets that extend it; over GF(529) (Zech sums) and GF(9) (add table) it
-is compared with testing every subset on its own with the earlier
-basis-building version, which works element by element through the
-field's methods.
+subsets that extend it; over GF(4) (characteristic 2, where -1 = 1),
+GF(9) and GF(25) (add tables) and GF(529) (Zech sums) it is compared with
+testing every subset on its own with the earlier basis-building version,
+which works element by element through the field's methods.  Half the
+inputs are square, vectors of length s as every MDS claim walks them:
+there a vector not yet chosen is zero at the pivots of those chosen, so
+with three left the walk reads each later vector, reduced against the next
+one, only at the two free columns beside its pivot, as a point of the
+projective line.  Explicit cases over GF(4), GF(9) and GF(529) pin what
+that reading must catch: a proportional pair at s = 2, a collinear triple
+at s = 3 with one vector zero at the pivot, a multiple of the pivot that
+reduces to zero, and a pivot past a zero entry, which leaves a column
+before it free.
 
 An MDS claim on a code with k < n - k is walked on the k-subsets of the
 generator's columns instead.  On such codes over GF(4), GF(9), GF(25) and
@@ -156,15 +165,20 @@ def naive_independent(f, vectors) -> bool:
     return True
 
 
+# GF(4) has characteristic 2, where -1 = 1; GF(529) adds by Zech logs
+WALK_FIELDS = [field_new(2), field_new(3), field_new(5), GF529]
+
+
 @st.composite
 def walk_inputs(draw):
-    """A field, a subset size s and s to s + 3 vectors of length r >= s.
+    """A field, a subset size s and s to s + 3 vectors of length r >= s,
+    with r = s (the square case of every MDS claim) in half the lists.
     Half the lists get a combination of at most s - 1 of their vectors
     inserted, so that some s of them are dependent, and half the lists are
     sparse, so that zero and proportional vectors are common."""
-    f = draw(st.sampled_from([GF529, field_new(3)]))
+    f = draw(st.sampled_from(WALK_FIELDS))
     r = draw(st.integers(1, 6))
-    s = draw(st.integers(1, r))
+    s = r if draw(st.booleans()) else draw(st.integers(1, r))
     entry = st.integers(0, f.q2 - 1)
     if draw(st.booleans()):
         entry = st.one_of(st.just(0), entry)
@@ -188,6 +202,57 @@ def test_independent_matches_basis_building_oracle(inputs):
     )
     assert _subsets_independent(f, vectors, s) == expected
     assert vectors == before  # columns are copied before they are reduced
+
+
+def scaled(f, c, v):
+    return [f.mul(c, x) for x in v]
+
+
+def combined(f, u, c, v):
+    return [f.add(x, f.mul(c, y)) for x, y in zip(u, v)]
+
+
+def proportional_pair(f):
+    """Four vectors of length 2, the last -1 times the first, and the two
+    between them the points at infinity and at zero: s = 2 reads the points
+    of the projective line with no walk above them."""
+    u = [1, f.omega]
+    return [u, [0, 1], [1, 0], scaled(f, f.neg(1), u)], 2
+
+
+def collinear_triple(f):
+    """Four vectors of length 3, the last v + c u for the first two: u is
+    zero at v's pivot, so it is read unreduced against v, while v + c u
+    reduces to c u; the third, (0, 0, 1), leaves every other triple
+    independent."""
+    v, u, c = [1, f.omega, 1], [0, 1, f.omega], f.add(f.omega, 1)
+    return [v, u, [0, 0, 1], combined(f, v, c, u)], 3
+
+
+def multiple_of_the_pivot(f):
+    """Four vectors of length 3, the last omega times the first: against
+    the first it reduces to zero, which no point stands for."""
+    v = [1, f.omega, 1]
+    return [v, [0, 1, f.omega], [0, 1, 0], scaled(f, f.omega, v)], 3
+
+
+def pivot_past_a_zero(f):
+    """Five vectors of length 4, the first zero at column 0, so that its
+    pivot is column 1 and column 0 stays free below it; the last, (1, 0,
+    omega, 1), is a combination of the second, third and fourth."""
+    return [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, f.omega, 1]], 4
+
+
+@pytest.mark.parametrize("f", [field_new(2), field_new(3), GF529], ids=["GF4", "GF9", "GF529"])
+@pytest.mark.parametrize("case", [proportional_pair, collinear_triple, multiple_of_the_pivot, pivot_past_a_zero])
+def test_the_square_walk_refutes_a_dependent_subset(f, case):
+    vectors, s = case(f)
+    assert len(vectors[0]) == s
+    # the last vector makes some s of them dependent, and without it every
+    # s are independent
+    for vs, expected in ((vectors, False), (vectors[:-1], True)):
+        assert all(naive_independent(f, subset) for subset in itertools.combinations(vs, s)) is expected
+        assert _subsets_independent(f, vs, s) is expected
 
 
 @st.composite
