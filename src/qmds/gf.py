@@ -215,33 +215,27 @@ class Field:
         zeros = (0,) * order
         return list(zip(*[exp[log[x] : log[x] + order] if x else zeros for x in v]))
 
-    def line_points(self, vectors, x: int, y: int, v=None, p: int = 0) -> list[int | None]:
-        """The point of the projective line that each vector's entries (a, b)
-        at x and y name: b / a, or q^2 (the point at infinity) when a is
-        zero; None for (0, 0), which names no point.  Two nonzero pairs are
+    def line_points(self, vectors, v: list[int], p: int, x: int, y: int) -> list[int | None]:
+        """Each vector u reduced against v at v's nonzero entry p, u - (u_p /
+        v_p) v, read at x and y alone, as a point of the projective line:
+        the pair (a, b) names b / a, or q^2 (the point at infinity) when a
+        is zero, and None when both are zero.  Two nonzero pairs are
         proportional exactly when their points are equal.
-
-        With v, nonzero at p, each vector u is first reduced against v at p,
-        u - (u_p / v_p) v, and only that difference's entries at x and y are
-        formed.
         """
-        exp, log, q2 = self._exp, self._log, self.q2
-        if v is None:
-            pairs = map(itemgetter(x, y), vectors)
-        else:
-            # u_p * (-v_x / v_p) is exp[log u_p + lx], a negative index
-            # wrapping mod q^2 - 1; a zero v_x leaves u_x as it is
-            neg, lp, vx, vy = self._neg, log[v[p]], v[x], v[y]
-            lx, ly = log[neg[vx]] - lp, log[neg[vy]] - lp
-            addtab, add, pairs = self._add, self.add, []
-            for up, a, b in map(itemgetter(p, x, y), vectors):
-                if up:
-                    lu = log[up]
-                    if vx:
-                        a = add(a, exp[lu + lx]) if addtab is None else addtab[a][exp[lu + lx]]
-                    if vy:
-                        b = add(b, exp[lu + ly]) if addtab is None else addtab[b][exp[lu + ly]]
-                pairs.append((a, b))
+        exp, log, q2, addtab, add = self._exp, self._log, self.q2, self._add, self.add
+        # u_p * (-v_x / v_p) is exp[log u_p + lx], a negative index wrapping
+        # mod q^2 - 1; a zero v_x leaves u_x as it is
+        neg, lp, vx, vy = self._neg, log[v[p]], v[x], v[y]
+        lx, ly = log[neg[vx]] - lp, log[neg[vy]] - lp
+        pairs = []
+        for up, a, b in map(itemgetter(p, x, y), vectors):
+            if up:
+                lu = log[up]
+                if vx:
+                    a = add(a, exp[lu + lx]) if addtab is None else addtab[a][exp[lu + lx]]
+                if vy:
+                    b = add(b, exp[lu + ly]) if addtab is None else addtab[b][exp[lu + ly]]
+            pairs.append((a, b))
         return [exp[log[b] - log[a]] if a and b else 0 if a else q2 if b else None for a, b in pairs]
 
     def vmul(self, u: list[int], v: list[int]) -> list[int]:

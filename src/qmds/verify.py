@@ -117,8 +117,7 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     """
     head, m = _last_row_to_ones(f, rows)
     k1, n = len(head), len(rows[0])
-    # every nonzero multiple of each row, read off exp slices; row 0 only
-    # ever enters with coefficient 1
+    # row 0 only ever enters with coefficient 1
     mults = [None] + [f.multiples(row) for row in head[1:]]
     vadd, sums = f.vadd, f.sums
     split = m < n
@@ -253,20 +252,16 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
 
     square = len(vectors[0]) == s
 
-    def on_the_line(points: list[int | None]) -> bool:
-        """No vector is zero and no two are proportional."""
-        return None not in points and len(set(points)) == len(points)
-
     def walk(rest: list[list[int]], s: int, free: list[int]) -> bool:
-        if square and s == 2:  # reached only when s is 2 from the start
-            return on_the_line(f.line_points(rest, 0, 1))
         if square and s == 3:
             a, b, c = free
             for i in range(len(rest) - 2):
                 v = rest[i]
                 # v's pivot is its first nonzero entry, a free one
                 p, x, y = (a, b, c) if v[a] else (b, a, c) if v[b] else (c, a, b)
-                if not on_the_line(f.line_points(rest[i + 1 :], x, y, v, p)):
+                # a reduced vector that is zero, or two that are proportional
+                points = f.line_points(rest[i + 1 :], v, p, x, y)
+                if None in points or len(set(points)) < len(points):
                     return False
             return True
         if s == 2:
@@ -285,7 +280,7 @@ def _subsets_independent(f: Field, vectors: list[list[int]], s: int) -> bool:
                 return False
         return True
 
-    return all(map(any, vectors)) and (s == 1 or walk(vectors, s, list(range(s))))
+    return all(map(any, vectors)) and (s == 1 or walk(vectors, s, list(range(len(vectors[0])))))
 
 
 def dual_containing_check(code: LinearCode) -> bool:

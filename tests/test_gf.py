@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds import errors, gf
@@ -491,30 +491,21 @@ def test_multiples_are_every_nonzero_multiple_in_log_order(fv):
 
 @PROPERTY
 @given(field_and_vectors(5), st.data())
-def test_line_points_name_each_pair_up_to_scale(fv, data):
-    # a point is b / a, q^2 at a = 0 and None at (0, 0); with a pivot row v
-    # the pairs are those of u - (u_p / v_p) v
+def test_line_points_name_each_reduced_pair_up_to_scale(fv, data):
+    # u - (u_p / v_p) v at x and y is the pair (a, b), whose point is b / a,
+    # q^2 at a = 0 and None at (0, 0)
     f, vectors = fv
-    n = len(vectors[0])
-    x, y = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j] or [(0, 0)]))
-    expected_pairs = [(u[x], u[y]) for u in vectors]
-    pivots = [c for c in range(n) if c not in (x, y)]
-    v = None
-    if pivots and data.draw(st.booleans()):
-        p = data.draw(st.sampled_from(pivots))
-        v = list(vectors[0])
-        v[p] = v[p] or 1
-        inv_pivot = oracle_power(f, v[p], f.q2 - 2)
-        factors = [oracle_neg(f, oracle_mul(f, u[p], inv_pivot)) for u in vectors]
-        expected_pairs = [
-            (oracle_add(f, u[x], oracle_mul(f, c, v[x])), oracle_add(f, u[y], oracle_mul(f, c, v[y])))
-            for u, c in zip(vectors, factors)
-        ]
-    points = f.line_points(vectors, x, y) if v is None else f.line_points(vectors, x, y, v, p)
-    expected = [
-        oracle_mul(f, b, oracle_power(f, a, f.q2 - 2)) if a else f.q2 if b else None for a, b in expected_pairs
-    ]
-    assert points == expected
+    assume(len(vectors[0]) >= 3)
+    p, x, y = data.draw(st.permutations(range(len(vectors[0]))))[:3]
+    v = list(vectors[0])
+    v[p] = v[p] or 1
+    inv_pivot = oracle_power(f, v[p], f.q2 - 2)
+    pairs = []
+    for u in vectors:
+        c = oracle_neg(f, oracle_mul(f, u[p], inv_pivot))
+        pairs.append((oracle_add(f, u[x], oracle_mul(f, c, v[x])), oracle_add(f, u[y], oracle_mul(f, c, v[y]))))
+    expected = [oracle_mul(f, b, oracle_power(f, a, f.q2 - 2)) if a else f.q2 if b else None for a, b in pairs]
+    assert f.line_points(vectors, v, p, x, y) == expected
 
 
 @pytest.mark.parametrize("q", [3, 5, 23], ids=["GF9", "GF25", "GF529"])

@@ -26,11 +26,11 @@ inputs are square, vectors of length s as every MDS claim walks them:
 there a vector not yet chosen is zero at the pivots of those chosen, so
 with three left the walk reads each later vector, reduced against the next
 one, only at the two free columns beside its pivot, as a point of the
-projective line.  Explicit cases over GF(4), GF(9) and GF(529) pin what
-that reading must catch: a proportional pair at s = 2, a collinear triple
-at s = 3 with one vector zero at the pivot, a multiple of the pivot that
-reduces to zero, and a pivot past a zero entry, which leaves a column
-before it free.
+projective line.  Explicit cases over GF(4), GF(9) and GF(529) pin the
+dependences the square walk must catch: a proportional pair at s = 2, a
+collinear triple at s = 3 with one vector zero at the pivot, a multiple of
+the pivot that reduces to zero, and a pivot past a zero entry, which
+leaves a column before it free.
 
 An MDS claim on a code with k < n - k is walked on the k-subsets of the
 generator's columns instead.  On such codes over GF(4), GF(9), GF(25) and
@@ -213,9 +213,8 @@ def combined(f, u, c, v):
 
 
 def proportional_pair(f):
-    """Four vectors of length 2, the last -1 times the first, and the two
-    between them the points at infinity and at zero: s = 2 reads the points
-    of the projective line with no walk above them."""
+    """Four vectors of length 2, the last -1 times the first: the leaf at
+    s = 2 runs with no walk above it."""
     u = [1, f.omega]
     return [u, [0, 1], [1, 0], scaled(f, f.neg(1), u)], 2
 
