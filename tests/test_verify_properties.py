@@ -208,10 +208,6 @@ def scaled(f, c, v):
     return [f.mul(c, x) for x in v]
 
 
-def combined(f, u, c, v):
-    return [f.add(x, f.mul(c, y)) for x, y in zip(u, v)]
-
-
 def proportional_pair(f):
     """Four vectors of length 2, the last -1 times the first: the leaf at
     s = 2 runs with no walk above it."""
@@ -225,7 +221,7 @@ def collinear_triple(f):
     reduces to c u; the third, (0, 0, 1), leaves every other triple
     independent."""
     v, u, c = [1, f.omega, 1], [0, 1, f.omega], f.add(f.omega, 1)
-    return [v, u, [0, 0, 1], combined(f, v, c, u)], 3
+    return [v, u, [0, 0, 1], [f.add(x, f.mul(c, y)) for x, y in zip(v, u)]], 3
 
 
 def multiple_of_the_pivot(f):
