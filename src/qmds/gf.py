@@ -26,10 +26,13 @@ integer sums of digit polynomials (Kronecker substitution): two more
 tables, built at its first call, hold each element and each element's
 conjugate with its 2t base-p digits in slots of one int, so one integer
 product holds the coefficients of a product polynomial and a sum of those
-is left unreduced until the entry is done (delayed reduction).  A row more
-than half of whose entries are zero is summed over its support alone, so
-the sparse block rows of a matrix-product code cost their nonzero entries,
-not their length; denser rows are summed entry by entry.  Only this
+is left unreduced until the entry is done (delayed reduction).  The same
+substitution runs once more over the row index: the conjugate rows are
+stacked into one int per column, an entry's width apart, so one integer
+sum per row gives its entries with all of them.  A row more than half of
+whose entries are zero is summed over its support alone, so the sparse
+block rows of a matrix-product code cost their nonzero entries, not their
+length; denser rows are summed over every position.  Only this
 module reads the tables: other modules call the element methods or the
 vector kernels (scale, multiples, line_points, vmul, vadd, sums, vdiv,
 conjugate, clear_column, hermitian_products), each of which picks its way
@@ -319,42 +322,58 @@ class Field:
         others whose length differs from that of rows raise
         DimensionMismatch.
 
-        Each row, and each conjugate row, is gathered once through the
-        digit tables (see _gram_tables), so one integer multiply gives the
-        product polynomial of two entries and one sum of those gives an
-        entry's unreduced coefficients, slot by slot.  A row more than half
-        of whose entries are zero is summed over its support alone: its
-        nonzero digits against the entries of each conjugate row at the
-        same positions, the zero terms adding nothing to the sum.  Denser
-        rows are summed over every position.  Either way the entry is reduced
-        once: the 2t - 1 slots above degree 2t - 1 are taken mod p and
-        folded back through x^(2t + h) in this field, and every low slot is
-        taken mod p.
+        Each entry is an integer sum of digit polynomials (see
+        _gram_tables), and the rows summed against are stacked into the
+        slots of one int per column: column l holds the conjugate digits of
+        row j at bit slot * j, where slot = (4t - 1) width spans a whole
+        product polynomial.  So one sum over the columns, a row's digits
+        times each packed column, gives that row's entries with every row
+        at once, each in its own slot.  Without others the rows are walked
+        from last to first, and each is stacked into the columns before its
+        own sum, so row i's sum holds the entries j >= i and no more; others
+        are stacked once.  A row more than half of whose entries are zero is
+        summed over its support alone, its nonzero digits against the
+        packed columns at the same positions.  Each entry is cut from its
+        slot and reduced once: the 2t - 1 coefficients above degree 2t - 1
+        are taken mod p and folded back through x^(2t + h) in this field,
+        and every low one is taken mod p.
         """
         n = len(rows[0]) if rows else 0
         gram = others is None
         if not gram and rows and any(len(row) != n for row in others):
             raise DimensionMismatch(f"rows of length {n} against rows of other lengths")
         width, digits, conj_digits, fold = self._gram_tables(n)
-        p, split = self.p, width * 2 * self.t
+        p, split, slot = self.p, width * 2 * self.t, width * (4 * self.t - 1)
         mask, low_mask = (1 << width) - 1, (1 << split) - 1
-        conj = [[conj_digits[x] for x in row] for row in (rows if gram else others)]
+
+        def stack(cols: list[int], row: list[int]) -> list[int]:
+            # cols[l] holds the conjugate digits of column l of the rows
+            # summed against, the first of them in the lowest slot: the
+            # first row stacked fills the columns, and each later one shifts
+            # every column up one slot and fills the freed one
+            if not cols:
+                return [conj_digits[x] for x in row]
+            return [(c << slot) + conj_digits[x] for c, x in zip(cols, row)]
+
+        cols = []
+        if not gram:
+            for row in reversed(others):
+                cols = stack(cols, row)
         out = []
-        for i, row in enumerate(rows):
-            targets = conj[i:] if gram else conj
+        count = 0 if gram else len(others)
+        for row in reversed(rows):
+            if gram:
+                cols = stack(cols, row)
+                count += 1
             if 2 * row.count(0) > n:
-                # mostly zero: sum over the support, against the matching
-                # entries of each conjugate row
-                support = list(compress(range(n), row))
-                row = [digits[x] for x in row if x]
-                pick = itemgetter(*support) if len(support) > 1 else lambda c: [c[l] for l in support]
-                sums = [sum(map(mul, row, pick(c))) for c in targets]
+                # mostly zero: sum over the support alone
+                s = sum(map(mul, map(digits.__getitem__, filter(None, row)), compress(cols, row)))
             else:
-                row = [digits[x] for x in row]
-                sums = [sum(map(mul, row, c)) for c in targets]
+                s = sum(map(mul, map(digits.__getitem__, row), cols))
             entries = []
-            for s in sums:
+            for _ in range(count):
                 low, high = s & low_mask, s >> split
+                s >>= slot
                 for x_power in fold:
                     low += (high & mask) % p * x_power
                     high >>= width
@@ -365,6 +384,7 @@ class Field:
                     unit *= p
                 entries.append(acc)
             out.append(entries)
+        out.reverse()
         return out
 
     def _gram_tables(self, n: int) -> tuple:
@@ -376,12 +396,14 @@ class Field:
         and conj_digits[x] those of x^q.  A product of two such ints holds
         the 4t - 1 coefficients of the product polynomial, each a sum of at
         most 2t terms of at most (p - 1)^2; a sum of n products, plus the
-        folded high coefficients, stays below 2^width per slot once width
-        is the bit length of (n + 1) * 2t * (p - 1)^2.  The width is sized
-        for rows of length 2(q^2 + 1), the longest code qmds builds, so a
-        field keeps one table pair, and for t = 1 and q <= 23 every sum
-        stays below 2^62, where int arithmetic stays on machine words; a
-        longer row widens it.  fold[h] is x^(2t + h) packed the same way.
+        folded high coefficients, stays below 2^width per coefficient once
+        width is the bit length of (n + 1) * 2t * (p - 1)^2.  So an entry's
+        whole unreduced sum stays below 2^((4t - 1) width), and entries
+        packed (4t - 1) width bits apart never carry into each other: all
+        of them are nonnegative, and each fills only its own slot.  The
+        width is sized for rows of length 2(q^2 + 1), the longest code qmds
+        builds, so a field keeps one table pair; a longer row widens it.
+        fold[h] is x^(2t + h) packed the same way.
         """
         tables = self._gram
         if tables is not None and n <= tables[0]:

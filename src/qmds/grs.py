@@ -17,8 +17,9 @@ GrsSpec keeps the one code grs_generator builds from it, and every call
 returns that code.  is_self_orthogonal keeps its Gram verdict on the code
 object, so a constructor's Gram gate also answers the quantum check on the
 code built from its spec.  The Gram matrix is Hermitian, so hermitian_gram
-sums only its upper triangle, each entry one integer sum of digit
-polynomials that the field reduces once (Field.hermitian_products).
+sums only its upper triangle, each row of it one integer sum of digit
+polynomials that the field cuts into entries and reduces once
+(Field.hermitian_products).
 
 A Hermitian dual keeps the code it was taken of, which spans its own
 Hermitian dual in turn, so whether the dual contains its own dual is the
@@ -213,8 +214,9 @@ def hermitian_gram(code: LinearCode) -> Matrix:
     Entry (i, j) is the sum of g_i g_j^q, so entry (j, i) is its q-th
     power: only the entries with i <= j are summed, and each one below the
     diagonal is the conjugate of its mirror image.  Field.hermitian_products
-    sums them: it gathers each row and its conjugate into packed digits
-    once, and reduces each entry once.
+    sums them: it stacks the conjugate rows into one packed int per column,
+    so row i's entries with every row j >= i come from one integer sum, and
+    reduces each entry once.
     """
     f, g = code.field, code.generator
     k = g.rows

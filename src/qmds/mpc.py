@@ -83,8 +83,9 @@ def matrix_product(spec: MpcSpec) -> LinearCode:
     the two generators, and the dimensions add up to the length; D then
     spans the product's whole Hermitian dual.  D itself carries none.
     Block rows are mostly zero (for a ladder, only 6-25% of their entries
-    are nonzero), and Field.hermitian_products sums each such row over its
-    support, so the check costs what the nonzero entries do.
+    are nonzero).  Field.hermitian_products packs D's rows into one int per
+    column once, and sums each such row over its support against those
+    columns, so the check is one sum per block row over its nonzero entries.
     """
     f = spec.field
     mix = spec.mixer

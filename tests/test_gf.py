@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qmds import errors, gf
 from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new, field_with_modulus
+from test_linalg_properties import GRAM_FIELDS, naive_hermitian_gram
 
 # ---------------------------------------------------------------------------
 # oracle helpers: schoolbook polynomial arithmetic mod (modulus, p)
@@ -602,3 +603,24 @@ def test_hermitian_products_widen_their_slots_for_longer_rows(f):
         diagonal = times(n, oracle_mul(f, top, conj_top))
         assert fresh.hermitian_products(rows) == [[diagonal, times(n, oracle_mul(f, top, top))], [diagonal]]
     assert fresh.hermitian_products([]) == []
+
+
+@pytest.mark.parametrize("f", GRAM_FIELDS, ids=repr)
+def test_packed_entries_never_carry_into_each_other(f):
+    # hermitian_products stacks the rows it sums against one entry apart in
+    # one int per column.  Every digit of q^2 - 1 is p - 1, so rows of it
+    # against conjugate rows of it fill every coefficient of each product
+    # polynomial, the middle one as far as the slot width allows at length
+    # 2(q^2 + 1): an entry slot shorter than the whole polynomial would
+    # carry one entry's top coefficients into the next.  A fresh instance
+    # starts at the sized width; the longer rows widen it, and are of odd
+    # length, since for p = 2 a coefficient summed over an even length is
+    # even, and a carried one would vanish mod 2
+    fresh = Field(f.p, f.t, f.modulus)
+    top = f.q2 - 1
+    conj_top = oracle_power(f, top, f.q)
+    for n in (2 * (f.q2 + 1), 4 * f.q2 + 7):
+        rows = [[top] * n, [conj_top] * n, [top] * n, [conj_top] * n]
+        gram = naive_hermitian_gram(fresh, rows)
+        assert fresh.hermitian_products(rows) == [entries[i:] for i, entries in enumerate(gram)]
+        assert fresh.hermitian_products(rows[:3], rows[1:]) == naive_hermitian_gram(fresh, rows[:3], rows[1:])

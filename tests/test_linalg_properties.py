@@ -19,8 +19,10 @@ above, the p = 2 towers GF(4), GF(16) and GF(64), the t = 2 and t = 3 towers
 GF(81), GF(625) and GF(729), GF(529) and GF(625) past the addition table,
 and GF(9) on a non-canonical modulus, with rows longer than the digit
 slots are first sized for, and with rows dense, half zero, mostly zero
-and all zero, so rows are summed both over every position and over their
-support, the support empty, one entry or a few.  The Gram matrices of
+and all zero, each row drawing its own share, so rows are summed both
+over every position and over their support, the support empty, one entry
+or a few, and both kinds of row meet in one call, summed against the same
+packed columns.  The Gram matrices of
 random GRS codes over GF(9), GF(25), GF(49) and GF(529) are also checked
 entry by entry against power sums.
 """
@@ -254,20 +256,28 @@ def grs_specs(draw, fields=GRS_FIELDS, max_n=8):
 # -- properties ------------------------------------------------------------------
 
 
-def sparse_rows(f, rnd, count, n, zeros):
-    """count rows of length n whose entries are each zero with probability
-    zeros, and otherwise uniform over the field."""
-    return [[0 if rnd.random() < zeros else rnd.randrange(f.q2) for _ in range(n)] for _ in range(count)]
+def sparse_rows(f, rnd, count, n, shares):
+    """count rows of length n, each with a zero share drawn from shares:
+    its entries are each zero with that probability, and otherwise uniform
+    over the field."""
+    rows = []
+    for _ in range(count):
+        zeros = rnd.choice(shares)
+        rows.append([0 if rnd.random() < zeros else rnd.randrange(f.q2) for _ in range(n)])
+    return rows
 
 
-# the share of zero entries: at 0 rows are summed entry by entry, at 1 over
-# empty supports, and at 0.9 mostly over supports of one or a few entries
-ZERO_SHARES = st.sampled_from([0, 0.5, 0.9, 1])
+# the zero shares a call's rows draw from: at 0 a row is summed entry by
+# entry, at 1 over an empty support, and at 0.9 mostly over a support of one
+# or a few entries; with more than one share, rows summed over every
+# position and rows summed over their support meet in one call, as in a
+# ladder's block generator
+ZERO_SHARES = st.lists(st.sampled_from([0, 0.5, 0.9, 1]), min_size=1, max_size=3)
 
 
 @PROPERTY
 @given(st.integers(0, 4), st.integers(0, 8), st.booleans(), ZERO_SHARES, st.integers(0, 2**32 - 1))
-def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, zeros, seed):
+def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, shares, seed):
     # every field takes each shape: k rows of length k + extra, or longer
     # than 2(q^2 + 1), the longest code qmds builds; the generator has full
     # rank, so the Gram matrix is rarely zero.  The entries come from a
@@ -276,7 +286,7 @@ def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, zeros, 
     rnd = random.Random(seed)
     for f in GRAM_FIELDS:
         n = 2 * (f.q2 + 1) + 1 + extra if long_rows else max(k, 1) + extra
-        m = Matrix(f, sparse_rows(f, rnd, k, n, zeros), cols=n)
+        m = Matrix(f, sparse_rows(f, rnd, k, n, shares), cols=n)
         if rank(m) < k:
             continue
         gram = hermitian_gram(LinearCode(field=f, generator=m))
@@ -286,13 +296,13 @@ def test_hermitian_gram_matches_the_written_out_sum(k, extra, long_rows, zeros, 
 
 @PROPERTY
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8), st.booleans(), ZERO_SHARES, st.integers(0, 2**32 - 1))
-def test_hermitian_products_of_two_row_lists_match_the_written_out_sum(k, j, extra, long_rows, zeros, seed):
+def test_hermitian_products_of_two_row_lists_match_the_written_out_sum(k, j, extra, long_rows, shares, seed):
     # the Gram test's shapes and draws, for k rows against j others of the
     # same length; no rank is asked of either, so rows may be all zero
     rnd = random.Random(seed)
     for f in GRAM_FIELDS:
         n = 2 * (f.q2 + 1) + 1 + extra if long_rows else max(k, 1) + extra
-        rows, others = (sparse_rows(f, rnd, r, n, zeros) for r in (k, j))
+        rows, others = (sparse_rows(f, rnd, r, n, shares) for r in (k, j))
         assert f.hermitian_products(rows, others) == naive_hermitian_gram(f, rows, others)
 
 
