@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     BadDimension,
@@ -52,7 +53,46 @@ SCHEMA_VERSION = 1
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
+
+    json's C encoder serves no indent, so json.dumps walks an indented value
+    item by item in Python.  Here a list of plain ints, such as a generator
+    row, is written in one str.join; other lists, string-keyed dicts,
+    strings and plain ints are written here too, and any other value is
+    json.dumps's own text, its lines indented to where it sits.
+    """
+    out = []
+    _json_lines(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_lines(obj, newline: str, out: list[str]) -> None:
+    """Append obj's JSON text to out; newline is a line break and obj's indent."""
+    inner = newline + "  "
+    if type(obj) is str:
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(str(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        out.append("[")
+        for i, x in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _json_lines(x, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _json_lines(value, inner, out)
+        out.append(newline + "}")
+    else:
+        # any other value, or a list or dict that is empty or keyed by other
+        # than strings
+        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 # -- code file serialization -------------------------------------------------------

@@ -10,11 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmds.cli
 import qmds.grs
 import qmds.verify
-from qmds.cli import load_code_file, main
+from qmds.cli import canonical_json, load_code_file, main
 from qmds.gf import Field, field_for_q
 from qmds.grs import (
     GRS_FAMILIES,
@@ -68,6 +70,25 @@ def test_construct_is_byte_identical(tmp_path, capsys):
     first = construct(tmp_path, capsys, "one.json", *flags)
     second = construct(tmp_path, capsys, "two.json", *flags)
     assert first.read_bytes() == second.read_bytes()
+
+
+# nested JSON values: unicode strings, bools, None, ints of any sign and
+# size, floats with NaN and the infinities, lists of plain ints such as a
+# generator row, and dicts keyed by strings or by ints
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(st.integers(), max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_sorted_keys_and_indent(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_all_on_fresh_file(tmp_path, capsys):
