@@ -32,11 +32,19 @@ stacked into one int per column, an entry's width apart, so one integer
 sum per row gives its entries with all of them.  A row more than half of
 whose entries are zero is summed over its support alone, so the sparse
 block rows of a matrix-product code cost their nonzero entries, not their
-length; denser rows are summed over every position.  Only this
-module reads the tables: other modules call the element methods or the
-vector kernels (scale, multiples, line_points, vmul, vadd, sums, vdiv,
-conjugate, clear_column, hermitian_products), each of which picks its way
-of adding once per call.
+length; denser rows are summed over every position.
+
+Slopes of lines through points of the plane over GF(q^2), for the
+enumerator's deepest node, go through line_slopes alone: a table built at
+its first call holds log(b - a) for every pair of elements, filled from the
+addition table or, past it, by Zech sums, and a slope is one lookup on the
+sum of two of its entries.  The table has q^4 entries, so fields past
+_LINE_CAP get none.
+
+Only this module reads the tables: other modules call the element methods
+or the vector kernels (scale, multiples, line_points, line_slopes, vmul,
+vadd, sums, vdiv, conjugate, clear_column, hermitian_products), each of
+which picks its way of adding once per call.
 
 The whole tower is capped at p^(2t) <= 2^16, so the tables fit in memory.
 
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, compress
-from operator import getitem, itemgetter, mul
+from operator import add, getitem, itemgetter, mul
 
 from .errors import (
     DimensionMismatch,
@@ -74,6 +82,9 @@ SIZE_CAP = 1 << 16
 # fields up to this size also get a full q^2 x q^2 addition table; larger
 # ones add through Zech logarithms
 _TABLE_CAP = 512
+
+# fields up to this size get line_slopes' table of q^4 difference logs
+_LINE_CAP = 1 << 10
 
 
 def _is_prime(n: int) -> bool:
@@ -109,7 +120,8 @@ class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
     Instances are immutable, apart from the digit tables hermitian_products
-    builds at first use and replaces whole, and safe to share.  Get the
+    builds at first use and replaces whole and the difference logs
+    line_slopes builds at first use, and safe to share.  Get the
     canonical one from field_new() or field_for_q(), and the field a
     serialized code file names from field_with_modulus(); Field(p, t,
     modulus) builds a new instance on any primitive modulus, which no other
@@ -143,6 +155,8 @@ class Field:
         self._conj = [0] + [exp[log[x] * q % order] for x in range(1, q2)]
         # the digit tables of hermitian_products, built at its first call
         self._gram = None
+        # the difference logs of line_slopes, built at its first call
+        self._lines = None
         if q2 <= _TABLE_CAP:
             self._add = _addition_table(p, q2)
         else:
@@ -240,6 +254,77 @@ class Field:
                     b = add(b, exp[lu + ly]) if addtab is None else addtab[b][exp[lu + ly]]
             pairs.append((a, b))
         return [exp[log[b] - log[a]] if a and b else 0 if a else q2 if b else None for a, b in pairs]
+
+    def line_slopes(self, r: list[int], m: int):
+        """A function of u, for r and u of one length n, naming the lines of
+        the plane through the points P_j = (r_j, u_j), j < m; or None past
+        _LINE_CAP, whose difference-log table would not fit.
+
+        For u it gives a list of iterators of keys.  The first holds, for
+        each j >= m, the slope u_j / r_j of the line through the origin and
+        P_j.  Then, for each j < m - 1, one holds the slope (u_i - u_j) /
+        (r_i - r_j) of the line through P_j and P_i, for each i = j + 1, ...,
+        m - 1.  A slope is a field element, or q^2 for a vertical pair
+        (equal r, different u), or q^2 + 1 for a pair at the same point.
+
+        Each key is one lookup on the sum of two difference logs (see
+        _line_tables): the u side's, read off u at each call, and the r
+        side's, read here once for every call.
+        """
+        if self.q2 > _LINE_CAP:
+            return None
+        dlog, key, flip = self._line_tables()
+
+        def side(v: list[int]):
+            """v's difference logs: the tail's entries from the origin, then
+            each point's later entries from the point's own."""
+            yield map(dlog[0].__getitem__, v[m:])
+            for j in range(m - 1):
+                yield map(dlog[v[j]].__getitem__, v[j + 1 : m])
+
+        r_side = [list(map(flip.__getitem__, part)) for part in side(r)]
+
+        def slopes(u: list[int]) -> list:
+            return [map(key.__getitem__, map(add, us, rs)) for us, rs in zip(side(u), r_side)]
+
+        return slopes
+
+    def _line_tables(self) -> tuple:
+        """(dlog, key, flip) for line_slopes, built at the first call and
+        kept.
+
+        dlog[a][b] is log(b - a), or the mark 2(q^2 - 1) where b = a.  With
+        an addition table, row a is the table's row of -a read through the
+        logs.  Past it, b - a = -a (1 + b / -a) is a Zech sum: with e = log
+        -a, entry b is e + zech[log b - e] mod q^2 - 1, or the mark where
+        zech has none, so row a is zech rotated by e, read at the logs of the
+        elements, then shifted by e.
+
+        flip turns an r side's entry e of dlog into q^2 - 1 - e, in [1, q^2
+        - 1], and its mark into 3(q^2 - 1) + 1.  So a u side's entry plus an
+        r side's flipped one lands in one of four runs of key: below 2(q^2 -
+        1), the exp table gives the slope; with equal u alone, the slope is
+        zero; with equal r alone, the key is q^2; with both, q^2 + 1.
+        """
+        tables = self._lines
+        if tables is None:
+            q2, order, log, neg = self.q2, self.q2 - 1, self._log, self._neg
+            mark = 2 * order
+            marked = [mark] + log[1:]
+            if self._add is not None:
+                dlog = [list(map(marked.__getitem__, self._add[x])) for x in neg]
+            else:
+                zech, logs, span = self._zech, log[1:], list(range(order)) * 2
+                dlog = [marked]
+                for x in neg[1:]:
+                    e = log[x]
+                    # rotated[i] = zech[i - e]; shift[z] = e + z mod q^2 - 1, shift[-1] the mark
+                    rotated, shift = zech[-e:] + zech[:-e], span[e : e + order] + [mark]
+                    dlog.append([e, *map(shift.__getitem__, map(rotated.__getitem__, logs))])
+            key = self._exp + [0] * (order + 1) + [q2] * (2 * order) + [q2 + 1]
+            flip = [order - e for e in range(order)] + [0] * order + [3 * order + 1]
+            tables = self._lines = (dlog, key, flip)
+        return tables
 
     def vmul(self, u: list[int], v: list[int]) -> list[int]:
         """u_i * v_i for every i."""

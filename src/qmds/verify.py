@@ -14,10 +14,14 @@ The exact distance is a depth-first walk over the generator's rows, one
 scalar class at a time, once the columns are arranged to make the last row
 all ones and zeros: each visited word scores all q^2 multiples of that row
 from its most frequent entry.  A node that fixes every row but the last two
-scores its q^2 children in one pass each over the addition-table rows of
-its word (Field.sums), counting their entries into plain dicts; each row's
-nonzero multiples are slices of the exp table, transposed (Field.multiples);
-see _min_weight.
+scores its q^4 children u + c' r + c by the column geometry of the code:
+a column j among the m ones is a zero of one of them exactly when the point
+(r_j, u_j) lies on a line of the plane, so the lightest child drops the
+most points on one line, counted pair by pair over the slopes
+Field.line_slopes names.  A node with m >= q^2 points, or over a field past
+line_slopes' table, scores its q^2 words instead, one pass each over the
+addition-table rows of u (Field.sums); each row's nonzero multiples are
+slices of the exp table, transposed (Field.multiples); see _min_weight.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes, and a
@@ -101,10 +105,25 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     the class of the last row alone has weight m.
 
     Above the last of those k - 1 rows the walk adds each word out in full.
-    A word u that fixes all of them but the last scores its q^2 children
-    u + c * head[-1], c = 0 included, in one pass each: Field.sums reads
-    them off the addition-table rows of u without building them, and the
-    entries of each are counted into a plain dict.  When m < n, the first m
+    A word u that fixes all of them but the last, r = head[-1], scores its
+    q^4 children u + c' * r + c * last at once, from the points P_j = (r_j,
+    u_j) of the plane (the column geometry of the code, MacWilliams-Sloane
+    ch. 11).  Column j < m is a zero of the child exactly when P_j lies on
+    the line y = -c' x - c, and a tail column j >= m exactly when u_j = -c'
+    r_j: on every line of slope u_j / r_j, on every line when u_j = r_j = 0,
+    and on none when r_j alone is zero.  So the lightest child has weight n
+    minus the most points and tail columns on one non-vertical line.  The
+    line through P_j that holds the most later points has the slope most of
+    the pairs (P_j, P_i), i > j, share, with every pair at P_j itself on it
+    and a vertical pair on none; _count_elements counts those slopes, which
+    Field.line_slopes names, for each j.  That is m(m - 1)/2 pairs, where
+    counting the q^2 children's entries costs q^2 m, so a node takes it
+    when m < q^2 and line_slopes has the field's table.
+
+    Otherwise the node scores its q^2 children u + c' * r, c' = 0 included,
+    in one pass each: Field.sums reads them off the addition-table rows of u
+    without building them, and the entries of each are counted into a plain
+    dict, the most frequent one giving the best c.  When m < n, the first m
     entries and the tail are summed apart, and only the tail's zeros are
     counted.
 
@@ -113,18 +132,47 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     entry i of them runs along the exp slice from log row_i, so one
     transpose builds them all.  The order differs from the scalars' own,
     and best is a minimum, so the result does not depend on it.  A head of
-    one row or none builds no multiples.
+    one row or none builds no multiples, and neither does r when its node
+    counts lines.
     """
     head, m = _last_row_to_ones(f, rows)
     k1, n = len(head), len(rows[0])
-    # row 0 only ever enters with coefficient 1
-    mults = [None] + [f.multiples(row) for row in head[1:]]
+    slopes = f.line_slopes(head[-1], m) if k1 > 1 and m < f.q2 else None
+    # row 0 only ever enters with coefficient 1, and head[-1] only through
+    # its multiples on the word path
+    mults = [None] + [f.multiples(row) for row in head[1 : k1 - (slopes is not None)]]
     vadd, sums = f.vadd, f.sums
     split = m < n
-    last = mults[-1] if k1 > 1 else []
+    last = mults[-1] if k1 > 1 and slopes is None else []
     # the slices are copied only when there is a tail to count apart
     last_heads, last_tails = ([v[:m] for v in last], [v[m:] for v in last]) if split else (last, None)
+    vertical, same = f.q2, f.q2 + 1
     best = m
+
+    def score_lines(u: list[int]) -> None:
+        """Lower best to the lightest word u + c' * head[-1] + c * last over
+        every c' and c: the most points and tail columns on one line."""
+        nonlocal best
+        tail, *pairs = slopes(u)
+        base = {}
+        _count_elements(base, tail)
+        # a zero tail column is a zero of every word; a vertical one of none
+        everywhere = base.pop(same, 0)
+        base.pop(vertical, None)
+        # a line through one point, of the slope most tail columns lie on
+        top = max(base.values(), default=0)
+        for keys in pairs:
+            counts = base.copy()
+            _count_elements(counts, keys)
+            at_point = counts.pop(same, 0)
+            counts.pop(vertical, None)
+            if counts:
+                at_point += max(counts.values())
+            if at_point > top:
+                top = at_point
+        w = n - 1 - everywhere - top
+        if w < best:
+            best = w
 
     def score(u: list[int], heads, tails) -> None:
         """Lower best to the lightest word u + v + c * last, for every c and
@@ -151,7 +199,10 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
         if level == k1:  # the class led by the last row of head
             score(acc, (), ())
         elif level == k1 - 1:
-            score(acc, last_heads, last_tails)
+            if slopes is None:
+                score(acc, last_heads, last_tails)
+            else:
+                score_lines(acc)
         else:
             dfs(level + 1, acc)
             for v in mults[level]:

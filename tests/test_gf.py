@@ -6,12 +6,16 @@ repeated multiplication, and preimages by exhaustive scan.  The element
 methods and vector kernels are compared with them on fields on both sides
 of the addition-table size: table fields add by lookup, larger ones through
 Zech logarithms, and inner products in every field are summed in packed
-digits.
+digits.  The slopes line_slopes names are compared with the element
+methods, written out pair by pair, from GF(4) to GF(529), whose
+difference logs are filled by Zech sums, and a k = 3 code over GF(529)
+whose one deepest node counts lines is checked against the column floor.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +23,9 @@ from hypothesis import strategies as st
 
 from qmds import errors, gf
 from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new, field_with_modulus
+from qmds.grs import LinearCode
+from qmds.linalg import Matrix, transpose
+from qmds.verify import min_distance_at_least, min_distance_exact
 from test_linalg_properties import GRAM_FIELDS, naive_hermitian_gram
 
 # ---------------------------------------------------------------------------
@@ -507,6 +514,67 @@ def test_line_points_name_each_reduced_pair_up_to_scale(fv, data):
         pairs.append((oracle_add(f, u[x], oracle_mul(f, c, v[x])), oracle_add(f, u[y], oracle_mul(f, c, v[y]))))
     expected = [oracle_mul(f, b, oracle_power(f, a, f.q2 - 2)) if a else f.q2 if b else None for a, b in pairs]
     assert f.line_points(vectors, v, p, x, y) == expected
+
+
+def written_out_slopes(f: Field, r, u, m: int) -> list[list[int]]:
+    """The keys line_slopes names, one element method at a time: the tail's
+    slopes from the origin, then each point's to every later one."""
+
+    def slope(r1, u1, r2, u2):
+        if r1 == r2:
+            return f.q2 + 1 if u1 == u2 else f.q2
+        return f.mul(f.sub(u2, u1), f.inv(f.sub(r2, r1)))
+
+    tail = [slope(0, 0, r[j], u[j]) for j in range(m, len(r))]
+    return [tail] + [[slope(r[j], u[j], r[i], u[i]) for i in range(j + 1, m)] for j in range(m - 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 23], ids=["GF4", "GF9", "GF49", "GF529"])
+def test_line_slopes_name_the_line_through_each_pair(q):
+    # GF(529) fills its difference logs by Zech sums; every element stands
+    # on each side once, so every row of them is read, and vectors drawn
+    # from a few values make the vertical and same-point keys common
+    f = field_for_q(q)
+    rng = random.Random(q)
+    elements = list(f.elements())
+    r = rng.sample(elements, f.q2)
+    vectors = [(r, rng.sample(elements, f.q2), f.q2)]
+    keys = set()
+    for _ in range(6):
+        few = rng.sample(elements, min(f.q2, 3)) + [0]
+        n = rng.randint(1, 24)
+        r = [rng.choice(few) for _ in range(n)]
+        vectors += [(r, [rng.choice(few) for _ in range(n)], rng.randint(0, n))]
+    for r, u, m in vectors:
+        slopes = f.line_slopes(r, m)
+        expected = written_out_slopes(f, r, u, m)
+        assert list(map(list, slopes(u))) == expected
+        # a second word against the same r
+        v = [rng.choice(elements) for _ in u]
+        assert list(map(list, slopes(v))) == written_out_slopes(f, r, v, m)
+        keys.update(chain.from_iterable(expected))
+    assert {f.q2, f.q2 + 1} <= keys
+
+
+def test_line_slopes_build_no_table_past_the_cap():
+    f = field_for_q(64)
+    assert f.q2 > gf._LINE_CAP
+    assert f.line_slopes([1, 2, 3], 3) is None
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["mds", "repeated-column"])
+def test_k3_code_over_gf529_counts_lines_to_the_floors_distance(repeat):
+    # [14, 3] GRS columns (1, a, a^2), a = 0 among them, so the last row has
+    # a tail; a repeated column makes the code non-MDS
+    f = field_for_q(23)
+    cols = [[1, a, f.mul(a, a)] for a in range(0, 14 * 37, 37)]
+    if repeat:
+        cols[5] = f.scale(f.omega, cols[9])
+    code = LinearCode(field=f, generator=transpose(Matrix(f, cols, cols=3)))
+    d = min_distance_exact(code, cap=529**3)
+    assert d == (11 if repeat else 12)
+    for w in range(1, code.n + 2):
+        assert min_distance_at_least(code, w) == (d >= w), w
 
 
 @pytest.mark.parametrize("q", [3, 5, 23], ids=["GF9", "GF25", "GF529"])

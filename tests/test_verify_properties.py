@@ -3,17 +3,29 @@ independence floor against naive oracles.
 
 `min_distance_exact` arranges the columns so that the last generator row is
 (1, ..., 1, 0, ..., 0) and scores all q^2 multiples of that row at once.
-The node that fixes every row but the last two scores its q^2 children
-u + c * row in one pass each through `Field.sums`, without adding them
-out, and counts their tail zeros apart when m < n; only k >= 3 reaches it.
-Here it is compared with two enumerators that take no such shortcut:
-`naive_min_distance` (every message, from tests/test_verify.py) over GF(4),
-GF(9), GF(25) and GF(49), up to k = 4 over GF(9) and k = 3 over GF(25),
-and, over GF(529), where the naive one is too slow, the earlier depth-first
-enumerator that adds every codeword out in full.  Generator entries are
-mostly drawn with many zeros, so last rows that are zero on some columns
-(m < n) and k = 1 codes are common; the deepest codes are also drawn with
-no zero entry, so m = n.
+The node that fixes every row but the last two, u, with r the row above the
+last, scores its children u + c' r + c by the most points (r_j, u_j) on one
+line, counting the slopes `Field.line_slopes` names pair by pair; only
+k >= 3 reaches it.  With m >= q^2 points it scores its q^2 children
+u + c' r in one pass each through `Field.sums` instead, without adding them
+out, and counts their tail zeros apart when m < n.  Here it is compared
+with two enumerators that take no such shortcut: `naive_min_distance`
+(every message, from tests/test_verify.py) over GF(4), GF(9), GF(25) and
+GF(49), up to k = 4 over GF(9) and k = 3 over GF(25), and, over GF(529),
+where the naive one is too slow, the earlier depth-first enumerator that
+adds every codeword out in full.  Generator entries are mostly drawn with
+many zeros, so last rows that are zero on some columns (m < n) and k = 1
+codes are common; the deepest codes are also drawn with no zero entry, so
+m = n.
+
+The line count is also compared with the depth-first enumerator on codes
+with k = 3 to 5 over GF(9), GF(25) and GF(49), drawn with columns that are
+multiples of others (points at one place), columns whose last two entries
+are a multiple of another's (a vertical pair, equal r) and zeros on the
+last row (a tail); GF(4) codes of length 5 to 9 with no zero on the last
+row have m >= q^2 and must take the word path.  Explicit codes of conic
+points pin what a pair at one point, a vertical pair and the tail each add
+to a line.
 
 The floor check `min_distance_at_least` must answer d >= w exactly as the
 naive distance does, for every w up to the Singleton bound.  Its walk
@@ -54,7 +66,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmds.gf import field_new
+from qmds.gf import Field, field_new
 from qmds.grs import LinearCode
 from qmds.linalg import Matrix, nullspace, rank, transpose
 from qmds.mpc import mixer_prefix_distances
@@ -70,7 +82,7 @@ from test_verify import naive_min_distance
 # field and the largest k whose q^(2k) messages the naive oracle can walk
 SMALL_FIELDS = [(field_new(2), 4), (field_new(3), 3), (field_new(5), 2), (field_new(7), 2)]
 GF529 = field_new(23)
-# k >= 3 reaches the node that scores its q^2 children through Field.sums
+# k >= 3 reaches the deepest node: it counts lines when m < q^2, else words
 DEEP_FIELDS = [(field_new(3), 4), (field_new(5), 3)]
 
 # fixed example sequence, so every run of the suite checks the same codes
@@ -129,6 +141,113 @@ def test_exact_distance_matches_every_message(code):
 @given(codes([(GF529, 2)]))
 def test_exact_distance_without_add_table_matches_full_words(code):
     assert min_distance_exact(code) == dfs_min_distance(code.field, code.generator)
+
+
+def distance_and_path(code) -> tuple[int, bool]:
+    """min_distance_exact of the code, and whether its deepest node counted
+    the lines through its points rather than its q^2 words."""
+    kernel, paths = Field.line_slopes, []
+
+    def spy(f, r, m):
+        slopes = kernel(f, r, m)
+        paths.append(slopes is not None)
+        return slopes
+
+    Field.line_slopes = spy
+    try:
+        d = min_distance_exact(code, cap=code.field.q2**code.k)
+    finally:
+        Field.line_slopes = kernel
+    return d, any(paths)
+
+
+# field and the largest k whose scalar classes dfs_min_distance can walk
+LINE_FIELDS = [(field_new(3), 5), (field_new(5), 4), (field_new(7), 3)]
+
+
+@st.composite
+def line_codes(draw):
+    """A code with 3 <= k and fewer than q^2 columns on the last row's
+    support, drawn column by column.  Some columns are nonzero multiples of
+    others, so that their points (r_j, u_j) sit at one place in every node;
+    some have their last two entries a multiple of another's, so that r_j
+    is equal and the pair is vertical; and the last row is zero on some
+    columns, the tail."""
+    f, k_max = draw(st.sampled_from(LINE_FIELDS))
+    k = draw(st.integers(3, k_max))
+    n = draw(st.integers(k, min(k + 6, f.q2 - 1)))
+    entry = st.integers(0, f.q2 - 1)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    cols = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    copies = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, f.q2 - 1))
+    for a, b, c in draw(st.lists(copies, max_size=3)):
+        cols[b] = [f.mul(c, x) for x in cols[a]]
+    for a, b, c in draw(st.lists(copies, max_size=3)):
+        cols[b][-2:] = [f.mul(c, x) for x in cols[a][-2:]]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        cols[j][-1] = 0
+    gen = transpose(Matrix(f, cols, cols=k))
+    assume(rank(gen) == k)
+    return LinearCode(field=f, generator=gen)
+
+
+@PROPERTY
+@given(line_codes())
+def test_line_count_matches_every_class(code):
+    d, lines = distance_and_path(code)
+    assert lines
+    assert d == dfs_min_distance(code.field, code.generator)
+
+
+@PROPERTY
+@given(codes([(field_new(2), 5)], k_min=3, zeros=False))
+def test_gf4_codes_of_four_points_or_more_count_words(code):
+    # the last row has no zero, so m = n >= 4 = q^2 points
+    assume(code.n >= 5)
+    d, lines = distance_and_path(code)
+    assert not lines
+    assert d == naive_min_distance(code.field, code.generator)
+
+
+def conic_columns(f, xs):
+    """Columns (x^2, x, 1) over f: rows u, r and the last, so that each
+    column's point is (x, x^2), on a conic, no three on one line."""
+    return [[f.mul(x, x), x, 1] for x in xs]
+
+
+def repeated_point(f):
+    """Four conic points and the first again: the line through x = 1 and
+    x = omega holds three columns, and only the pair at x = 1 itself, seen
+    from its first column, puts the third on it."""
+    w = f.omega
+    return conic_columns(f, [1, 0, w, f.add(w, 1), 1]), 2
+
+
+def vertical_pair(f):
+    """Three conic points and a fourth column at x = 1 off the conic: a
+    vertical pair, which lies on no line of the node.  Counted on every
+    line through x = 1, it would make the line to x = omega hold three."""
+    return conic_columns(f, [0, 1, f.omega]) + [[f.add(f.omega, 1), 1, 1]], 2
+
+
+def tail_on_a_line(f):
+    """Four conic points and two tail columns: one zero, a zero of every
+    word, and one whose slope u / r = 1 + omega is that of the line through
+    x = 1 and x = omega, so that line holds four zeros."""
+    w = f.omega
+    return conic_columns(f, [0, 1, w, f.add(w, 1)]) + [[0, 0, 0], [f.add(w, 1), 1, 0]], 2
+
+
+@pytest.mark.parametrize("f", [field_new(3), field_new(7)], ids=["GF9", "GF49"])
+@pytest.mark.parametrize("case", [repeated_point, vertical_pair, tail_on_a_line])
+def test_the_line_count_pins_each_reserved_key(f, case):
+    # the lightest word is a child of the one node, u + c' r + c
+    cols, d = case(f)
+    code = LinearCode(field=f, generator=transpose(Matrix(f, cols, cols=3)))
+    assert rank(code.generator) == 3
+    assert naive_min_distance(f, code.generator) == d
+    assert distance_and_path(code) == (d, True)
 
 
 @PROPERTY
