@@ -36,10 +36,9 @@ length; denser rows are summed over every position.
 
 Slopes of lines through points of the plane over GF(q^2), for the
 enumerator's deepest node, go through line_slopes alone: a table built at
-its first call holds log(b - a) for every pair of elements, filled from the
-addition table or, past it, by Zech sums, and a slope is one lookup on the
-sum of two of its entries.  The table has q^4 entries, so fields past
-_LINE_CAP get none.
+its first call from the addition table holds log(b - a) for every pair of
+elements, and a slope is one lookup on the sum of two of its entries.
+Fields past the addition table get no such table.
 
 Only this module reads the tables: other modules call the element methods
 or the vector kernels (scale, multiples, line_points, line_slopes, vmul,
@@ -82,9 +81,6 @@ SIZE_CAP = 1 << 16
 # fields up to this size also get a full q^2 x q^2 addition table; larger
 # ones add through Zech logarithms
 _TABLE_CAP = 512
-
-# fields up to this size get line_slopes' table of q^4 difference logs
-_LINE_CAP = 1 << 10
 
 
 def _is_prime(n: int) -> bool:
@@ -257,8 +253,8 @@ class Field:
 
     def line_slopes(self, r: list[int], m: int):
         """A function of u, for r and u of one length n, naming the lines of
-        the plane through the points P_j = (r_j, u_j), j < m; or None past
-        _LINE_CAP, whose difference-log table would not fit.
+        the plane through the points P_j = (r_j, u_j), j < m; or None on a
+        field with no addition table, whose difference logs it reads.
 
         For u it gives a list of iterators of keys.  The first holds, for
         each j >= m, the slope u_j / r_j of the line through the origin and
@@ -271,7 +267,7 @@ class Field:
         _line_tables): the u side's, read off u at each call, and the r
         side's, read here once for every call.
         """
-        if self.q2 > _LINE_CAP:
+        if self._add is None:
             return None
         dlog, key, flip = self._line_tables()
 
@@ -293,12 +289,8 @@ class Field:
         """(dlog, key, flip) for line_slopes, built at the first call and
         kept.
 
-        dlog[a][b] is log(b - a), or the mark 2(q^2 - 1) where b = a.  With
-        an addition table, row a is the table's row of -a read through the
-        logs.  Past it, b - a = -a (1 + b / -a) is a Zech sum: with e = log
-        -a, entry b is e + zech[log b - e] mod q^2 - 1, or the mark where
-        zech has none, so row a is zech rotated by e, read at the logs of the
-        elements, then shifted by e.
+        dlog[a][b] is log(b - a), or the mark 2(q^2 - 1) where b = a: row a
+        is the addition table's row of -a read through the logs.
 
         flip turns an r side's entry e of dlog into q^2 - 1 - e, in [1, q^2
         - 1], and its mark into 3(q^2 - 1) + 1.  So a u side's entry plus an
@@ -308,19 +300,9 @@ class Field:
         """
         tables = self._lines
         if tables is None:
-            q2, order, log, neg = self.q2, self.q2 - 1, self._log, self._neg
-            mark = 2 * order
-            marked = [mark] + log[1:]
-            if self._add is not None:
-                dlog = [list(map(marked.__getitem__, self._add[x])) for x in neg]
-            else:
-                zech, logs, span = self._zech, log[1:], list(range(order)) * 2
-                dlog = [marked]
-                for x in neg[1:]:
-                    e = log[x]
-                    # rotated[i] = zech[i - e]; shift[z] = e + z mod q^2 - 1, shift[-1] the mark
-                    rotated, shift = zech[-e:] + zech[:-e], span[e : e + order] + [mark]
-                    dlog.append([e, *map(shift.__getitem__, map(rotated.__getitem__, logs))])
+            q2, order = self.q2, self.q2 - 1
+            marked = [2 * order] + self._log[1:]
+            dlog = [list(map(marked.__getitem__, self._add[x])) for x in self._neg]
             key = self._exp + [0] * (order + 1) + [q2] * (2 * order) + [q2 + 1]
             flip = [order - e for e in range(order)] + [0] * order + [3 * order + 1]
             tables = self._lines = (dlog, key, flip)

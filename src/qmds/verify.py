@@ -18,8 +18,8 @@ scores its q^4 children u + c' r + c by the column geometry of the code:
 a column j among the m ones is a zero of one of them exactly when the point
 (r_j, u_j) lies on a line of the plane, so the lightest child drops the
 most points on one line, counted pair by pair over the slopes
-Field.line_slopes names.  A node with m >= q^2 points, or over a field past
-line_slopes' table, scores its q^2 words instead, one pass each over the
+Field.line_slopes names.  A node with m >= q^2 points, or over a field with
+no addition table, scores its q^2 words instead, one pass each over the
 addition-table rows of u (Field.sums); each row's nonzero multiples are
 slices of the exp table, transposed (Field.multiples); see _min_weight.
 
@@ -118,7 +118,7 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     and a vertical pair on none; _count_elements counts those slopes, which
     Field.line_slopes names, for each j.  That is m(m - 1)/2 pairs, where
     counting the q^2 children's entries costs q^2 m, so a node takes it
-    when m < q^2 and line_slopes has the field's table.
+    when m < q^2 and the field has an addition table.
 
     Otherwise the node scores its q^2 children u + c' * r, c' = 0 included,
     in one pass each: Field.sums reads them off the addition-table rows of u

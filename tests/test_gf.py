@@ -7,9 +7,10 @@ methods and vector kernels are compared with them on fields on both sides
 of the addition-table size: table fields add by lookup, larger ones through
 Zech logarithms, and inner products in every field are summed in packed
 digits.  The slopes line_slopes names are compared with the element
-methods, written out pair by pair, from GF(4) to GF(529), whose
-difference logs are filled by Zech sums, and a k = 3 code over GF(529)
-whose one deepest node counts lines is checked against the column floor.
+methods, written out pair by pair, from GF(4) to GF(361), the largest
+field with an addition table; GF(529) has none, so line_slopes builds no
+table there and a k = 3 code over it, whose one deepest node counts
+words, is checked against the column floor.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from qmds import errors, gf
 from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new, field_with_modulus
 from qmds.grs import LinearCode
 from qmds.linalg import Matrix, transpose
-from qmds.verify import min_distance_at_least, min_distance_exact
+from qmds.verify import min_distance_at_least
 from test_linalg_properties import GRAM_FIELDS, naive_hermitian_gram
+from test_verify_properties import distance_and_path
 
 # ---------------------------------------------------------------------------
 # oracle helpers: schoolbook polynomial arithmetic mod (modulus, p)
@@ -529,11 +531,11 @@ def written_out_slopes(f: Field, r, u, m: int) -> list[list[int]]:
     return [tail] + [[slope(r[j], u[j], r[i], u[i]) for i in range(j + 1, m)] for j in range(m - 1)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 23], ids=["GF4", "GF9", "GF49", "GF529"])
+@pytest.mark.parametrize("q", [2, 3, 7, 19], ids=["GF4", "GF9", "GF49", "GF361"])
 def test_line_slopes_name_the_line_through_each_pair(q):
-    # GF(529) fills its difference logs by Zech sums; every element stands
-    # on each side once, so every row of them is read, and vectors drawn
-    # from a few values make the vertical and same-point keys common
+    # every element stands on each side once, so every row of the
+    # difference logs is read, and vectors drawn from a few values make the
+    # vertical and same-point keys common
     f = field_for_q(q)
     rng = random.Random(q)
     elements = list(f.elements())
@@ -556,23 +558,27 @@ def test_line_slopes_name_the_line_through_each_pair(q):
     assert {f.q2, f.q2 + 1} <= keys
 
 
-def test_line_slopes_build_no_table_past_the_cap():
-    f = field_for_q(64)
-    assert f.q2 > gf._LINE_CAP
+@pytest.mark.parametrize("q", [23, 64], ids=["GF529", "GF4096"])
+def test_line_slopes_build_no_table_past_the_addition_table(q):
+    f = field_for_q(q)
+    assert f.q2 > _TABLE_CAP
     assert f.line_slopes([1, 2, 3], 3) is None
+    assert f._lines is None
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["mds", "repeated-column"])
-def test_k3_code_over_gf529_counts_lines_to_the_floors_distance(repeat):
+def test_k3_code_over_gf529_counts_words_to_the_floors_distance(repeat):
     # [14, 3] GRS columns (1, a, a^2), a = 0 among them, so the last row has
-    # a tail; a repeated column makes the code non-MDS
+    # a tail; a repeated column makes the code non-MDS.  m < q^2, but with no
+    # addition table the one deepest node counts words
     f = field_for_q(23)
     cols = [[1, a, f.mul(a, a)] for a in range(0, 14 * 37, 37)]
     if repeat:
         cols[5] = f.scale(f.omega, cols[9])
     code = LinearCode(field=f, generator=transpose(Matrix(f, cols, cols=3)))
-    d = min_distance_exact(code, cap=529**3)
+    d, counted_lines = distance_and_path(code)
     assert d == (11 if repeat else 12)
+    assert not counted_lines
     for w in range(1, code.n + 2):
         assert min_distance_at_least(code, w) == (d >= w), w
 

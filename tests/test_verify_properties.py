@@ -6,9 +6,10 @@ independence floor against naive oracles.
 The node that fixes every row but the last two, u, with r the row above the
 last, scores its children u + c' r + c by the most points (r_j, u_j) on one
 line, counting the slopes `Field.line_slopes` names pair by pair; only
-k >= 3 reaches it.  With m >= q^2 points it scores its q^2 children
-u + c' r in one pass each through `Field.sums` instead, without adding them
-out, and counts their tail zeros apart when m < n.  Here it is compared
+k >= 3 reaches it.  With m >= q^2 points, or over a field with no addition
+table, it scores its q^2 children u + c' r in one pass each through
+`Field.sums` instead, without adding them out, and counts their tail zeros
+apart when m < n.  Here it is compared
 with two enumerators that take no such shortcut: `naive_min_distance`
 (every message, from tests/test_verify.py) over GF(4), GF(9), GF(25) and
 GF(49), up to k = 4 over GF(9) and k = 3 over GF(25), and, over GF(529),
