@@ -19,9 +19,9 @@ a column j among the m ones is a zero of one of them exactly when the point
 (r_j, u_j) lies on a line of the plane, so the lightest child drops the
 most points on one line, counted pair by pair over the slopes
 Field.line_slopes names.  A node with m >= q^2 points, or over a field with
-no addition table, scores its q^2 words instead, one pass each over the
-addition-table rows of u (Field.sums); each row's nonzero multiples are
-slices of the exp table, transposed (Field.multiples); see _min_weight.
+no addition table, adds its q^2 children out in full and scores each word
+alone; each row's nonzero multiples are slices of the exp table,
+transposed (Field.multiples); see _min_weight.
 
 run_checks is the one place a file's claims become check results, for
 `qmds verify` and for the certificate `qmds construct` writes, and a
@@ -43,9 +43,7 @@ from __future__ import annotations
 
 from collections import _count_elements
 from functools import cache
-from itertools import chain, repeat
 from math import comb
-from operator import countOf
 
 from .errors import BadDimension, EnumerationTooLarge, WorkBudgetExceeded
 from .gf import Field
@@ -117,15 +115,9 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     the pairs (P_j, P_i), i > j, share, with every pair at P_j itself on it
     and a vertical pair on none; _count_elements counts those slopes, which
     Field.line_slopes names, for each j.  That is m(m - 1)/2 pairs, where
-    counting the q^2 children's entries costs q^2 m, so a node takes it
-    when m < q^2 and the field has an addition table.
-
-    Otherwise the node scores its q^2 children u + c' * r, c' = 0 included,
-    in one pass each: Field.sums reads them off the addition-table rows of u
-    without building them, and the entries of each are counted into a plain
-    dict, the most frequent one giving the best c.  When m < n, the first m
-    entries and the tail are summed apart, and only the tail's zeros are
-    counted.
+    scoring the q^2 children one word each costs q^2 m, so a node takes it
+    when m < q^2 and the field has an addition table.  Any other node adds
+    its children out in full, as the walk does above it, and scores each.
 
     The q^2 - 1 nonzero multiples of each head row below the first are
     built once by Field.multiples, in the order of their scalars' logs:
@@ -141,11 +133,7 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
     # row 0 only ever enters with coefficient 1, and head[-1] only through
     # its multiples on the word path
     mults = [None] + [f.multiples(row) for row in head[1 : k1 - (slopes is not None)]]
-    vadd, sums = f.vadd, f.sums
-    split = m < n
-    last = mults[-1] if k1 > 1 and slopes is None else []
-    # the slices are copied only when there is a tail to count apart
-    last_heads, last_tails = ([v[:m] for v in last], [v[m:] for v in last]) if split else (last, None)
+    vadd = f.vadd
     vertical, same = f.q2, f.q2 + 1
     best = m
 
@@ -174,35 +162,23 @@ def _min_weight(f: Field, rows: list[list[int]]) -> int:
         if w < best:
             best = w
 
-    def score(u: list[int], heads, tails) -> None:
-        """Lower best to the lightest word u + v + c * last, for every c and
-        for v = 0 or v a word whose first m entries are in heads and whose
-        tail is in tails."""
+    def score(u: list[int]) -> None:
+        """Lower best to the lightest word u + c * last over every c."""
         nonlocal best
-        if split:
-            first, tail = u[:m], u[m:]
-            words = chain((first,), sums(first, heads))
-            zeros = chain((tail.count(0),), map(countOf, sums(tail, tails), repeat(0)))
-        else:
-            words, zeros = chain((u,), sums(u, heads)), repeat(0)
-        for word, z in zip(words, zeros):
-            # _count_elements is the C loop Counter runs; calling it on a
-            # plain dict skips Counter's construction and type checks, which
-            # cost more than the count itself on words this short
-            counts = {}
-            _count_elements(counts, word)
-            w = n - z - max(counts.values())
-            if w < best:
-                best = w
+        # _count_elements is the C loop Counter runs; calling it on a plain
+        # dict skips Counter's construction and type checks, which cost more
+        # than the count itself on words this short
+        counts = {}
+        _count_elements(counts, u[:m])
+        w = n - u[m:].count(0) - max(counts.values())
+        if w < best:
+            best = w
 
     def dfs(level: int, acc: list[int]) -> None:
         if level == k1:  # the class led by the last row of head
-            score(acc, (), ())
-        elif level == k1 - 1:
-            if slopes is None:
-                score(acc, last_heads, last_tails)
-            else:
-                score_lines(acc)
+            score(acc)
+        elif level == k1 - 1 and slopes is not None:
+            score_lines(acc)
         else:
             dfs(level + 1, acc)
             for v in mults[level]:
@@ -461,7 +437,7 @@ def _min_distance(w: int | None, exact: bool, route) -> _Outcome:
     claim = f"d = {w}" if exact else f"d >= {w}"
     d, ok, work_count, refusals = route()
     if ok is None:
-        return None, "column-independence floor", 0, "; ".join(refusals)
+        return None, "column-independence floor", work_count, "; ".join(refusals)
     if d is None:
         method = "column-independence floor (EnumerationTooLarge for exact search)"
         return ok, method, work_count, f"{claim} {'certified' if ok else 'refuted'}; {refusals[0]}"
@@ -475,6 +451,6 @@ def _mds(code: LinearCode, claim: int | None, route) -> _Outcome:
     # Singleton pins d <= w from above, so d >= w settles d = w
     d, ok, work_count, refusals = route()
     if ok is None:
-        return None, "column-independence floor", 0, refusals[-1]
+        return None, "column-independence floor", work_count, refusals[-1]
     method = _ENUMERATION if d is not None else "column-independence floor"
     return ok, method, work_count, f"d = n - k + 1 = {w}" if ok else f"d falls short of n - k + 1 = {w}"

@@ -9,8 +9,8 @@ Zech logarithms, and inner products in every field are summed in packed
 digits.  The slopes line_slopes names are compared with the element
 methods, written out pair by pair, from GF(4) to GF(361), the largest
 field with an addition table; GF(529) has none, so line_slopes builds no
-table there and a k = 3 code over it, whose one deepest node counts
-words, is checked against the column floor.
+table there and a k = 3 code over it, whose one deepest node scores its
+q^2 words one by one, is checked against the column floor.
 """
 
 from __future__ import annotations
@@ -570,7 +570,8 @@ def test_line_slopes_build_no_table_past_the_addition_table(q):
 def test_k3_code_over_gf529_counts_words_to_the_floors_distance(repeat):
     # [14, 3] GRS columns (1, a, a^2), a = 0 among them, so the last row has
     # a tail; a repeated column makes the code non-MDS.  m < q^2, but with no
-    # addition table the one deepest node counts words
+    # addition table the one deepest node adds its q^2 children out and
+    # scores each word
     f = field_for_q(23)
     cols = [[1, a, f.mul(a, a)] for a in range(0, 14 * 37, 37)]
     if repeat:
@@ -581,19 +582,6 @@ def test_k3_code_over_gf529_counts_words_to_the_floors_distance(repeat):
     assert not counted_lines
     for w in range(1, code.n + 2):
         assert min_distance_at_least(code, w) == (d >= w), w
-
-
-@pytest.mark.parametrize("q", [3, 5, 23], ids=["GF9", "GF25", "GF529"])
-def test_sums_match_elementwise_add(q):
-    # u runs over every element, so with the constant vectors among vs every
-    # pair of elements is summed, zero included; GF(529) adds by Zech logs
-    f = field_for_q(q)
-    rng = random.Random(q)
-    u = list(f.elements())
-    rng.shuffle(u)
-    vs = [[c] * f.q2 for c in f.elements()] + [[rng.choice((0, rng.randrange(f.q2))) for _ in u]]
-    assert [list(s) for s in f.sums(u, vs)] == [[f.add(x, y) for x, y in zip(u, v)] for v in vs]
-    assert list(f.sums(u, [])) == []
 
 
 @PROPERTY

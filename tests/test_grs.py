@@ -50,6 +50,7 @@ from qmds.linalg import Matrix, rank, row_space_contains, stack
 from test_linalg import identity
 from test_linalg_properties import naive_nullspace
 from test_verify import naive_min_distance
+from test_verify_properties import distance_and_path
 
 
 def gram_oracle(field, spec):
@@ -393,6 +394,15 @@ def test_extended_primal_distance_is_mds():
     primal = extended_self_orthogonal(f, 2)
     assert primal.claimed_distance_lb == 9
     assert naive_min_distance(f, primal.generator) == 9
+
+
+@pytest.mark.parametrize("q, k", [(3, 3), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)])
+def test_extended_primal_enumerates_to_its_mds_distance(q, k):
+    # the last row has m = q^2 ones and a one-column tail, so the deepest
+    # node scores its q^2 words one by one instead of counting lines
+    primal = extended_self_orthogonal(field_for_q(q), k)
+    assert primal.claimed_distance_lb == q * q + 2 - k
+    assert distance_and_path(primal) == (primal.claimed_distance_lb, False)
 
 
 def test_repetition_code():

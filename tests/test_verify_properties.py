@@ -7,9 +7,8 @@ The node that fixes every row but the last two, u, with r the row above the
 last, scores its children u + c' r + c by the most points (r_j, u_j) on one
 line, counting the slopes `Field.line_slopes` names pair by pair; only
 k >= 3 reaches it.  With m >= q^2 points, or over a field with no addition
-table, it scores its q^2 children u + c' r in one pass each through
-`Field.sums` instead, without adding them out, and counts their tail zeros
-apart when m < n.  Here it is compared
+table, it adds its q^2 children u + c' r out in full instead, as the walk
+does above it, and scores each word alone.  Here it is compared
 with two enumerators that take no such shortcut: `naive_min_distance`
 (every message, from tests/test_verify.py) over GF(4), GF(9), GF(25) and
 GF(49), up to k = 4 over GF(9) and k = 3 over GF(25), and, over GF(529),
@@ -24,7 +23,7 @@ with k = 3 to 5 over GF(9), GF(25) and GF(49), drawn with columns that are
 multiples of others (points at one place), columns whose last two entries
 are a multiple of another's (a vertical pair, equal r) and zeros on the
 last row (a tail); GF(4) codes of length 5 to 9 with no zero on the last
-row have m >= q^2 and must take the word path.  Explicit codes of conic
+row have m >= q^2 and must score single words.  Explicit codes of conic
 points pin what a pair at one point, a vertical pair and the tail each add
 to a line.
 
