@@ -9,17 +9,22 @@ the lexicographically smallest primitive polynomial of degree 2t over GF(p),
 where polynomials are compared by their coefficient packing (low degree
 first, as a base-p integer).  "Primitive" means the residue class of x
 generates the multiplicative group, so the generator omega is always x
-itself and exp/log tables fall out of the primitivity check for free.
+itself.  The scan settles each candidate by an order test on powers of x
+(see _primitivity_test), and the exp/log walk runs once, on the modulus
+it picks, and certifies it again.
 
 Addition runs on Zech logarithms, zech[i] = log(1 + omega^i), so that
 a + b = omega^(log a + zech[log b - log a]) for nonzero a, b; adding one
-changes only the constant digit, so the table is one pass over the powers.
-Fields of at most _TABLE_CAP elements get a full q^2 x q^2 addition table
-instead, since one lookup beats a Zech sum.  Addition is digit-wise mod p in
-the packing whatever the modulus, so that table is filled digit by digit
-from runs of one list of the q^2 elements (see _addition_table).  Single
-additions, vadd and clear_column use the addition table where there is
-one and Zech logarithms past it.
+changes only the constant digit, so every field builds them at
+construction in one pass over the powers.  Fields of at most _TABLE_CAP
+elements also get a full q^2 x q^2 addition table, since one lookup beats
+a Zech sum, but only at the first vector kernel that reads it (vadd,
+clear_column, line_points, line_slopes): code construction, the Gram
+kernel and quantum records add through single additions alone, which read
+the table once it is built and Zech logarithms before that.  Addition is
+digit-wise mod p in the packing whatever the modulus, so that table is
+filled digit by digit from runs of one list of the q^2 elements (see
+_addition_table).
 
 Inner products, in every field, go through hermitian_products alone, as
 integer sums of digit polynomials (Kronecker substitution): two more
@@ -77,50 +82,58 @@ from .errors import (
 
 SIZE_CAP = 1 << 16
 
-# fields up to this size also get a full q^2 x q^2 addition table; larger
-# ones add through Zech logarithms
+# fields up to this size also get a full q^2 x q^2 addition table, at the
+# first vector kernel that reads it; larger ones add through Zech logarithms
 _TABLE_CAP = 512
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, smallest first, by trial division."""
+    primes = []
     f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
+            primes.append(f)
+            while n % f == 0:
+                n //= f
         f += 1
-    return True
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _check_tower(p: int, t: int) -> None:
     """Reject a (p, t) outside the supported towers, cheapest checks first.
 
+    A p or t that is not a plain int (a bool, a float) is refused first.
     The size cap is applied before trial division, so an enormous p or t
     (say from a code file) is refused at once instead of being factored.
     p >= 2 gives p^(2t) >= 2^(2t), so the bound on t comes first and keeps
     the power itself small.
     """
-    if p < 2:
-        raise NonPrimeCharacteristic(f"p = {p} is not prime")
+    if type(p) is not int or p < 2:
+        raise NonPrimeCharacteristic(f"p = {p!r} is not prime")
+    if type(t) is not int:
+        raise FieldTooLarge(f"t = {t!r} is not an int")
     if t < 1:
         raise FieldTooLarge(f"t = {t} must be positive")
     if 2 * t >= SIZE_CAP.bit_length() or p ** (2 * t) > SIZE_CAP:
         raise FieldTooLarge(f"p^(2t) = {p}^{2 * t} exceeds {SIZE_CAP}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NonPrimeCharacteristic(f"p = {p} is not prime")
 
 
 class Field:
     """GF(q^2) with q = p^t, fixed canonical modulus, table arithmetic.
 
-    Instances are immutable, apart from the digit tables hermitian_products
-    builds at first use and replaces whole and the difference logs
-    line_slopes builds at first use, and safe to share.  Get the
-    canonical one from field_new() or field_for_q(), and the field a
-    serialized code file names from field_with_modulus(); Field(p, t,
-    modulus) builds a new instance on any primitive modulus, which no other
-    code shares.
+    Instances are immutable, apart from tables built at first use, and safe
+    to share: the addition table, built by the first vector kernel that
+    reads it on a field of at most _TABLE_CAP elements; the digit tables
+    hermitian_products builds and replaces whole; and the difference logs
+    line_slopes builds.  Get the canonical one from field_new() or
+    field_for_q(), and the field a serialized code file names from
+    field_with_modulus(); Field(p, t, modulus) builds a new instance on any
+    primitive modulus, which no other code shares.
     """
 
     def __init__(self, p: int, t: int, modulus: list[int], _tables=None):
@@ -131,8 +144,8 @@ class Field:
         self.q2 = q2 = p ** (2 * t)
         if len(modulus) != 2 * t + 1 or modulus[-1] != 1:
             raise ZeroInput(f"modulus must be monic of degree {2 * t}")
-        if any(not 0 <= c < p for c in modulus):
-            raise ZeroInput("modulus coefficients must be reduced mod p")
+        if any(type(c) is not int or not 0 <= c < p for c in modulus):
+            raise ZeroInput("modulus coefficients must be ints reduced mod p")
         self.modulus = list(modulus)
         if _tables is None:
             _tables = _build_tables(p, t, modulus)
@@ -152,13 +165,12 @@ class Field:
         self._gram = None
         # the difference logs of line_slopes, built at its first call
         self._lines = None
-        if q2 <= _TABLE_CAP:
-            self._add = _addition_table(p, q2)
-        else:
-            self._add = None
-            # 1 + omega^i differs from omega^i in the constant digit only;
-            # -1 marks the i with omega^i = -1
-            self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
+        # the addition table, built by _addition at the first vector kernel
+        # that reads it
+        self._add = None
+        # 1 + omega^i differs from omega^i in the constant digit only; -1
+        # marks the i with omega^i = -1
+        self._zech = [log[y] if (y := x - x % p + (x + 1) % p) else -1 for x in exp[:order]]
 
     # -- ring operations ------------------------------------------------------
 
@@ -208,6 +220,14 @@ class Field:
 
     # -- vector kernels: each chooses how to add once per call ---------------
 
+    def _addition(self) -> list[list[int]] | None:
+        """The addition table, built at the first call on a field of at most
+        _TABLE_CAP elements and kept; None past the cap."""
+        addtab = self._add
+        if addtab is None and self.q2 <= _TABLE_CAP:
+            addtab = self._add = _addition_table(self.p, self.q2)
+        return addtab
+
     def scale(self, c: int, v: list[int]) -> list[int]:
         """c * v, a new list even when c is one."""
         if not c:
@@ -234,7 +254,7 @@ class Field:
         is zero, and None when both are zero.  Two nonzero pairs are
         proportional exactly when their points are equal.
         """
-        exp, log, q2, addtab, add = self._exp, self._log, self.q2, self._add, self.add
+        exp, log, q2, addtab, add = self._exp, self._log, self.q2, self._addition(), self.add
         # u_p * (-v_x / v_p) is exp[log u_p + lx], a negative index wrapping
         # mod q^2 - 1; a zero v_x leaves u_x as it is
         neg, lp, vx, vy = self._neg, log[v[p]], v[x], v[y]
@@ -266,7 +286,7 @@ class Field:
         _line_tables): the u side's, read off u at each call, and the r
         side's, read here once for every call.
         """
-        if self._add is None:
+        if self._addition() is None:
             return None
         dlog, key, flip = self._line_tables()
 
@@ -301,7 +321,8 @@ class Field:
         if tables is None:
             q2, order = self.q2, self.q2 - 1
             marked = [2 * order] + self._log[1:]
-            dlog = [list(map(marked.__getitem__, self._add[x])) for x in self._neg]
+            addtab = self._addition()
+            dlog = [list(map(marked.__getitem__, addtab[x])) for x in self._neg]
             key = self._exp + [0] * (order + 1) + [q2] * (2 * order) + [q2 + 1]
             flip = [order - e for e in range(order)] + [0] * order + [3 * order + 1]
             tables = self._lines = (dlog, key, flip)
@@ -323,7 +344,7 @@ class Field:
 
     def vadd(self, u: list[int], v: list[int]) -> list[int]:
         """u + v."""
-        addtab = self._add
+        addtab = self._addition()
         if addtab is not None:
             return [addtab[x][y] for x, y in zip(u, v)]
         exp, log, zech = self._exp, self._log, self._zech
@@ -345,7 +366,7 @@ class Field:
         entries from c on take part.  Each product is one exp lookup on the
         sum of two logs, with the pivot's log folded into prow's.
         """
-        exp, log, neg, addtab = self._exp, self._log, self._neg, self._add
+        exp, log, neg, addtab = self._exp, self._log, self._neg, self._addition()
         order = self.q2 - 1
         lp = order - log[prow[c]]
         terms = [(j, (log[y] + lp) % order) for j in range(c, len(prow)) if (y := prow[j])]
@@ -565,6 +586,55 @@ def _build_tables(p: int, t: int, modulus: list[int]):
         coeffs[0] = -top * head[0] % p
 
 
+def _primitivity_test(p: int, t: int):
+    """The test of whether x is primitive modulo a monic degree-2t modulus
+    over GF(p) with nonzero constant term, as a function of the modulus.
+
+    x is primitive exactly when its order is p^(2t) - 1: x^(p^(2t) - 1) = 1
+    and x^((p^(2t) - 1) / r) != 1 for every prime r dividing p^(2t) - 1
+    (Lidl and Niederreiter, Finite Fields, ch. 3).  The quotient ring is
+    then a field, and the norm of x to GF(p), which is the constant term
+    f(0) as the degree is even, generates GF(p)*.  That necessary check, by
+    built-in pow, goes first; at p = 2 there is none.  The powers of x are
+    taken by square-and-multiply on polynomials of degree < 2t.  The prime
+    factors are found here, once for every modulus tested.
+    """
+    deg = 2 * t
+    order = p**deg - 1
+    cofactors = [order // r for r in _prime_factors(order)]
+    norm_cofactors = [(p - 1) // r for r in _prime_factors(p - 1)]
+    one = [1] + [0] * (deg - 1)
+
+    def primitive(modulus) -> bool:
+        if any(pow(modulus[0], e, p) == 1 for e in norm_cofactors):
+            return False
+        # c x^k, k >= deg, is c * neg_head[i] * x^(k - deg + i) summed over i
+        neg_head = [(p - h) % p for h in modulus[:deg]]
+
+        def x_power(e: int) -> list[int]:
+            acc = one
+            for bit in bin(e)[2:]:
+                prod = [0] * (2 * deg - 1)
+                for i, a in enumerate(acc):
+                    if a:
+                        for j, b in enumerate(acc, i):
+                            prod[j] += a * b
+                for k in range(2 * deg - 2, deg - 1, -1):
+                    c = prod[k] % p
+                    if c:
+                        for i, h in enumerate(neg_head, k - deg):
+                            prod[i] += c * h
+                acc = [c % p for c in prod[:deg]]
+                if bit == "1":
+                    top = acc[-1]
+                    acc = [top * neg_head[0] % p] + [(a + top * h) % p for a, h in zip(acc, neg_head[1:])]
+            return acc
+
+        return x_power(order) == one and all(x_power(e) != one for e in cofactors)
+
+    return primitive
+
+
 # the instance field_new built for each (p, t), over the canonical modulus
 _CANONICAL: dict[tuple[int, int], Field] = {}
 
@@ -574,9 +644,10 @@ def field_new(p: int, t: int = 1) -> Field:
 
     Recorded: repeated calls hand back the same instance however they are
     spelt (field_new(3) and field_new(3, 1) alike), so tables are built once
-    per (p, t).
+    per (p, t).  A p or t that is not a plain int is refused, not looked up:
+    (3, True) would find (3, 1).
     """
-    field = _CANONICAL.get((p, t))
+    field = _CANONICAL.get((p, t)) if type(p) is type(t) is int else None
     if field is None:
         field = _CANONICAL[p, t] = _canonical_field(p, t)
     return field
@@ -589,7 +660,8 @@ def field_with_modulus(p: int, t: int, modulus) -> Field:
     its canonical one.  Otherwise a new Field(p, t, modulus), validated as
     ever and not recorded, so moduli from untrusted files hold no memory
     past their codes; and no canonical field is built here to compare
-    against, since building GF(2^16) alone takes seconds.
+    against, since building GF(2^16) alone takes a quarter of a second and
+    its tables a few MB.
     """
     field = _CANONICAL.get((p, t))
     if field is not None and field.modulus == list(modulus):
@@ -599,9 +671,15 @@ def field_with_modulus(p: int, t: int, modulus) -> Field:
 
 def _canonical_field(p: int, t: int) -> Field:
     """Scans monic degree-2t polynomials in packing order and takes the first
-    one whose residue class of x is primitive."""
+    one whose residue class of x is primitive.
+
+    The order test settles each candidate; the exp/log walk then runs on the
+    one it passes and certifies it, so a walk that refuses it is a fault of
+    the test, not a reason to go on scanning.
+    """
     _check_tower(p, t)
     deg = 2 * t
+    primitive = _primitivity_test(p, t)
     for packed in range(p**deg):
         digits = []
         n = packed
@@ -611,8 +689,9 @@ def _canonical_field(p: int, t: int) -> Field:
         if digits[0] == 0:
             continue  # x divides the candidate, x could not be a unit
         modulus = digits + [1]
-        tables = _build_tables(p, t, modulus)
-        if tables is not None:
+        if primitive(modulus):
+            tables = _build_tables(p, t, modulus)
+            assert tables is not None, f"the order test passed {modulus} and the walk refused it"
             return Field(p, t, modulus, _tables=tables)
     raise FieldTooLarge(f"no primitive polynomial found for p={p}, t={t}")
 

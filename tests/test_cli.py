@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import qmds.cli
 import qmds.grs
 import qmds.verify
+from qmds import gf
 from qmds.cli import canonical_json, load_code_file, main
 from qmds.gf import Field, field_for_q
 from qmds.grs import (
@@ -1090,17 +1091,23 @@ def test_a_tower_or_modulus_the_field_refuses_exits_4(tmp_path, capsys, change, 
     assert detail["error"] == "FileMalformed" and reason in detail["message"]
 
 
-def test_an_unbuilt_large_field_with_a_bad_modulus_exits_4_at_once(tmp_path, capsys):
-    # building the canonical GF(2^16) alone takes seconds; a wrong-length
-    # modulus must be refused without it
+def test_an_unbuilt_large_field_with_a_bad_modulus_exits_4_at_once(tmp_path, capsys, monkeypatch):
+    # a wrong-length modulus must be refused before any field is built: no
+    # canonical GF(2^16) to compare against, and no walk over its powers
     good = construct(tmp_path, capsys, "c.json", "--family", "grs-a", "--q", "3", "--a", "1", "--d", "3")
     payload = json.loads(good.read_text())
     payload["field"].update({"p": 2, "t": 8, "modulus": [1, 0, 1]})
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps(payload))
-    start = time.perf_counter()
+
+    def build(*args):
+        raise AssertionError(f"a field was built for {args}")
+
+    monkeypatch.setattr(gf, "_CANONICAL", {})
+    monkeypatch.setattr(gf, "_canonical_field", build)
+    monkeypatch.setattr(gf, "_build_tables", build)
     rc, _, err = run_cli(["verify", "--in", str(bad), "--check", "all"], capsys)
-    assert time.perf_counter() - start < 0.5
+    assert (2, 8) not in gf._CANONICAL
     assert rc == 4
     detail = json.loads(err)
     assert detail["error"] == "FileMalformed" and "degree 16" in detail["message"]

@@ -4,9 +4,13 @@ The oracles here avoid the table machinery on purpose: polynomial
 arithmetic is redone with coefficient lists, orders are checked by
 repeated multiplication, and preimages by exhaustive scan.  The element
 methods and vector kernels are compared with them on fields on both sides
-of the addition-table size: table fields add by lookup, larger ones through
-Zech logarithms, and inner products in every field are summed in packed
-digits.  The slopes line_slopes names are compared with the element
+of the addition-table size: table fields add by lookup once a vector kernel
+has built the table, and through Zech logarithms before that, larger ones
+always through Zech logarithms, and inner products in every field are
+summed in packed digits.  The structure tests build the table through its
+builder, Field._addition.  The order test the modulus scan runs is checked
+against the exp/log walk on every candidate of every tower up to 1024
+elements, and the moduli it picks are pinned.  The slopes line_slopes names are compared with the element
 methods, written out pair by pair, from GF(4) to GF(361), the largest
 field with an addition table; GF(529) has none, so line_slopes builds no
 table there and a k = 3 code over it, whose one deepest node scores its
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,8 +29,17 @@ from hypothesis import strategies as st
 
 from qmds import errors, gf
 from qmds.gf import _TABLE_CAP, Field, field_for_q, field_new, field_with_modulus
-from qmds.grs import LinearCode
+from qmds.grs import (
+    LinearCode,
+    construct_family_A,
+    construct_family_B,
+    construct_family_C,
+    grs_generator,
+    is_self_orthogonal,
+    valid_parameter_sets,
+)
 from qmds.linalg import Matrix, transpose
+from qmds.quantum import quantum_mds_from_self_orthogonal
 from qmds.verify import min_distance_at_least
 from test_linalg_properties import GRAM_FIELDS, naive_hermitian_gram
 from test_verify_properties import distance_and_path
@@ -326,6 +340,30 @@ def test_field_construction_errors():
         field_for_q(huge_prime)
 
 
+def test_a_tower_or_coefficient_that_is_not_a_plain_int_is_refused(monkeypatch):
+    # (3, True) would find the recorded (3, 1), or record GF(9) with t = True
+    # for every later field_for_q(3); each is refused before anything is
+    # built, with the class of its range check
+    monkeypatch.setattr(gf, "_CANONICAL", {})
+    with pytest.raises(errors.FieldTooLarge):
+        field_new(3, True)
+    with pytest.raises(errors.NonPrimeCharacteristic):
+        field_new(3.0)
+    assert gf._CANONICAL == {}
+    f = field_new(3)
+    assert type(f.t) is int and f.t == 1 and f is field_for_q(3)
+    with pytest.raises(errors.FieldTooLarge):
+        field_new(3, True)
+    with pytest.raises(errors.NonPrimeCharacteristic):
+        Field(3.0, 1, [2, 1, 1])
+    with pytest.raises(errors.FieldTooLarge):
+        Field(3, 1.0, [2, 1, 1])
+    for modulus in ([2, 1, 1.0], [2.0, 1, 1], [True, 1, 1], [2, 1, True]):
+        with pytest.raises(errors.ZeroInput):
+            Field(3, 1, modulus)
+    assert gf._CANONICAL == {(3, 1): f}
+
+
 def test_explicit_modulus_roundtrip_and_rejects_nonprimitive():
     f = field_new(3)
     g = Field(3, 1, f.modulus)
@@ -361,11 +399,102 @@ def test_field_with_modulus_shares_only_the_canonical_instance(monkeypatch):
     assert field_new(3, 1) is f
 
 
-def test_zech_logs_are_built_only_past_the_addition_table():
-    # add, vadd and clear_column read Zech logs only where there is no table
+def test_every_field_has_zech_logs_and_a_table_only_under_the_cap():
+    # single additions read Zech logs until a vector kernel builds the table
     for q in (3, 5, 19, 23, 25):
         f = field_for_q(q)
-        assert hasattr(f, "_zech") == (f._add is None) == (f.q2 > _TABLE_CAP), q
+        assert len(f._zech) == f.q2 - 1, q
+        assert Field(f.p, f.t, f.modulus)._add is None, q
+        assert (f._addition() is not None) == (f.q2 <= _TABLE_CAP), q
+
+
+# the modulus each q's field is built on, pinned so that a change to the scan
+# cannot move it: codes files name their modulus
+PINNED_MODULI = {
+    25: [2, 2, 1, 0, 1],
+    27: [2, 1, 0, 0, 0, 0, 1],
+    31: [12, 1, 1],
+    49: [5, 3, 1, 0, 1],
+    64: [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1],
+    81: [2, 0, 0, 1, 0, 0, 0, 0, 1],
+    128: [1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_MODULI))
+def test_canonical_moduli_are_pinned(q):
+    assert field_for_q(q).modulus == PINNED_MODULI[q]
+
+
+SMALL_TOWERS = [(p, t) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for t in range(1, 6) if p ** (2 * t) <= 1024]
+
+
+@pytest.mark.parametrize("p,t", SMALL_TOWERS)
+def test_primitivity_test_agrees_with_the_walk_on_every_candidate(p, t):
+    deg = 2 * t
+    primitive = gf._primitivity_test(p, t)
+    passed = 0
+    for packed in range(p**deg):
+        modulus = poly_of_index(packed, p, deg) + [1]
+        if modulus[0]:
+            verdict = primitive(modulus)
+            assert verdict == (gf._build_tables(p, t, modulus) is not None), modulus
+            passed += verdict
+    # phi(p^deg - 1) / deg primitive polynomials of degree deg
+    order = p**deg - 1
+    assert passed == sum(1 for e in range(1, order + 1) if gcd(e, order) == 1) // deg
+
+
+def test_construction_gram_and_records_leave_the_table_unbuilt(monkeypatch):
+    # code construction, the Gram verdict and the quantum record add through
+    # single additions; on GF(361), the largest field with a table, none of
+    # them builds it
+    monkeypatch.setattr(gf, "_CANONICAL", {})
+    f = field_for_q(19)
+    for family, ctor in (("grs-a", construct_family_A), ("grs-b", construct_family_B), ("grs-c", construct_family_C)):
+        params = valid_parameter_sets(family, 19)[-1]
+        code = grs_generator(ctor(params))
+        assert code.field is f and is_self_orthogonal(code), family
+        assert quantum_mds_from_self_orthogonal(code).n == code.n
+    assert f._add is None
+
+
+KERNELS = {
+    "vadd": lambda f: f.vadd([1, 2, 0], [3, 0, 4]),
+    "clear_column": lambda f: f.clear_column([[1, 2, 3], [4, 5, 6]], [1, 2, 3], 0),
+    "line_points": lambda f: f.line_points([[1, 2, 3], [0, 5, 6]], [1, 1, 1], 0, 1, 2),
+    "line_slopes": lambda f: f.line_slopes([1, 2, 3], 3),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_each_vector_kernel_builds_the_addition_table_once(kernel):
+    f = Field(19, 1, field_for_q(19).modulus)
+    assert f._add is None
+    KERNELS[kernel](f)
+    table = f._add
+    assert table is not None and len(table) == f.q2
+    KERNELS[kernel](f)
+    assert f._add is table and f._addition() is table
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_no_field_past_the_cap_builds_an_addition_table(kernel):
+    for f in ZECH_FIELDS:
+        KERNELS[kernel](f)
+        assert f._add is None and f._addition() is None, f
+
+
+@pytest.mark.parametrize("p,t", [(2, 2), (3, 2), (19, 1)])
+def test_single_additions_agree_before_and_after_the_table(p, t):
+    # Zech logarithms before the table is built, the table after
+    f = Field(p, t, field_new(p, t).modulus)
+    zech = [[f.add(a, b) for b in range(f.q2)] for a in range(f.q2)]
+    zech_sub = [[f.sub(a, b) for b in range(f.q2)] for a in range(f.q2)]
+    assert f._add is None
+    assert f._addition() == zech
+    assert [[f.sub(a, b) for b in range(f.q2)] for a in range(f.q2)] == zech_sub
+    assert all(zech_sub[a][b] == zech[a][f.neg(b)] for a in range(f.q2) for b in range(f.q2))
 
 
 def test_digit_fallback_field_matches_oracle():
@@ -399,8 +528,9 @@ def test_table_towers_are_every_tower_under_the_cap():
 @pytest.mark.parametrize("p,t", TABLE_TOWERS)
 def test_addition_table_matches_digit_oracle_exhaustively(p, t):
     f = field_new(p, t)
-    assert len(f._add) == f.q2
-    for a, row in enumerate(f._add):
+    table = f._addition()
+    assert len(table) == f.q2
+    for a, row in enumerate(table):
         assert row == [oracle_add(f, a, b) for b in range(f.q2)]
 
 
@@ -408,14 +538,14 @@ def test_addition_table_matches_digit_oracle_exhaustively(p, t):
 def test_addition_table_rows_are_permutations(p, t):
     f = field_new(p, t)
     elements = list(range(f.q2))
-    assert all(sorted(row) == elements for row in f._add)
+    assert all(sorted(row) == elements for row in f._addition())
 
 
 @pytest.mark.parametrize("p,t", TABLE_TOWERS)
 def test_addition_table_shares_one_int_per_element(p, t):
     # a fresh int per cell would cost about 7 MB over q = 13, 17 and 19
     f = field_new(p, t)
-    assert len({id(x) for row in f._add for x in row}) <= f.q2
+    assert len({id(x) for row in f._addition() for x in row}) <= f.q2
 
 
 @pytest.mark.parametrize("p,t", [(3, 2), (19, 1)])
@@ -430,7 +560,7 @@ def test_addition_table_does_not_depend_on_the_modulus(p, t):
             continue
         break
     assert g.modulus != f.modulus and g._log != f._log
-    assert g._add == f._add
+    assert g._addition() == f._addition()
 
 # ---------------------------------------------------------------------------
 # element methods and vector kernels against the oracles, on fields on both
@@ -444,8 +574,8 @@ PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
 
 def test_property_fields_straddle_the_table_cap():
-    assert all(f._add is not None and f.q2 <= _TABLE_CAP for f in TABLE_FIELDS)
-    assert all(f._add is None and f.q2 > _TABLE_CAP for f in ZECH_FIELDS)
+    assert all(f._addition() is not None and f.q2 <= _TABLE_CAP for f in TABLE_FIELDS)
+    assert all(f._addition() is None and f.q2 > _TABLE_CAP for f in ZECH_FIELDS)
 
 
 @st.composite
